@@ -189,7 +189,7 @@ impl Monitor {
     }
 
     /// Compact the underlying stream monitor
-    /// ([`StreamMonitor::compact`]): dead tuple ids, their retained codes,
+    /// ([`StreamMonitor::compact`]): dead tuple ids, their dictionary ids,
     /// and distinct values only dead rows carried are dropped, and **every
     /// previously returned [`TupleId`] is invalidated**.  Watched ODs, their
     /// verdicts, and lifetime stats are preserved.  Returns what the rebuild

@@ -270,6 +270,9 @@ fn accept_loop(listener: TcpListener, shared: Arc<Shared>) {
         if shared.shutting_down.load(Ordering::SeqCst) {
             break;
         }
+        // Responses are written one frame per flush; Nagle's algorithm would
+        // hold each small frame back until the peer's delayed ACK.
+        let _ = stream.set_nodelay(true);
         let conn_id = shared.next_conn.fetch_add(1, Ordering::Relaxed);
         od_obs::add("server.connections", 1);
         let (Ok(write_half), Ok(shutdown_half)) = (stream.try_clone(), stream.try_clone()) else {
@@ -878,5 +881,26 @@ mod tests {
         let (mut entry, rx) = sub(1);
         drop(rx);
         assert!(!entry.push("m", &[1]));
+    }
+
+    /// Accepted sockets disable Nagle's algorithm, so a small response frame
+    /// leaves at once instead of waiting for the peer's delayed ACK.
+    #[test]
+    fn accepted_connections_set_nodelay() {
+        let server = OdServer::bind("127.0.0.1:0").unwrap();
+        // An answered ping proves the server registered the connection.
+        let mut clients: Vec<crate::Client> = (0..2)
+            .map(|_| crate::Client::connect(server.local_addr()).unwrap())
+            .collect();
+        for client in &mut clients {
+            let pong = client.request(&Request::Ping).unwrap();
+            assert!(matches!(pong, Response::Pong));
+        }
+        let conns = server.shared.conns.lock().unwrap();
+        let nodelay: Vec<Option<bool>> = conns.values().map(|s| s.nodelay().ok()).collect();
+        drop(conns);
+        assert_eq!(nodelay, vec![Some(true); clients.len()]);
+        drop(clients);
+        server.shutdown();
     }
 }

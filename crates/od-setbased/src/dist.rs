@@ -385,7 +385,6 @@ pub(crate) struct PlaneCounters {
 /// mirrored cache accounting back.
 pub struct DistPlane {
     workers: Vec<WorkerHandle>,
-    budget: usize,
     owner_of_attr: Vec<usize>,
     /// The current level's contexts, aligned with the lattice's node order
     /// (scan slots index into this).
@@ -450,7 +449,6 @@ impl DistPlane {
         let workers = workers.max(1);
         let mut plane = DistPlane {
             workers: Vec::with_capacity(workers),
-            budget,
             owner_of_attr: owners_by_min_attr(rel.schema().arity(), workers, max_context),
             contexts: Vec::new(),
             ledger: HashMap::new(),
@@ -462,7 +460,6 @@ impl DistPlane {
                 ..Default::default()
             },
         };
-        let _ = plane.budget; // carried for symmetry with the worker side
         for _ in 0..workers {
             let handle = launcher.launch()?;
             plane.workers.push(handle);

@@ -87,6 +87,45 @@ fn workload_strategy() -> impl Strategy<Value = (Vec<Vec<i64>>, Vec<(Vec<Vec<i64
     )
 }
 
+/// A cell of a mixed-type column: NULL, strings, floats (NaN and both zeros
+/// included), dates, and ints share every column.
+fn mixed_cell((kind, v): (u8, i64)) -> Value {
+    match kind {
+        0 => Value::Null,
+        1 => Value::Str(format!("s{v}")),
+        2 => Value::Float([-1.5, 0.0, -0.0, f64::NAN, 2.5, 7.0][v as usize % 6]),
+        3 => Value::Date(v as i32),
+        _ => Value::Int(v),
+    }
+}
+
+fn mixed_row(cells: Vec<(u8, i64)>) -> Vec<Value> {
+    cells.into_iter().map(mixed_cell).collect()
+}
+
+/// Strategy: mixed-type initial rows over a small value domain, batches over
+/// a larger one (so most new distinct values first arrive in a batch), and
+/// the index of the batch after which the monitor compacts.
+#[allow(clippy::type_complexity)]
+fn mixed_workload_strategy() -> impl Strategy<
+    Value = (
+        Vec<Vec<(u8, i64)>>,
+        Vec<(Vec<Vec<(u8, i64)>>, Vec<u64>)>,
+        usize,
+    ),
+> {
+    let row = |domain: i64| prop::collection::vec((0u8..5, 0..domain), COLS);
+    let batch = (
+        prop::collection::vec(row(6), 0..5),
+        prop::collection::vec(0u64..1_000, 0..4),
+    );
+    (
+        prop::collection::vec(row(2), 0..10),
+        prop::collection::vec(batch, 1..7),
+        0usize..6,
+    )
+}
+
 /// From-scratch oracle: exact removal count of one statement over a snapshot.
 fn oracle_removal(rel: &Relation, stmt: &SetOd) -> usize {
     let mut cache = PartitionCache::new(rel);
@@ -154,6 +193,67 @@ proptest! {
                         "ε = {} decision drift on {}", epsilon, stmt
                     );
                 }
+            }
+        }
+    }
+
+    /// Mixed-type columns through a mid-stream compaction: after every batch
+    /// the decoded table equals an independently kept mirror of the alive
+    /// rows, row for row in id order, and every ledger equals a fresh scan
+    /// of the mirror.  Delete picks resolve against the mirror, whose ids are
+    /// renumbered densely (in id order) when the monitor compacts.
+    #[test]
+    fn mixed_types_compaction_and_decoding_match_a_mirror(
+        workload in mixed_workload_strategy()
+    ) {
+        let (initial, batches, compact_after) = workload;
+        let initial: Vec<Vec<Value>> = initial.into_iter().map(mixed_row).collect();
+        let rel = Relation::from_rows(schema(), initial.clone()).expect("fixed arity");
+        let stmts = all_statements(2);
+        let mut monitor = StreamMonitor::new(&rel, 1);
+        for stmt in &stmts {
+            monitor.monitor_statement(stmt);
+        }
+        // The alive rows with their tuple ids, ascending by id.
+        let mut mirror: Vec<(u32, Vec<Value>)> = (0..).zip(initial).collect();
+
+        for (i, (inserts, delete_picks)) in batches.into_iter().enumerate() {
+            let mut batch = DeltaBatch::new();
+            for pick in delete_picks {
+                if mirror.is_empty() {
+                    break;
+                }
+                let (id, _) = mirror.remove((pick % mirror.len() as u64) as usize);
+                batch = batch.delete(id);
+            }
+            batch.inserts = inserts.into_iter().map(mixed_row).collect();
+            let summary = monitor.apply_delta(&batch).expect("batch is valid");
+            mirror.extend(summary.inserted.into_iter().zip(batch.inserts));
+
+            if i == compact_after {
+                let total = monitor.total_rows();
+                let compacted = monitor.compact();
+                prop_assert_eq!(compacted.dead_ids_reclaimed, total - mirror.len());
+                for (new_id, entry) in (0..).zip(mirror.iter_mut()) {
+                    entry.0 = new_id;
+                }
+            }
+
+            let decoded = monitor.to_relation();
+            prop_assert_eq!(decoded.len(), mirror.len());
+            for (row, (id, expected)) in decoded.tuples().iter().zip(&mirror) {
+                prop_assert!(monitor.is_alive(*id), "mirror id {} is dead", id);
+                prop_assert_eq!(row, expected);
+            }
+            let oracle_input =
+                Relation::from_rows(schema(), mirror.iter().map(|(_, row)| row.clone()))
+                    .expect("fixed arity");
+            for stmt in &stmts {
+                prop_assert_eq!(
+                    monitor.statement_removal(stmt),
+                    Some(oracle_removal(&oracle_input, stmt)),
+                    "ledger drift on {} after batch {}", stmt, i
+                );
             }
         }
     }

@@ -98,16 +98,15 @@ fn main() {
     assert!(registry.order_satisfies(schema.name(), &provided, &required));
 
     // --- Compact: reclaim the dead ids the churn left behind -----------------
-    // Tuple ids are never reused, so deleted rows linger until a compaction
-    // rebuilds the monitor from its alive rows (verdicts survive untouched).
+    // Tuple ids are never reused, so deleted rows keep their dictionary ids
+    // until a compaction re-densifies the columns over the alive rows
+    // (verdicts survive untouched).
     let before = monitor.stream().total_rows();
     let compacted = monitor.compact();
     println!(
-        "\ncompacted: {} dead ids reclaimed of {before} ({} KiB freed, {} B of that \
-         from code tables and live partitions, rebuilt in {:?})",
+        "\ncompacted: {} dead ids reclaimed of {before} ({} KiB freed, rebuilt in {:?})",
         compacted.dead_ids_reclaimed,
         compacted.bytes_freed / 1024,
-        compacted.rebuild_bytes_freed,
         compacted.rebuild
     );
     assert!(registry.order_satisfies(schema.name(), &provided, &required));
