@@ -1,7 +1,7 @@
 //! E17 bench — the distributed traversal's moving parts at bench-friendly
 //! row counts: the threaded engine as the baseline, the full coordinator +
-//! worker-pool discovery at 1/2/4 in-process workers (every frame codec,
-//! shard merge, and ledger path runs; process spawn is excluded so the
+//! worker-pool discovery at 1/2/4 in-process workers (every frame codec
+//! and shard merge runs; process spawn is excluded so the
 //! numbers isolate protocol + merge overhead), and the columnar snapshot
 //! codec that dominates worker startup.  The million-row end-to-end numbers
 //! (real processes, spawn included) come from `reproduce -- e17`.

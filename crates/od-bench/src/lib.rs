@@ -788,7 +788,7 @@ fn run_e14(rows: usize, threads: usize) -> String {
     // 1. Row-at-a-time Value baseline: every bucketing sorts `(&Value, row)`
     //    pairs with `Value::cmp` — what a row-oriented engine without rank
     //    columns pays per product.
-    let (value_parts, value_time) = timed_best_of_2(|| {
+    let (value_parts, value_time) = timing::best_of_with(2, "bench.e14.value_bucket", || {
         let mut parts: Vec<Vec<Vec<u32>>> = Vec::new();
         for (i, &a) in attrs.iter().enumerate() {
             let single = value_bucket(&rel, a, 0..rel.len() as u32);
@@ -810,7 +810,7 @@ fn run_e14(rows: usize, threads: usize) -> String {
     // 2. The pre-refactor rank-column pipeline: codes from per-attribute
     //    Value-comparison sorts, bucketing via comparison sorts of the
     //    (code, row) pairs.
-    let (codesort_parts, codesort_time) = timed_best_of_2(|| {
+    let (codesort_parts, codesort_time) = timing::best_of_with(2, "bench.e14.code_sort", || {
         let base_codes: Vec<Vec<u32>> = attrs.iter().map(|&a| rel.rank_column_by_sort(a)).collect();
         let mut parts: Vec<Vec<Vec<u32>>> = Vec::new();
         for (i, ca) in base_codes.iter().enumerate() {
@@ -836,20 +836,21 @@ fn run_e14(rows: usize, threads: usize) -> String {
     // 3. Columnar path: codes are a by-product of construction (shared
     //    dictionary encoding), bucketing goes through the reused radix scratch.
     let enc = rel.encoding();
-    let ((codes_parts, radix_passes), columnar) = timed_best_of_2(|| {
-        let mut scratch = RefineScratch::default();
-        let mut parts: Vec<StrippedPartition> = Vec::new();
-        for i in 0..attrs.len() {
-            let p = StrippedPartition::by_codes_with(enc.codes(i), &mut scratch);
-            for j in 0..attrs.len() {
-                if i != j {
-                    parts.push(p.refine_by_with(enc.codes(j), &mut scratch));
+    let ((codes_parts, radix_passes), columnar) =
+        timing::best_of_with(2, "bench.e14.columnar", || {
+            let mut scratch = RefineScratch::default();
+            let mut parts: Vec<StrippedPartition> = Vec::new();
+            for i in 0..attrs.len() {
+                let p = StrippedPartition::by_codes_with(enc.codes(i), &mut scratch);
+                for j in 0..attrs.len() {
+                    if i != j {
+                        parts.push(p.refine_by_with(enc.codes(j), &mut scratch));
+                    }
                 }
+                parts.push(p);
             }
-            parts.push(p);
-        }
-        (parts, scratch.radix_passes())
-    });
+            (parts, scratch.radix_passes())
+        });
     od_obs::add("e14.refine.radix_passes", radix_passes);
     let speedup = value_time.as_secs_f64() / columnar.as_secs_f64().max(1e-9);
     let speedup_codesort = codesort_time.as_secs_f64() / columnar.as_secs_f64().max(1e-9);
@@ -993,10 +994,11 @@ fn run_e16(rows: usize, threads: usize) -> String {
         .collect();
     let codes: Vec<ClassCodes> = parts.iter().map(StrippedPartition::class_codes).collect();
 
-    // Each path runs twice and keeps its best time (see `timed_best_of_2`).
+    // Each path runs twice and keeps its best time (the first run in a fresh
+    // process pays page faults and CPU ramp-up).
     // 1. Per-class hash grouping: what the pre-CSR product paid — one
     //    HashMap insert per covered row.
-    let (hash_parts, hash_time) = timed_best_of_2(|| {
+    let (hash_parts, hash_time) = timing::best_of_with(2, "bench.e16.hash", || {
         let mut v: Vec<StrippedPartition> = Vec::new();
         for (i, p) in parts.iter().enumerate() {
             for (j, c) in codes.iter().enumerate() {
@@ -1009,7 +1011,7 @@ fn run_e16(rows: usize, threads: usize) -> String {
     });
 
     // 2. Comparison sorts of the same packed (class_a, class_b) u64 keys.
-    let (cmp_parts, cmp_time) = timed_best_of_2(|| {
+    let (cmp_parts, cmp_time) = timing::best_of_with(2, "bench.e16.comparison", || {
         let mut scratch = RefineScratch::default();
         let mut v: Vec<StrippedPartition> = Vec::new();
         for (i, p) in parts.iter().enumerate() {
@@ -1024,19 +1026,20 @@ fn run_e16(rows: usize, threads: usize) -> String {
 
     // 3. The radix kernel the lattice runs: one stable LSD pass set over the
     //    packed keys through the reused scratch.
-    let ((radix_parts, product_passes), radix_time) = timed_best_of_2(|| {
-        let mut scratch = RefineScratch::default();
-        let mut v: Vec<StrippedPartition> = Vec::new();
-        for (i, p) in parts.iter().enumerate() {
-            for (j, c) in codes.iter().enumerate() {
-                if i != j {
-                    v.push(p.product_with(c, &mut scratch));
+    let ((radix_parts, product_passes), radix_time) =
+        timing::best_of_with(2, "bench.e16.radix", || {
+            let mut scratch = RefineScratch::default();
+            let mut v: Vec<StrippedPartition> = Vec::new();
+            for (i, p) in parts.iter().enumerate() {
+                for (j, c) in codes.iter().enumerate() {
+                    if i != j {
+                        v.push(p.product_with(c, &mut scratch));
+                    }
                 }
             }
-        }
-        let passes = scratch.product_radix_passes();
-        (v, passes)
-    });
+            let passes = scratch.product_radix_passes();
+            (v, passes)
+        });
     od_obs::add("e16.product.radix_passes", product_passes);
     let speedup_hash = hash_time.as_secs_f64() / radix_time.as_secs_f64().max(1e-9);
     let speedup_cmp = cmp_time.as_secs_f64() / radix_time.as_secs_f64().max(1e-9);
@@ -1177,7 +1180,9 @@ fn run_e17(rows: usize, workers: usize, launcher: &WorkerLauncher) -> (String, D
         max_context: 4,
         ..Default::default()
     };
-    let (local, local_time) = timed_best_of_2(|| discover_statements(&rel, &config));
+    let (local, local_time) = timing::best_of_with(2, "bench.e17.threaded", || {
+        discover_statements(&rel, &config)
+    });
     writeln!(
         out,
         "threaded engine (threads=1): {} minimal statements in {local_time:?} ({} rows/sec)",
@@ -1193,8 +1198,9 @@ fn run_e17(rows: usize, workers: usize, launcher: &WorkerLauncher) -> (String, D
         workers,
         ..config
     };
-    let (dist_result, dist_time) =
-        timed_best_of_2(|| discover_statements_dist(&rel, &dist_config, launcher));
+    let (dist_result, dist_time) = timing::best_of_with(2, "bench.e17.dist", || {
+        discover_statements_dist(&rel, &dist_config, launcher)
+    });
     let (dist, stats) = match dist_result {
         Ok(pair) => pair,
         Err(e) => {
@@ -1315,19 +1321,6 @@ fn comparison_bucket(pairs: impl Iterator<Item = (u32, u32)>) -> Vec<Vec<u32>> {
 
 fn rows_per_sec(rows: usize, elapsed: std::time::Duration) -> String {
     format!("{:.0}", rows as f64 / elapsed.as_secs_f64().max(1e-9))
-}
-
-/// Run `f` twice and report its result with the smaller elapsed time — the
-/// standard guard against cold-start noise (page faults, frequency ramp) in
-/// single-shot comparisons.  The result is taken from the second run; E14's
-/// paths are deterministic, so both runs return the same value.
-fn timed_best_of_2<R>(mut f: impl FnMut() -> R) -> (R, std::time::Duration) {
-    let t = Instant::now();
-    let _warm = f();
-    let first = t.elapsed();
-    let t = Instant::now();
-    let result = f();
-    (result, first.min(t.elapsed()))
 }
 
 fn ok(b: bool) -> &'static str {

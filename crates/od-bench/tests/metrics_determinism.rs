@@ -116,7 +116,8 @@ fn e17_deterministic_section_is_byte_identical_across_runs_and_worker_counts() {
     // The whole E17 pipeline — scale-table generation, the threaded oracle
     // run, the distributed traversal over in-process workers — under the
     // capture.  The deterministic section carries only merged discovery
-    // counters (worker-invariant by the ledger design); frame/byte traffic
+    // counters (worker-invariant: the control loop derives cache
+    // accounting from the level schedule on every plane); frame/byte traffic
     // varies with the worker count and lives in the non-deterministic
     // section, so {1,2,4} workers must all produce identical bytes.
     let run = |workers| {

@@ -145,27 +145,15 @@ impl Monitor {
     /// Watch the **install set** of a discovery run — the zero-error ODs that
     /// [`Discovery::install_into`] would feed to the optimizer — so registry
     /// installs can be kept in sync with the data they were profiled from.
-    /// Serial; see [`Self::watch_install_set_with_threads`] for sharding.
+    /// Serial; pass the same ODs to [`Self::watch`] for sharding.
     pub fn watch_install_set(rel: &Relation, discovery: &Discovery, epsilon: f64) -> Self {
-        Self::watch_install_set_with_threads(rel, discovery, epsilon, 1)
-    }
-
-    /// [`Self::watch_install_set`] with `threads > 1` sharding large initial
-    /// scans and large delta patches (mirrors
-    /// [`SetBasedEngine::with_threads`](od_setbased::SetBasedEngine::with_threads)).
-    pub fn watch_install_set_with_threads(
-        rel: &Relation,
-        discovery: &Discovery,
-        epsilon: f64,
-        threads: usize,
-    ) -> Self {
         let ods = discovery
             .ods
             .iter()
             .zip(&discovery.errors)
             .filter(|(_, &err)| err == 0.0)
             .map(|(od, _)| od.clone());
-        Self::watch(rel, ods, epsilon, threads)
+        Self::watch(rel, ods, epsilon, 1)
     }
 
     /// The error threshold the monitor accepts against.

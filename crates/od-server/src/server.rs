@@ -173,6 +173,45 @@ fn invalidate_profiles(shared: &Shared, relation: &str) {
     );
 }
 
+/// Answer a `Discover`/`DiscoverStatements` request through the profile
+/// cache: resolve `key.relation` and stamp its current generation into `key`,
+/// then serve the cached response or run `compute` on the relation and cache
+/// its successful response (an `Err` is answered as `BadRequest`).
+fn discover_cached(
+    shared: &Shared,
+    mut key: DiscoverKey,
+    compute: impl FnOnce(&Relation) -> Result<Response, String>,
+) -> Response {
+    let rel = {
+        let relations = shared.relations.lock().unwrap();
+        let Some(entry) = relations.get(&key.relation) else {
+            return no_such("relation", &key.relation);
+        };
+        key.generation = entry.generation;
+        Arc::clone(&entry.relation)
+    };
+    if let Some(cached) = shared.discover_cache.lock().unwrap().get(&key).cloned() {
+        od_obs::add("server.discover.cache_hits", 1);
+        return cached;
+    }
+    od_obs::add("server.discover.cache_misses", 1);
+    // Discover outside the cache lock: profiling can be heavy and must not
+    // block unrelated requests.  A concurrent miss on the same key computes
+    // the same deterministic response — the duplicated work is bounded and
+    // the cache stays consistent.
+    match compute(&rel) {
+        Ok(response) => {
+            shared
+                .discover_cache
+                .lock()
+                .unwrap()
+                .insert(key, response.clone());
+            response
+        }
+        Err(message) => err(ErrorCode::BadRequest, message),
+    }
+}
+
 /// A running od-server.  Bind with [`OdServer::bind`], stop with
 /// [`OdServer::shutdown`] (which joins every connection thread).
 pub struct OdServer {
@@ -499,30 +538,18 @@ fn handle(
             epsilon,
             max_context,
         } => {
-            let (rel, generation) = {
-                let relations = shared.relations.lock().unwrap();
-                let Some(entry) = relations.get(&relation) else {
-                    return no_such("relation", &relation);
-                };
-                (Arc::clone(&entry.relation), entry.generation)
-            };
             if !(0.0..=1.0).contains(&epsilon) {
                 return err(ErrorCode::BadRequest, "epsilon must be within [0, 1]");
             }
             let key = DiscoverKey {
                 relation,
-                generation,
+                generation: 0, // stamped by `discover_cached`
                 statements: false,
                 max_lhs,
                 max_rhs,
                 epsilon_bits: epsilon.to_bits(),
                 max_context,
             };
-            if let Some(cached) = shared.discover_cache.lock().unwrap().get(&key).cloned() {
-                od_obs::add("server.discover.cache_hits", 1);
-                return cached;
-            }
-            od_obs::add("server.discover.cache_misses", 1);
             let config = DiscoveryConfig {
                 max_lhs: max_lhs as usize,
                 max_rhs: max_rhs as usize,
@@ -530,69 +557,39 @@ fn handle(
                 max_context: max_context as usize,
                 ..DiscoveryConfig::default()
             };
-            // Discover outside the cache lock: profiling can be heavy and
-            // must not block unrelated requests.  A concurrent miss on the
-            // same key computes the same deterministic response — the
-            // duplicated work is bounded and the cache stays consistent.
-            match od_discovery::try_discover_ods(&rel, config) {
-                Ok(discovery) => {
-                    let response = Response::Discovered {
-                        ods: discovery.ods,
-                        errors: discovery.errors,
-                    };
-                    shared
-                        .discover_cache
-                        .lock()
-                        .unwrap()
-                        .insert(key, response.clone());
-                    response
-                }
-                Err(e) => err(ErrorCode::BadRequest, e.to_string()),
-            }
+            discover_cached(shared, key, |rel| {
+                let discovery =
+                    od_discovery::try_discover_ods(rel, config).map_err(|e| e.to_string())?;
+                Ok(Response::Discovered {
+                    ods: discovery.ods,
+                    errors: discovery.errors,
+                })
+            })
         }
         Request::DiscoverStatements {
             relation,
             max_context,
         } => {
-            let (rel, generation) = {
-                let relations = shared.relations.lock().unwrap();
-                let Some(entry) = relations.get(&relation) else {
-                    return no_such("relation", &relation);
-                };
-                (Arc::clone(&entry.relation), entry.generation)
-            };
             let key = DiscoverKey {
                 relation,
-                generation,
+                generation: 0, // stamped by `discover_cached`
                 statements: true,
                 max_lhs: 0,
                 max_rhs: 0,
                 epsilon_bits: 0,
                 max_context,
             };
-            if let Some(cached) = shared.discover_cache.lock().unwrap().get(&key).cloned() {
-                od_obs::add("server.discover.cache_hits", 1);
-                return cached;
-            }
-            od_obs::add("server.discover.cache_misses", 1);
             let config = LatticeConfig {
                 max_context: max_context as usize,
                 ..LatticeConfig::default()
             };
-            match od_setbased::try_discover_statements(&rel, &config) {
-                Ok(discovery) => {
-                    let response = Response::Statements {
-                        statements: discovery.minimal_statements().to_vec(),
-                    };
-                    shared
-                        .discover_cache
-                        .lock()
-                        .unwrap()
-                        .insert(key, response.clone());
-                    response
-                }
-                Err(e) => err(ErrorCode::BadRequest, e.to_string()),
-            }
+            discover_cached(shared, key, |rel| {
+                let discovery = od_setbased::try_discover_statements(rel, &config)
+                    .map_err(|e| e.to_string())?;
+                Ok(Response::Statements {
+                    statements: discovery.minimal_statements().to_vec(),
+                })
+            })
         }
         Request::CreateMonitor {
             name,

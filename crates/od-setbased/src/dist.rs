@@ -36,7 +36,7 @@
 //! |---|---|---|
 //! | `SnapshotChunk` | C→W | one slice of the columnar relation snapshot |
 //! | `SnapshotDone`  | C→W | `g3` error budget; worker decodes + prewarms, replies `Ready` |
-//! | `Refine`        | C→W | level + owned context masks → `RefineDone` (per-context class count + heap bytes, radix-pass deltas) |
+//! | `Refine`        | C→W | owned context masks → `RefineDone` (per-context class count + heap bytes, radix-pass deltas) |
 //! | `ScanConsts`    | C→W | `(context, attr)` constancy scans → `Verdicts` |
 //! | `ScanPairs`     | C→W | `(context, a, b)` compatibility scans → `Verdicts` |
 //! | `ScanOne`       | C→W | one replay-fallback statement → `Verdicts` (length 1) |
@@ -64,24 +64,23 @@
 //!   *after* the prewarm) because the single-process cache always builds
 //!   those columns for free from cached singleton partitions.
 //! * Cache accounting (hits/misses/products/evictions, cached-set counts,
-//!   `csr_bytes`) is kept by a coordinator-side **ledger** that mirrors the
-//!   single-process cache key-set: partition heap bytes are reported by the
-//!   owning worker (bit-identical because refinement buffers are sized
-//!   exactly), eviction retains by set size, and the per-attribute
-//!   class-code memo grows by each level-≥2 context's last attribute.
+//!   `csr_bytes`) is not kept by either plane: the control loop derives it
+//!   from the level schedule, for the in-process and the distributed plane
+//!   alike.  The only inputs it takes from the plane are each context's
+//!   class count and heap bytes, which the owning worker reports
+//!   (bit-identical because refinement buffers are sized exactly).
 //!
 //! Frame and byte counts *do* vary with the worker count, so they are
 //! returned in [`DistStats`] rather than recorded as deterministic metrics.
 
 use crate::canonical::SetOd;
-use crate::lattice::{self, LatticeConfig, SetBasedDiscovery};
+use crate::lattice::{self, LatticeConfig, LevelRefinement, SetBasedDiscovery};
 use crate::obs;
 use crate::parallel::{self, StatementJob};
 use crate::partition::{ColCodes, PartitionCache, StrippedPartition};
 use crate::validate::{self, Verdict};
 use od_core::wire::{self, read_frame, read_frame_opt, write_frame, Reader, MAX_FRAME_LEN};
 use od_core::{AttrId, AttrSet, Relation};
-use std::collections::HashMap;
 use std::io::{self, BufReader, BufWriter, Read, Write};
 use std::process::{Child, Command, Stdio};
 use std::rc::Rc;
@@ -369,35 +368,15 @@ impl Read for PipeReader {
 // Coordinator data plane.
 // ---------------------------------------------------------------------------
 
-/// Aggregate cache counters mirrored by the coordinator ledger (the same
-/// numbers [`PartitionCache`] exposes at the end of a local run).
-#[derive(Debug, Clone, Copy, Default)]
-pub(crate) struct PlaneCounters {
-    pub hits: usize,
-    pub misses: usize,
-    pub products: usize,
-    pub radix_passes: u64,
-    pub product_radix_passes: u64,
-}
-
 /// The distributed data plane the lattice loop drives instead of a local
-/// [`PartitionCache`]: context-sharded requests out, merged verdicts and
-/// mirrored cache accounting back.
+/// [`PartitionCache`]: context-sharded requests out, merged partition
+/// metadata and verdicts back.
 pub struct DistPlane {
     workers: Vec<WorkerHandle>,
     owner_of_attr: Vec<usize>,
     /// The current level's contexts, aligned with the lattice's node order
     /// (scan slots index into this).
     contexts: Vec<AttrSet>,
-    /// Mirror of the single-process cache key-set: cached context → its
-    /// partition's heap bytes as reported by the owning worker.
-    ledger: HashMap<AttrSet, u64>,
-    /// Attributes whose class-code column the single-process cache would
-    /// have memoized (each level-≥2 context's last attribute).
-    class_code_attrs: AttrSet,
-    /// Heap bytes of one memoized class-code column (`n_rows * 4`).
-    class_code_bytes: u64,
-    counters: PlaneCounters,
     stats: DistStats,
 }
 
@@ -451,10 +430,6 @@ impl DistPlane {
             workers: Vec::with_capacity(workers),
             owner_of_attr: owners_by_min_attr(rel.schema().arity(), workers, max_context),
             contexts: Vec::new(),
-            ledger: HashMap::new(),
-            class_code_attrs: AttrSet::new(),
-            class_code_bytes: rel.len() as u64 * 4,
-            counters: PlaneCounters::default(),
             stats: DistStats {
                 workers,
                 ..Default::default()
@@ -542,13 +517,13 @@ impl DistPlane {
         }
     }
 
-    /// Refine one level's partitions across the shards; returns each
-    /// context's class count (0 ⇔ superkey), in context order.
+    /// Refine one level's partitions across the shards, merging the owners'
+    /// per-context metadata back into context order and summing their
+    /// radix-pass deltas.
     pub(crate) fn refine_level(
         &mut self,
         contexts: &[AttrSet],
-        level: usize,
-    ) -> Result<Vec<u64>, DistError> {
+    ) -> Result<LevelRefinement, DistError> {
         self.contexts = contexts.to_vec();
         let mut groups: Vec<Vec<usize>> = vec![Vec::new(); self.workers.len()];
         for (i, ctx) in contexts.iter().enumerate() {
@@ -558,9 +533,8 @@ impl DistPlane {
             if group.is_empty() {
                 continue;
             }
-            let mut payload = Vec::with_capacity(9 + group.len() * 8);
+            let mut payload = Vec::with_capacity(5 + group.len() * 8);
             wire::put_u8(&mut payload, REQ_REFINE);
-            wire::put_u32(&mut payload, level as u32);
             wire::put_u32(&mut payload, group.len() as u32);
             for &i in group {
                 wire::put_u64(&mut payload, contexts[i].mask());
@@ -568,7 +542,11 @@ impl DistPlane {
             self.send(w, &payload)?;
             self.flush(w)?;
         }
-        let mut classes = vec![0u64; contexts.len()];
+        let mut refined = LevelRefinement {
+            parts: vec![(0, 0); contexts.len()],
+            radix_passes: 0,
+            product_radix_passes: 0,
+        };
         for (w, group) in groups.iter().enumerate() {
             if group.is_empty() {
                 continue;
@@ -587,33 +565,19 @@ impl DistPlane {
                     return Err(format!("RefineDone carries {n} metas, expected {}", group.len()));
                 }
                 for &i in group {
-                    classes[i] = r.u64().map_err(|e| e.to_string())?;
+                    let classes = r.u64().map_err(|e| e.to_string())?;
                     let bytes = r.u64().map_err(|e| e.to_string())?;
-                    self.ledger.insert(contexts[i], bytes);
+                    refined.parts[i] = (classes, bytes);
                 }
                 let rp = r.u64().map_err(|e| e.to_string())?;
                 let pp = r.u64().map_err(|e| e.to_string())?;
                 Ok((rp, pp))
             };
             let (rp, pp) = parse().map_err(|detail| DistError::Protocol { worker: w, detail })?;
-            self.counters.radix_passes += rp;
-            self.counters.product_radix_passes += pp;
+            refined.radix_passes += rp;
+            refined.product_radix_passes += pp;
         }
-        // Mirror the single-process cache accounting: every context at this
-        // level is a fresh miss, and every level-≥1 context is one product
-        // (level 0 materializes `Π_∅` without a product step).
-        self.counters.misses += contexts.len();
-        if level >= 1 {
-            self.counters.products += contexts.len();
-        }
-        if level >= 2 {
-            for ctx in contexts {
-                if let Some(last) = ctx.last() {
-                    self.class_code_attrs.insert(last);
-                }
-            }
-        }
-        Ok(classes)
+        Ok(refined)
     }
 
     /// Run one phase of scans sharded by item owner; `encode_item` writes
@@ -730,9 +694,7 @@ impl DistPlane {
         })
     }
 
-    /// Replay-fallback scan of a single statement on its owning worker (a
-    /// cache *hit* in the mirrored accounting, exactly like the local
-    /// `statement_verdict` path).
+    /// Replay-fallback scan of a single statement on its owning worker.
     pub(crate) fn scan_one(&mut self, stmt: &SetOd) -> Result<Verdict, DistError> {
         let w = self.owner_of(*stmt.context());
         let mut payload = Vec::new();
@@ -751,14 +713,11 @@ impl DistPlane {
             }
             crate::wire::get_verdict(&mut r).map_err(|e| e.to_string())
         };
-        let v = parse().map_err(|detail| DistError::Protocol { worker: w, detail })?;
-        self.counters.hits += 1;
-        Ok(v)
+        parse().map_err(|detail| DistError::Protocol { worker: w, detail })
     }
 
-    /// Broadcast the per-level eviction and mirror it in the ledger,
-    /// returning how many partitions the single-process cache would drop.
-    pub(crate) fn evict(&mut self, size: usize) -> Result<usize, DistError> {
+    /// Broadcast the per-level eviction.
+    pub(crate) fn evict(&mut self, size: usize) -> Result<(), DistError> {
         let mut payload = Vec::new();
         wire::put_u8(&mut payload, REQ_EVICT);
         wire::put_u64(&mut payload, size as u64);
@@ -766,22 +725,7 @@ impl DistPlane {
             self.send(w, &payload)?;
             self.flush(w)?;
         }
-        let before = self.ledger.len();
-        self.ledger.retain(|set, _| set.len() != size);
-        Ok(before - self.ledger.len())
-    }
-
-    pub(crate) fn csr_bytes(&self) -> u64 {
-        self.ledger.values().sum::<u64>()
-            + self.class_code_attrs.len() as u64 * self.class_code_bytes
-    }
-
-    pub(crate) fn cached_sets(&self) -> usize {
-        self.ledger.len()
-    }
-
-    pub(crate) fn counters(&self) -> PlaneCounters {
-        self.counters
+        Ok(())
     }
 
     /// Clean shutdown: ask every worker to exit, close the pipes, reap the
@@ -922,7 +866,6 @@ pub fn run_worker(r: &mut impl Read, w: &mut impl Write) -> io::Result<()> {
         let mut rd = Reader::new(&payload);
         match rd.u8().map_err(invalid)? {
             REQ_REFINE => {
-                let _level = rd.u32().map_err(invalid)?;
                 let n = rd.seq_len(8).map_err(invalid)?;
                 let mut sets = Vec::with_capacity(n);
                 for _ in 0..n {

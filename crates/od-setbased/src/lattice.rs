@@ -74,7 +74,7 @@
 //! monotone in the premise set).
 
 use crate::canonical::SetOd;
-use crate::dist::{DistError, DistPlane, PlaneCounters, WorkerLauncher};
+use crate::dist::{DistError, DistPlane, WorkerLauncher};
 use crate::obs;
 use crate::parallel::{self, StatementJob};
 use crate::partition::{ColCodes, PartitionCache, StrippedPartition};
@@ -607,14 +607,26 @@ impl TraversalState {
 }
 
 /// The traversal's swappable **data plane**: partition refinement, statement
-/// scans, eviction, and cache accounting.  The control plane
-/// ([`discover_with_plane`]) is identical over both variants, which is what
-/// makes the distributed engine bit-identical to the in-process one.
+/// scans, and eviction.  The control plane ([`discover_with_plane`]) is
+/// identical over both variants — cache accounting included, which it derives
+/// from the level schedule — and that is what makes the distributed engine
+/// bit-identical to the in-process one.
 pub(crate) enum Plane<'r> {
     /// The in-process [`PartitionCache`] (threads shard *within* the process).
     Local(Box<LocalPlane<'r>>),
     /// Context-sharded worker processes over pipes (see [`crate::dist`]).
     Dist(Box<DistPlane>),
+}
+
+/// What one level's refinement reports to the control loop.
+pub(crate) struct LevelRefinement {
+    /// Each context's `(class count, CSR heap bytes)`, in context order
+    /// (`0` classes ⇔ the context is a superkey).
+    pub(crate) parts: Vec<(u64, u64)>,
+    /// Radix counting passes spent on u32 refinement keys.
+    pub(crate) radix_passes: u64,
+    /// Radix counting passes spent on packed u64 product keys.
+    pub(crate) product_radix_passes: u64,
 }
 
 /// The in-process data plane: the partition cache plus the current level's
@@ -645,15 +657,24 @@ impl<'r> LocalPlane<'r> {
 }
 
 impl Plane<'_> {
-    /// Materialize one level's partitions; returns each context's class
-    /// count, in context order (`0` ⇔ the context is a superkey).
-    fn refine_level(&mut self, contexts: &[AttrSet], level: usize) -> Result<Vec<u64>, DistError> {
+    /// Materialize one level's partitions.
+    fn refine_level(&mut self, contexts: &[AttrSet]) -> Result<LevelRefinement, DistError> {
         match self {
             Plane::Local(p) => {
+                let radix = p.cache.radix_passes();
+                let product = p.cache.product_radix_passes();
                 p.parts = p.cache.partitions_batch(contexts, p.threads);
-                Ok(p.parts.iter().map(|pt| pt.num_classes() as u64).collect())
+                Ok(LevelRefinement {
+                    parts: p
+                        .parts
+                        .iter()
+                        .map(|pt| (pt.num_classes() as u64, pt.approx_heap_bytes() as u64))
+                        .collect(),
+                    radix_passes: p.cache.radix_passes() - radix,
+                    product_radix_passes: p.cache.product_radix_passes() - product,
+                })
             }
-            Plane::Dist(p) => p.refine_level(contexts, level),
+            Plane::Dist(p) => p.refine_level(contexts),
         }
     }
 
@@ -704,41 +725,14 @@ impl Plane<'_> {
         }
     }
 
-    /// Evict all cached partitions of one context size; returns how many.
-    fn evict(&mut self, size: usize) -> Result<usize, DistError> {
+    /// Evict all cached partitions of one context size.
+    fn evict(&mut self, size: usize) -> Result<(), DistError> {
         match self {
-            Plane::Local(p) => Ok(p.cache.evict_sets_of_size(size)),
+            Plane::Local(p) => {
+                p.cache.evict_sets_of_size(size);
+                Ok(())
+            }
             Plane::Dist(p) => p.evict(size),
-        }
-    }
-
-    /// Heap bytes of the cached CSR partitions plus the class-code memo.
-    fn csr_bytes(&self) -> u64 {
-        match self {
-            Plane::Local(p) => p.cache.approx_csr_bytes() as u64,
-            Plane::Dist(p) => p.csr_bytes(),
-        }
-    }
-
-    /// Distinct attribute sets whose partition is currently materialized.
-    fn cached_sets(&self) -> usize {
-        match self {
-            Plane::Local(p) => p.cache.cached_sets(),
-            Plane::Dist(p) => p.cached_sets(),
-        }
-    }
-
-    /// Aggregate cache counters at the end of the traversal.
-    fn counters(&self) -> PlaneCounters {
-        match self {
-            Plane::Local(p) => PlaneCounters {
-                hits: p.cache.hits,
-                misses: p.cache.misses,
-                products: p.cache.products,
-                radix_passes: p.cache.radix_passes(),
-                product_radix_passes: p.cache.product_radix_passes(),
-            },
-            Plane::Dist(p) => p.counters(),
         }
     }
 }
@@ -781,10 +775,18 @@ pub fn discover_statements(rel: &Relation, config: &LatticeConfig) -> SetBasedDi
 }
 
 /// The traversal's **control plane**, generic over the data plane: candidate
-/// propagation, superkey deletion, the per-level decider round, and the
-/// canonical sequential replay.  Every data access — refinement, scans,
-/// eviction, cache accounting — goes through `plane`, so the distributed
-/// engine runs *this exact loop* and inherits its determinism.
+/// propagation, superkey deletion, the per-level decider round, the
+/// canonical sequential replay, and partition-cache accounting.  Every data
+/// access — refinement, scans, eviction — goes through `plane`, so the
+/// distributed engine runs *this exact loop* and inherits its determinism.
+///
+/// Cache accounting follows from the level schedule alone: each level-`k`
+/// partition is built once from a level-`k−1` partition (one miss, and one
+/// product for `k ≥ 1`); once level `k` is materialized the cache holds
+/// exactly levels `k−1` and `k`, plus one memoized class-code column
+/// (`n_rows × 4` bytes) per attribute that ended a level-≥2 context; level
+/// `k−1` is evicted after level `k`'s replay; and every replay-fallback scan
+/// is one hit on the current level.
 pub(crate) fn discover_with_plane(
     rel: &Relation,
     config: &LatticeConfig,
@@ -811,6 +813,14 @@ pub(crate) fn discover_with_plane(
     let mut state = TraversalState::default();
     let _discovery_span = obs::span("discovery");
 
+    // Partition-cache accounting (see above): the previous level's
+    // resident partition count and heap bytes, the attributes whose
+    // class-code column is memoized, and the running totals.
+    let class_code_bytes = rel.len() as u64 * 4;
+    let mut code_memo_attrs = AttrSet::new();
+    let (mut prev_parts, mut prev_bytes) = (0usize, 0u64);
+    let (mut products, mut radix_passes) = (0usize, 0u64);
+
     let mut prev = LevelStore::default();
     for level in 0..=config.max_context.min(universe.len()) {
         let _level_span = obs::level_span(level);
@@ -832,25 +842,38 @@ pub(crate) fn discover_with_plane(
         // (each is one incremental refinement of a level−1 partition still in
         // the cache; see `PartitionCache::partitions_batch`).
         let contexts: Vec<AttrSet> = nodes.iter().map(|n| n.context).collect();
-        let classes: Vec<u64> = {
+        let refined = {
             let _s = obs::span("refine");
             // Level ≥ 2 batches are entirely packed-u64 products; the nested
             // span separates product cost from level-1 code bucketing.
             let _p = (level >= 2).then(|| obs::span("product"));
-            plane.refine_level(&contexts, level)?
+            plane.refine_level(&contexts)?
         };
-        for &c in &classes {
+        for &(c, _) in &refined.parts {
             obs::record("discovery.partition_classes", c);
         }
-        obs::gauge_max("partition.csr_bytes", plane.csr_bytes());
-        lstats.cached_partitions = plane.cached_sets();
+        radix_passes += refined.radix_passes;
+        result.stats.product_radix_passes += refined.product_radix_passes;
+        result.stats.cache_misses += contexts.len();
+        if level >= 1 {
+            products += contexts.len();
+        }
+        if level >= 2 {
+            code_memo_attrs.extend(contexts.iter().filter_map(|c| c.last()));
+        }
+        let level_bytes: u64 = refined.parts.iter().map(|&(_, b)| b).sum();
+        obs::gauge_max(
+            "partition.csr_bytes",
+            prev_bytes + level_bytes + code_memo_attrs.len() as u64 * class_code_bytes,
+        );
+        lstats.cached_partitions = prev_parts + contexts.len();
         result.stats.peak_cached_partitions = result
             .stats
             .peak_cached_partitions
             .max(lstats.cached_partitions);
         // A stripped partition with no classes is a superkey (every class is
         // a singleton) — the empty relation included.
-        let keyed: Vec<bool> = classes.iter().map(|&c| c == 0).collect();
+        let keyed: Vec<bool> = refined.parts.iter().map(|&(c, _)| c == 0).collect();
 
         // One batched decider round-trip for the whole level: the premise
         // snapshot is taken here, queried during scheduling (the pre-filter)
@@ -996,7 +1019,10 @@ pub(crate) fn discover_with_plane(
                 } else {
                     match const_verdicts.remove(&(i, attr)) {
                         Some(v) => v,
-                        None => plane.scan_one(&stmt)?,
+                        None => {
+                            result.stats.cache_hits += 1;
+                            plane.scan_one(&stmt)?
+                        }
                     }
                 };
                 lstats.validated += 1;
@@ -1037,7 +1063,10 @@ pub(crate) fn discover_with_plane(
                 } else {
                     match pair_verdicts.remove(&(i, (a, b))) {
                         Some(v) => v,
-                        None => plane.scan_one(&stmt)?,
+                        None => {
+                            result.stats.cache_hits += 1;
+                            plane.scan_one(&stmt)?
+                        }
                     }
                 };
                 lstats.validated += 1;
@@ -1070,25 +1099,29 @@ pub(crate) fn discover_with_plane(
         roll_up(&mut result, lstats);
         // Partitions of level − 1 were refinement bases for this level only.
         if level >= 1 {
-            result.stats.cache_evictions += plane.evict(level - 1)?;
+            plane.evict(level - 1)?;
+            result.stats.cache_evictions += prev_parts;
         }
+        (prev_parts, prev_bytes) = (contexts.len(), level_bytes);
         prev = LevelStore::new(next_alive);
     }
-    let counters = plane.counters();
-    result.stats.cache_hits = counters.hits;
-    result.stats.cache_misses = counters.misses;
-    result.stats.product_radix_passes = counters.product_radix_passes;
-    obs::add("discovery.partition_cache.hits", counters.hits as u64);
-    obs::add("discovery.partition_cache.misses", counters.misses as u64);
+    obs::add(
+        "discovery.partition_cache.hits",
+        result.stats.cache_hits as u64,
+    );
+    obs::add(
+        "discovery.partition_cache.misses",
+        result.stats.cache_misses as u64,
+    );
     obs::add(
         "discovery.partition_cache.evictions",
         result.stats.cache_evictions as u64,
     );
-    obs::add("discovery.partition_products", counters.products as u64);
-    obs::add("discovery.radix_passes", counters.radix_passes);
+    obs::add("discovery.partition_products", products as u64);
+    obs::add("discovery.radix_passes", radix_passes);
     obs::add(
         "discovery.product_radix_passes",
-        counters.product_radix_passes,
+        result.stats.product_radix_passes,
     );
     obs::gauge_max(
         "discovery.partition_cache.peak",

@@ -497,13 +497,6 @@ pub struct PartitionCache<'r> {
     /// product reuses them.
     attr_codes: HashMap<AttrId, Rc<ClassCodes>>,
     scratch: RefineScratch,
-    /// Number of partition products (refinements) performed.
-    pub products: usize,
-    /// Memo hits: partition requests answered from the cache.
-    pub hits: usize,
-    /// Memo misses: partition requests that had to materialize (each recursive
-    /// subset build counts as its own miss).
-    pub misses: usize,
 }
 
 impl<'r> PartitionCache<'r> {
@@ -517,9 +510,6 @@ impl<'r> PartitionCache<'r> {
             partitions: HashMap::new(),
             attr_codes: HashMap::new(),
             scratch: RefineScratch::default(),
-            products: 0,
-            hits: 0,
-            misses: 0,
         }
     }
 
@@ -537,9 +527,6 @@ impl<'r> PartitionCache<'r> {
             partitions: HashMap::new(),
             attr_codes: HashMap::new(),
             scratch: RefineScratch::default(),
-            products: 0,
-            hits: 0,
-            misses: 0,
         }
     }
 
@@ -571,27 +558,11 @@ impl<'r> PartitionCache<'r> {
         self.scratch.product_radix_passes()
     }
 
-    /// Heap bytes held by the cached CSR partitions plus the per-attribute
-    /// class-code columns — the `partition.csr_bytes` gauge.
-    pub fn approx_csr_bytes(&self) -> usize {
-        let parts: usize = self
-            .partitions
-            .values()
-            .map(|p| p.approx_heap_bytes())
-            .sum();
-        let codes: usize = self
-            .attr_codes
-            .values()
-            .map(|c| c.approx_heap_bytes())
-            .sum();
-        parts + codes
-    }
-
     /// The class-id column of `Π_{{attr}}`, memoized per attribute and immune
     /// to [`Self::evict_sets_of_size`].  Served from the cached singleton
     /// partition when present; otherwise built from the attribute's raw code
     /// column without polluting the partition memo (temporary partitions are
-    /// not inserted, keeping the lattice's cached-set accounting exact).
+    /// not inserted, keeping [`Self::cached_sets`] exact).
     pub fn attr_class_codes(&mut self, attr: AttrId) -> Rc<ClassCodes> {
         if let Some(cc) = self.attr_codes.get(&attr) {
             return cc.clone();
@@ -612,10 +583,8 @@ impl<'r> PartitionCache<'r> {
     /// The stripped partition `Π_X` (memoized).
     pub fn partition(&mut self, set: &AttrSet) -> Rc<StrippedPartition> {
         if let Some(p) = self.partitions.get(set) {
-            self.hits += 1;
             return p.clone();
         }
-        self.misses += 1;
         let part = match set.last() {
             None => StrippedPartition::full(self.n_rows),
             Some(last) => {
@@ -624,7 +593,6 @@ impl<'r> PartitionCache<'r> {
                 // making every product incremental.
                 let base = set.without(last);
                 let base_part = self.partition(&base);
-                self.products += 1;
                 if base.is_empty() {
                     // Level 1: bucket the full relation on the raw codes.
                     let codes = self.codes(last);
@@ -668,7 +636,6 @@ impl<'r> PartitionCache<'r> {
         let mut bases: Vec<Option<(Rc<StrippedPartition>, Aux)>> = Vec::with_capacity(sets.len());
         for set in sets {
             if self.partitions.contains_key(set) {
-                self.hits += 1;
                 bases.push(None);
                 continue;
             }
@@ -676,7 +643,6 @@ impl<'r> PartitionCache<'r> {
                 Some(last) if self.partitions.contains_key(&set.without(last)) => {
                     let base_set = set.without(last);
                     let base_part = self.partitions[&base_set].clone();
-                    self.misses += 1;
                     let aux = if base_set.is_empty() {
                         Aux::Codes(self.codes(last))
                     } else {
@@ -687,8 +653,7 @@ impl<'r> PartitionCache<'r> {
                 _ => None, // cached already handled; uncached base → serial fallback
             };
             if base.is_none() {
-                // Serial fallback (also materializes the base for siblings;
-                // counts its own misses).
+                // Serial fallback (also materializes the base for siblings).
                 self.partition(set);
             }
             bases.push(base);
@@ -713,7 +678,6 @@ impl<'r> PartitionCache<'r> {
         self.scratch.absorb_product_passes(product_passes);
         for (set, part) in sets.iter().zip(fresh) {
             if let Some(part) = part {
-                self.products += 1;
                 self.partitions.insert(*set, Rc::new(part));
             }
         }
@@ -1009,30 +973,30 @@ mod tests {
         // The memoized codes are still served (same allocation).
         let cc2 = cache.attr_class_codes(AttrId(1));
         assert!(Rc::ptr_eq(&cc, &cc2));
-        assert!(cache.approx_csr_bytes() > 0);
+        // One dense u32 per row: the `n_rows × 4` bytes the lattice's
+        // `partition.csr_bytes` gauge charges per memoized column.
+        assert_eq!(cc2.approx_heap_bytes(), rel.len() * 4);
     }
 
     #[test]
     fn cache_memoizes_and_counts_products() {
         let rel = rel_from(&[&[1, 1, 1], &[1, 2, 1], &[2, 1, 1], &[2, 2, 2]]);
         let mut cache = PartitionCache::new(&rel);
-        cache.partition(&set(&[0, 1]));
-        let products_after_first = cache.products;
-        let hits_after_first = cache.hits;
-        cache.partition(&set(&[0, 1]));
-        assert_eq!(
-            cache.products, products_after_first,
-            "second lookup must hit the cache"
-        );
-        assert_eq!(cache.hits, hits_after_first + 1);
+        let first = cache.partition(&set(&[0, 1]));
+        // Π_∅, Π_{0} and Π_{0,1}: the subset bases are cached on the way.
+        assert_eq!(cache.cached_sets(), 3);
+        let second = cache.partition(&set(&[0, 1]));
         assert!(
-            cache.misses >= 2,
-            "the set and its subset base are distinct materializations"
+            Rc::ptr_eq(&first, &second),
+            "second lookup must hit the cache, not build a new product"
         );
-        assert!(
-            cache.cached_sets() >= 2,
-            "subset partitions are cached on the way"
-        );
+        assert_eq!(cache.cached_sets(), 3);
+        // The cached base is served too, and a batch over cached sets
+        // materializes nothing new.
+        let base = cache.partition(&set(&[0]));
+        let batch = cache.partitions_batch(&[set(&[0]), set(&[0, 1])], 1);
+        assert!(Rc::ptr_eq(&batch[0], &base) && Rc::ptr_eq(&batch[1], &first));
+        assert_eq!(cache.cached_sets(), 3);
     }
 
     #[test]

@@ -5,14 +5,18 @@
 //! (witness pairs included), `LatticeStats`, per-level stats — must be
 //! bit-identical to `discover_statements` at every worker count, exact and
 //! under a `g3` budget.  Workers here are in-process protocol threads
-//! ([`WorkerLauncher::in_process`]): every frame codec, shard merge, and
-//! ledger path runs, without per-case process startup.  (Real self-exec'd
+//! ([`WorkerLauncher::in_process`]): every frame codec and shard merge
+//! runs, without per-case process startup.  (Real self-exec'd
 //! processes are exercised by `od-bench/tests/dist_speed.rs` and the E17 CI
 //! run; process *crash* coverage lives at the bottom of this file.)
 
 use od_core::{Relation, Schema, Value};
-use od_setbased::{discover_statements, discover_statements_dist, LatticeConfig, WorkerLauncher};
+use od_obs::MetricsReport;
+use od_setbased::{
+    discover_statements, discover_statements_dist, LatticeConfig, SetBasedDiscovery, WorkerLauncher,
+};
 use proptest::prelude::*;
+use std::sync::Arc;
 
 /// Duplicate-heavy mixed-type values so partitions have real classes at a
 /// few dozen rows and some statements hold while others fail.
@@ -107,6 +111,106 @@ fn single_attribute_relation_is_worker_invariant() {
     // protocol (snapshot, prewarm, empty refine groups) must still converge.
     for workers in [1, 4] {
         assert_worker_invariant(&rel, 0.0, workers);
+    }
+}
+
+/// Run `f` against a fresh scoped metrics registry; returns its result and
+/// the registry snapshot.
+fn captured<T>(f: impl FnOnce() -> T) -> (T, od_obs::MetricsSnapshot) {
+    let registry = Arc::new(od_obs::Registry::new());
+    let out = od_obs::scoped(Arc::clone(&registry), f);
+    (out, registry.snapshot())
+}
+
+/// How many entries of [`accounting`] a build records: the last two are
+/// metrics, which exist only with the `obs` feature.
+const PINNED: usize = if cfg!(feature = "obs") { 6 } else { 4 };
+
+/// The partition-cache accounting of one run, in the order
+/// `[misses, hits, evictions, peak cached, discovery.partition_products,
+/// partition.csr_bytes]`.
+fn accounting(d: &SetBasedDiscovery, snap: &od_obs::MetricsSnapshot) -> Vec<u64> {
+    let mut got = vec![
+        d.stats.cache_misses as u64,
+        d.stats.cache_hits as u64,
+        d.stats.cache_evictions as u64,
+        d.stats.peak_cached_partitions as u64,
+    ];
+    if PINNED == 6 {
+        got.push(snap.counters["discovery.partition_products"]);
+        got.push(snap.gauges["partition.csr_bytes"]);
+    }
+    got
+}
+
+/// Both planes derive cache accounting from the level schedule in the one
+/// control loop, so comparing them with each other cannot catch a drift in
+/// that derivation.  These values were counted on the partition cache
+/// itself, independently of the derivation; every plane must reproduce
+/// them, and each distributed run's deterministic metrics section must
+/// equal the local run's byte for byte.
+#[test]
+fn cache_accounting_is_pinned_on_every_plane() {
+    let cases = [
+        (
+            "taxes",
+            od_core::fixtures::example_5_taxes(),
+            [4, 0, 1, 4, 3, 68],
+        ),
+        (
+            "figure_1",
+            od_core::fixtures::figure_1_relation(),
+            [11, 0, 10, 9, 10, 124],
+        ),
+        (
+            "date_dim",
+            od_workload::generate_date_dim(1998, 1_000, 2_450_000),
+            [80, 0, 61, 51, 79, 249_216],
+        ),
+    ];
+    let config = LatticeConfig {
+        max_context: 4,
+        ..Default::default()
+    };
+    for (name, rel, expected) in cases {
+        let (local, snap) = captured(|| discover_statements(&rel, &config));
+        assert_eq!(
+            accounting(&local, &snap),
+            expected[..PINNED],
+            "{name}: local plane"
+        );
+        if name == "date_dim" {
+            assert_eq!(local.stats.product_radix_passes, 132);
+            if PINNED == 6 {
+                assert_eq!(snap.counters["discovery.radix_passes"], 12);
+            }
+            let cached: Vec<usize> = local
+                .level_stats()
+                .iter()
+                .map(|l| l.cached_partitions)
+                .collect();
+            assert_eq!(cached, [1, 10, 30, 51, 49]);
+        }
+        let local_metrics = MetricsReport::from_snapshot(name, &snap).deterministic_json();
+        for workers in [1, 2, 4] {
+            let dist_config = LatticeConfig { workers, ..config };
+            let ((dist, _), snap) = captured(|| {
+                discover_statements_dist(&rel, &dist_config, &WorkerLauncher::in_process())
+                    .expect("in-process distributed discovery")
+            });
+            assert_eq!(
+                accounting(&dist, &snap),
+                expected[..PINNED],
+                "{name}: workers={workers}"
+            );
+            assert_eq!(dist.stats, local.stats, "{name}: workers={workers}");
+            assert_eq!(dist.level_stats(), local.level_stats());
+            assert_eq!(
+                MetricsReport::from_snapshot(name, &snap).deterministic_json(),
+                local_metrics,
+                "{name}: deterministic metrics drifted at workers={workers}"
+            );
+        }
     }
 }
 
