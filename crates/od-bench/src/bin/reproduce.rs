@@ -164,7 +164,7 @@ fn main() {
     if want("e14") {
         match &metrics_out {
             Some(dir) => {
-                let (report, metrics) = exp_e14_columnar_with_metrics(scale_rows);
+                let (report, metrics) = exp_e14_columnar_with_metrics(scale_rows, 1);
                 println!("{report}");
                 emit(&metrics, dir);
             }
@@ -189,7 +189,7 @@ fn main() {
     if want("e16") {
         match &metrics_out {
             Some(dir) => {
-                let (report, metrics) = exp_e16_lattice_with_metrics(scale_rows);
+                let (report, metrics) = exp_e16_lattice_with_metrics(scale_rows, 1);
                 println!("{report}");
                 emit(&metrics, dir);
             }
@@ -199,7 +199,11 @@ fn main() {
     if want("e17") {
         match &metrics_out {
             Some(dir) => {
-                let (report, metrics) = exp_e17_dist_with_metrics(scale_rows, workers);
+                let (report, metrics) = exp_e17_dist_with_metrics(
+                    scale_rows,
+                    workers,
+                    &od_setbased::WorkerLauncher::self_exec(),
+                );
                 println!("{report}");
                 emit(&metrics, dir);
             }

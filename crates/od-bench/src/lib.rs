@@ -726,20 +726,12 @@ pub fn exp_e14_columnar(rows: usize) -> String {
 }
 
 /// [`exp_e14_columnar`] under a scoped metrics registry, for
-/// `BENCH_e14.json`.  The relation is built *inside* the capture, so the
-/// encoder's `relation.encode` counters and the discovery layer's
-/// `discovery.radix_passes` land in the report's deterministic section —
-/// wall-clock readings stay confined to the human-readable text and the
-/// non-deterministic section.
-pub fn exp_e14_columnar_with_metrics(rows: usize) -> (String, od_obs::MetricsReport) {
-    metrics::capture("e14", || run_e14(rows, 1))
-}
-
-/// E14 with an explicit discovery thread count — exists so the determinism
-/// tests can pin the deterministic metrics section byte-identical across
-/// thread counts; the headline entry points stay serial.
-#[doc(hidden)]
-pub fn exp_e14_columnar_with_metrics_threads(
+/// `BENCH_e14.json`, with discovery on `threads` threads.  The relation is
+/// built *inside* the capture, so the encoder's `relation.encode` counters
+/// and the discovery layer's `discovery.radix_passes` land in the report's
+/// deterministic section — wall-clock readings stay confined to the
+/// human-readable text and the non-deterministic section.
+pub fn exp_e14_columnar_with_metrics(
     rows: usize,
     threads: usize,
 ) -> (String, od_obs::MetricsReport) {
@@ -941,19 +933,11 @@ pub fn exp_e16_lattice(rows: usize) -> String {
 }
 
 /// [`exp_e16_lattice`] under a scoped metrics registry, for
-/// `BENCH_e16.json`.  The product pass counts (`e16.product.radix_passes`,
-/// `discovery.product_radix_passes`) land in the report's deterministic
-/// section; wall-clock readings stay confined to the human-readable text and
-/// the non-deterministic section.
-pub fn exp_e16_lattice_with_metrics(rows: usize) -> (String, od_obs::MetricsReport) {
-    metrics::capture("e16", || run_e16(rows, 1))
-}
-
-/// E16 with an explicit discovery thread count — exists so the determinism
-/// tests can pin the deterministic metrics section byte-identical across
-/// thread counts; the headline entry points stay serial.
-#[doc(hidden)]
-pub fn exp_e16_lattice_with_metrics_threads(
+/// `BENCH_e16.json`, with discovery on `threads` threads.  The product pass
+/// counts (`e16.product.radix_passes`, `discovery.product_radix_passes`)
+/// land in the report's deterministic section; wall-clock readings stay
+/// confined to the human-readable text and the non-deterministic section.
+pub fn exp_e16_lattice_with_metrics(
     rows: usize,
     threads: usize,
 ) -> (String, od_obs::MetricsReport) {
@@ -1131,16 +1115,11 @@ pub fn exp_e17_dist(rows: usize, workers: usize) -> String {
 /// The merged discovery counters land in the deterministic section —
 /// byte-identical across worker counts by the merge rules — while transport
 /// telemetry (`dist.workers`, `dist.frames`, `dist.bytes`) varies with the
-/// worker count and is confined to the non-deterministic section.
-pub fn exp_e17_dist_with_metrics(rows: usize, workers: usize) -> (String, od_obs::MetricsReport) {
-    exp_e17_dist_with_metrics_launcher(rows, workers, &WorkerLauncher::self_exec())
-}
-
-/// E17 with an explicit worker launcher — exists so test binaries (which
-/// cannot re-exec themselves into worker mode) can drive the experiment
-/// through in-process protocol workers or an external worker binary.
-#[doc(hidden)]
-pub fn exp_e17_dist_with_metrics_launcher(
+/// worker count and is confined to the non-deterministic section.  Test
+/// binaries cannot re-exec themselves into worker mode, so they pass an
+/// in-process or external-binary `launcher`; `reproduce` passes
+/// [`WorkerLauncher::self_exec`].
+pub fn exp_e17_dist_with_metrics(
     rows: usize,
     workers: usize,
     launcher: &WorkerLauncher,

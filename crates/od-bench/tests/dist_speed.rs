@@ -10,7 +10,7 @@
 //! owns its `main`); the `reproduce` binary provides the real child
 //! processes via `CARGO_BIN_EXE_reproduce`.
 
-use od_bench::exp_e17_dist_with_metrics_launcher;
+use od_bench::exp_e17_dist_with_metrics;
 use od_setbased::{dist::WORKER_FLAG, WorkerLauncher};
 use std::time::Instant;
 
@@ -29,8 +29,7 @@ fn process_launcher() -> WorkerLauncher {
 
 #[test]
 fn e17_report_is_clean_at_semantic_scale_in_process() {
-    let (report, _) =
-        exp_e17_dist_with_metrics_launcher(SEMANTIC_ROWS, 2, &WorkerLauncher::in_process());
+    let (report, _) = exp_e17_dist_with_metrics(SEMANTIC_ROWS, 2, &WorkerLauncher::in_process());
     assert!(
         !report.contains("UNEXPECTED"),
         "E17 failed its internal checks at {SEMANTIC_ROWS} rows (in-process):\n{report}"
@@ -40,7 +39,7 @@ fn e17_report_is_clean_at_semantic_scale_in_process() {
 
 #[test]
 fn e17_report_is_clean_at_semantic_scale_with_real_processes() {
-    let (report, _) = exp_e17_dist_with_metrics_launcher(SEMANTIC_ROWS, 2, &process_launcher());
+    let (report, _) = exp_e17_dist_with_metrics(SEMANTIC_ROWS, 2, &process_launcher());
     assert!(
         !report.contains("UNEXPECTED"),
         "E17 failed its internal checks at {SEMANTIC_ROWS} rows (processes):\n{report}"
@@ -52,7 +51,7 @@ fn e17_report_is_clean_at_semantic_scale_with_real_processes() {
 #[test]
 fn e17_clears_its_bars_at_full_scale() {
     let start = Instant::now();
-    let (report, _) = exp_e17_dist_with_metrics_launcher(RELEASE_ROWS, 2, &process_launcher());
+    let (report, _) = exp_e17_dist_with_metrics(RELEASE_ROWS, 2, &process_launcher());
     let elapsed = start.elapsed();
     // At >= 250k rows run_e17 enforces bit-identity always and the 1.3x
     // wall-clock bar whenever the host has >= 2 CPUs (on a single core the

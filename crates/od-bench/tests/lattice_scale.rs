@@ -76,8 +76,8 @@ fn e16_deterministic_section_is_stable_across_consecutive_runs() {
     } else {
         60_000
     };
-    let (_, first) = exp_e16_lattice_with_metrics(rows);
-    let (_, second) = exp_e16_lattice_with_metrics(rows);
+    let (_, first) = exp_e16_lattice_with_metrics(rows, 1);
+    let (_, second) = exp_e16_lattice_with_metrics(rows, 1);
     assert_eq!(
         first.deterministic_json(),
         second.deterministic_json(),

@@ -69,7 +69,7 @@ fn e14_deterministic_section_is_byte_identical_across_runs_and_threads() {
     // The whole E14 pipeline — scale-table generation, columnar encode,
     // three-way refinement, width-2 discovery — under the capture, at a CI
     // scale that still clears the radix thresholds.
-    let (_, reference) = od_bench::exp_e14_columnar_with_metrics_threads(30_000, 1);
+    let (_, reference) = od_bench::exp_e14_columnar_with_metrics(30_000, 1);
     let reference = reference.deterministic_json();
     assert!(reference.contains("relation.encode.radix_passes"));
     assert!(reference.contains("relation.encode.dict_entries"));
@@ -77,7 +77,7 @@ fn e14_deterministic_section_is_byte_identical_across_runs_and_threads() {
     assert!(reference.contains("e14.refine.radix_passes"));
     for threads in [1, 4, 8] {
         for run in 0..2 {
-            let (_, report) = od_bench::exp_e14_columnar_with_metrics_threads(30_000, threads);
+            let (_, report) = od_bench::exp_e14_columnar_with_metrics(30_000, threads);
             assert_eq!(
                 report.deterministic_json(),
                 reference,
@@ -94,14 +94,14 @@ fn e16_deterministic_section_is_byte_identical_across_runs_and_threads() {
     // capture.  `discovery.product_radix_passes` is pinned across thread
     // counts: products are sharded but the pass counts are absorbed on the
     // orchestrating thread in lattice order.
-    let (_, reference) = od_bench::exp_e16_lattice_with_metrics_threads(30_000, 1);
+    let (_, reference) = od_bench::exp_e16_lattice_with_metrics(30_000, 1);
     let reference = reference.deterministic_json();
     assert!(reference.contains("e16.rows"));
     assert!(reference.contains("e16.product.radix_passes"));
     assert!(reference.contains("discovery.product_radix_passes"));
     for threads in [1, 4, 8] {
         for run in 0..2 {
-            let (_, report) = od_bench::exp_e16_lattice_with_metrics_threads(30_000, threads);
+            let (_, report) = od_bench::exp_e16_lattice_with_metrics(30_000, threads);
             assert_eq!(
                 report.deterministic_json(),
                 reference,
@@ -121,7 +121,7 @@ fn e17_deterministic_section_is_byte_identical_across_runs_and_worker_counts() {
     // varies with the worker count and lives in the non-deterministic
     // section, so {1,2,4} workers must all produce identical bytes.
     let run = |workers| {
-        let (_, report) = od_bench::exp_e17_dist_with_metrics_launcher(
+        let (_, report) = od_bench::exp_e17_dist_with_metrics(
             20_000,
             workers,
             &od_setbased::WorkerLauncher::in_process(),

@@ -25,7 +25,6 @@
 //! of re-sorting per attribute.
 
 use crate::attr::Schema;
-use crate::obs;
 use crate::radix;
 use crate::relation::Tuple;
 use crate::value::Value;
@@ -84,7 +83,7 @@ impl ColumnarEncoding {
     /// the number of radix passes spent building code columns — all
     /// deterministic functions of the data.
     pub fn build(schema: &Schema, tuples: &[Tuple]) -> Self {
-        let _span = obs::span("relation.encode");
+        let _span = od_obs::span("relation.encode");
         let arity = schema.arity();
         let mut columns = Vec::with_capacity(arity);
         let mut pairs: Vec<(u64, u32)> = Vec::new();
@@ -92,12 +91,12 @@ impl ColumnarEncoding {
         let mut radix_passes = 0u64;
         for col in 0..arity {
             let encoded = encode_column(tuples, col, &mut pairs, &mut scratch, &mut radix_passes);
-            obs::record("relation.encode.dict_entries", encoded.dict.len() as u64);
+            od_obs::record("relation.encode.dict_entries", encoded.dict.len() as u64);
             columns.push(encoded);
         }
-        obs::add("relation.encode.columns", arity as u64);
-        obs::add("relation.encode.rows", tuples.len() as u64);
-        obs::add("relation.encode.radix_passes", radix_passes);
+        od_obs::add("relation.encode.columns", arity as u64);
+        od_obs::add("relation.encode.rows", tuples.len() as u64);
+        od_obs::add("relation.encode.radix_passes", radix_passes);
         ColumnarEncoding {
             columns,
             n_rows: tuples.len(),
@@ -374,5 +373,26 @@ mod tests {
             enc.approx_heap_bytes(),
             std::mem::size_of::<Value>() + 4 + 2 * std::mem::size_of::<u32>()
         );
+    }
+
+    /// The benchmark's per-layer encode metrics read these names; a renamed
+    /// hook would silently zero them.
+    #[test]
+    fn encode_metrics_are_pinned() {
+        let rel = crate::fixtures::example_5_taxes();
+        let registry = std::sync::Arc::new(od_obs::Registry::new());
+        od_obs::scoped(std::sync::Arc::clone(&registry), || {
+            ColumnarEncoding::build(rel.schema(), rel.tuples())
+        });
+        let snap = registry.snapshot();
+        let counter = |name: &str| snap.counters[&format!("relation.encode.{name}")];
+        assert_eq!(
+            [counter("columns"), counter("rows"), counter("radix_passes")],
+            [3, 6, 6]
+        );
+        let dict = &snap.histograms["relation.encode.dict_entries"];
+        assert_eq!((dict.count, dict.sum), (3, 16));
+        let spans: Vec<&str> = snap.durations.keys().map(String::as_str).collect();
+        assert_eq!(spans, ["relation.encode"]);
     }
 }

@@ -77,7 +77,6 @@ pub mod error;
 pub mod fixtures;
 pub mod lex;
 pub mod list;
-mod obs;
 pub mod radix;
 pub mod relation;
 pub mod set;

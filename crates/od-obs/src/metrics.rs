@@ -136,8 +136,7 @@ pub struct DurationStat {
 /// Sink for metric updates.
 ///
 /// [`Registry`] is the real implementation; [`NoopRecorder`] discards
-/// everything (used to prove the instrumentation can be compiled out or
-/// disabled at zero cost).
+/// everything.
 pub trait Recorder: Send + Sync {
     /// Add `delta` to the named counter.
     fn add(&self, name: &str, delta: u64);

@@ -75,7 +75,6 @@
 
 use crate::canonical::SetOd;
 use crate::lattice::{self, LatticeConfig, LevelRefinement, SetBasedDiscovery};
-use crate::obs;
 use crate::parallel::{self, StatementJob};
 use crate::partition::{ColCodes, PartitionCache, StrippedPartition};
 use crate::validate::{self, Verdict};
@@ -454,7 +453,7 @@ impl DistPlane {
             plane.flush(w)?;
         }
         for w in 0..workers {
-            let _s = obs::span(&format!("dist/worker{w}/load"));
+            let _s = od_obs::span(format!("dist/worker{w}/load"));
             let payload = plane.recv(w)?;
             let mut r = Reader::new(&payload);
             if r.u8().ok() != Some(RESP_READY) {
@@ -552,7 +551,7 @@ impl DistPlane {
                 continue;
             }
             let payload = {
-                let _s = obs::span(&format!("dist/worker{w}/refine"));
+                let _s = od_obs::span(format!("dist/worker{w}/refine"));
                 self.recv(w)?
             };
             let mut r = Reader::new(&payload);
@@ -611,7 +610,7 @@ impl DistPlane {
                 continue;
             }
             let payload = {
-                let _s = obs::span(&format!("dist/worker{w}/scan"));
+                let _s = od_obs::span(format!("dist/worker{w}/scan"));
                 self.recv(w)?
             };
             let mut r = Reader::new(&payload);

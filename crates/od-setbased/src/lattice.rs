@@ -75,12 +75,10 @@
 
 use crate::canonical::SetOd;
 use crate::dist::{DistError, DistPlane, WorkerLauncher};
-use crate::obs;
 use crate::parallel::{self, StatementJob};
 use crate::partition::{ColCodes, PartitionCache, StrippedPartition};
 use crate::validate::{self, Verdict};
 use od_core::{AttrId, AttrSet, CoreError, OrderDependency, Relation};
-#[cfg(feature = "decider")]
 use od_infer::{DeciderBatch, OdSet};
 use std::collections::{HashMap, HashSet};
 use std::rc::Rc;
@@ -91,8 +89,7 @@ pub struct LatticeConfig {
     /// Largest context size to visit (level bound).
     pub max_context: usize,
     /// Consult the exact implication decider before validating a candidate
-    /// (only sound — and only consulted — when `epsilon == 0`; requires the
-    /// `decider` feature, on by default, and is inert without it).
+    /// (only sound — and only consulted — when `epsilon == 0`).
     pub use_decider: bool,
     /// Threads for the sharded level expansion and the batched per-level
     /// validation pass (1 = serial).
@@ -585,24 +582,16 @@ fn generate_level(universe: &[AttrId], level: usize, prev: &LevelStore) -> (Vec<
 }
 
 /// The traversal's confirmed-statement state (premises for rule 3).
-#[cfg(feature = "decider")]
 #[derive(Default)]
 struct TraversalState {
     confirmed: OdSet,
 }
 
-#[cfg(not(feature = "decider"))]
-#[derive(Default)]
-struct TraversalState {}
-
 impl TraversalState {
     fn record(&mut self, stmt: &SetOd) {
-        #[cfg(feature = "decider")]
         for od in stmt.as_list_ods() {
             self.confirmed.add_od(od);
         }
-        #[cfg(not(feature = "decider"))]
-        let _ = stmt;
     }
 }
 
@@ -807,11 +796,10 @@ pub(crate) fn discover_with_plane(
     let budget = result.budget;
     // Rule 3 is exact-only: the decider combines many confirmed premises, and
     // with a non-zero budget those premises may each lean on a *different*
-    // removal set whose union busts the budget.  Without the `decider`
-    // feature the pruning hook is compiled out entirely.
-    let decider_active = cfg!(feature = "decider") && config.use_decider && budget == 0;
+    // removal set whose union busts the budget.
+    let decider_active = config.use_decider && budget == 0;
     let mut state = TraversalState::default();
-    let _discovery_span = obs::span("discovery");
+    let _discovery_span = od_obs::span("discovery");
 
     // Partition-cache accounting (see above): the previous level's
     // resident partition count and heap bytes, the attributes whose
@@ -823,13 +811,13 @@ pub(crate) fn discover_with_plane(
 
     let mut prev = LevelStore::default();
     for level in 0..=config.max_context.min(universe.len()) {
-        let _level_span = obs::level_span(level);
+        let _level_span = od_obs::span(format!("level{level}"));
         let mut lstats = LevelStats {
             level,
             ..Default::default()
         };
         let (nodes, propagated) = {
-            let _s = obs::span("expand");
+            let _s = od_obs::span("expand");
             generate_level(&universe, level, &prev)
         };
         lstats.propagated_away = propagated;
@@ -843,14 +831,14 @@ pub(crate) fn discover_with_plane(
         // the cache; see `PartitionCache::partitions_batch`).
         let contexts: Vec<AttrSet> = nodes.iter().map(|n| n.context).collect();
         let refined = {
-            let _s = obs::span("refine");
+            let _s = od_obs::span("refine");
             // Level ≥ 2 batches are entirely packed-u64 products; the nested
             // span separates product cost from level-1 code bucketing.
-            let _p = (level >= 2).then(|| obs::span("product"));
+            let _p = (level >= 2).then(|| od_obs::span("product"));
             plane.refine_level(&contexts)?
         };
         for &(c, _) in &refined.parts {
-            obs::record("discovery.partition_classes", c);
+            od_obs::record("discovery.partition_classes", c);
         }
         radix_passes += refined.radix_passes;
         result.stats.product_radix_passes += refined.product_radix_passes;
@@ -862,7 +850,7 @@ pub(crate) fn discover_with_plane(
             code_memo_attrs.extend(contexts.iter().filter_map(|c| c.last()));
         }
         let level_bytes: u64 = refined.parts.iter().map(|&(_, b)| b).sum();
-        obs::gauge_max(
+        od_obs::gauge_max(
             "partition.csr_bytes",
             prev_bytes + level_bytes + code_memo_attrs.len() as u64 * class_code_bytes,
         );
@@ -881,15 +869,12 @@ pub(crate) fn discover_with_plane(
         // Implication is monotone in the premise set, so a pre-filter answer
         // stays valid at its replay position — its scan can be skipped
         // outright and the answer reused without a second query.
-        #[cfg(feature = "decider")]
         let mut batch = if decider_active {
             result.stats.decider_rounds += 1;
             Some(DeciderBatch::new(&state.confirmed))
         } else {
             None
         };
-        #[cfg(not(feature = "decider"))]
-        let mut batch: Option<()> = None;
 
         // ---- Batch A: all surviving constancy scans, one sharded pass -----
         let mut const_slots: Vec<(usize, AttrId)> = Vec::new();
@@ -897,9 +882,8 @@ pub(crate) fn discover_with_plane(
         // the level loop).
         let mut pre_pruned_consts: Vec<AttrSet> = vec![AttrSet::new(); nodes.len()];
         let mut pre_pruned_pairs: Vec<PairSet> = Vec::new();
-        #[cfg(feature = "decider")]
         {
-            let _s = decider_active.then(|| obs::span("decider"));
+            let _s = decider_active.then(|| od_obs::span("decider"));
             for (i, node) in nodes.iter().enumerate() {
                 if keyed[i] {
                     continue; // clean by the superkey rule, no scan needed
@@ -925,7 +909,7 @@ pub(crate) fn discover_with_plane(
             }
         }
         let verdicts = {
-            let _s = obs::span("validate");
+            let _s = od_obs::span("validate");
             plane.scan_consts(&const_slots)?
         };
         let mut const_verdicts: HashMap<(usize, AttrId), Verdict> =
@@ -961,7 +945,6 @@ pub(crate) fn discover_with_plane(
                 {
                     continue; // rule 2 (or the decider) resolves it scan-free
                 }
-                #[cfg(feature = "decider")]
                 if let Some(batch) = batch.as_mut() {
                     if batch.implies_context_compatibility(&node.context, a, b) {
                         pre_pruned_pairs[i].insert(a, b);
@@ -972,7 +955,7 @@ pub(crate) fn discover_with_plane(
             }
         }
         let verdicts = {
-            let _s = obs::span("validate");
+            let _s = od_obs::span("validate");
             plane.scan_pairs(&pair_slots)?
         };
         let mut pair_verdicts: HashMap<(usize, (AttrId, AttrId)), Verdict> =
@@ -982,7 +965,7 @@ pub(crate) fn discover_with_plane(
         // Confirmation order (contexts as enumerated, constancies before
         // pairs) is what the batch's premise set grows along, so pruning
         // decisions match a statement-at-a-time traversal exactly.
-        let replay_span = obs::span("validate");
+        let replay_span = od_obs::span("validate");
         let mut next_alive: Vec<Node> = Vec::new();
         for (i, node) in nodes.into_iter().enumerate() {
             let Node {
@@ -1000,13 +983,10 @@ pub(crate) fn discover_with_plane(
                     // round; candidates it missed may have become implied by
                     // mid-level confirmations, which only the grown premise
                     // set can see.
-                    #[cfg(feature = "decider")]
                     let implied = pre_pruned_consts[i].contains(attr)
                         || batch
                             .as_mut()
                             .is_some_and(|b| b.implies_context_constancy(&ctx, attr));
-                    #[cfg(not(feature = "decider"))]
-                    let implied = false;
                     if implied {
                         lstats.decider_pruned += 1;
                         result.holding.insert(stmt);
@@ -1044,13 +1024,10 @@ pub(crate) fn discover_with_plane(
                 }
                 let stmt = SetOd::compatibility(ctx, a, b);
                 if decider_active {
-                    #[cfg(feature = "decider")]
                     let implied = pre_pruned_pairs[i].contains(a, b)
                         || batch
                             .as_mut()
                             .is_some_and(|b2| b2.implies_context_compatibility(&ctx, a, b));
-                    #[cfg(not(feature = "decider"))]
-                    let implied = false;
                     if implied {
                         lstats.decider_pruned += 1;
                         result.holding.insert(stmt);
@@ -1092,7 +1069,6 @@ pub(crate) fn discover_with_plane(
             });
         }
         drop(replay_span);
-        #[cfg(feature = "decider")]
         if let Some(batch) = batch.take() {
             result.stats.decider_witness_hits += batch.stats.witness_hits;
         }
@@ -1105,33 +1081,33 @@ pub(crate) fn discover_with_plane(
         (prev_parts, prev_bytes) = (contexts.len(), level_bytes);
         prev = LevelStore::new(next_alive);
     }
-    obs::add(
+    od_obs::add(
         "discovery.partition_cache.hits",
         result.stats.cache_hits as u64,
     );
-    obs::add(
+    od_obs::add(
         "discovery.partition_cache.misses",
         result.stats.cache_misses as u64,
     );
-    obs::add(
+    od_obs::add(
         "discovery.partition_cache.evictions",
         result.stats.cache_evictions as u64,
     );
-    obs::add("discovery.partition_products", products as u64);
-    obs::add("discovery.radix_passes", radix_passes);
-    obs::add(
+    od_obs::add("discovery.partition_products", products as u64);
+    od_obs::add("discovery.radix_passes", radix_passes);
+    od_obs::add(
         "discovery.product_radix_passes",
         result.stats.product_radix_passes,
     );
-    obs::gauge_max(
+    od_obs::gauge_max(
         "discovery.partition_cache.peak",
         result.stats.peak_cached_partitions as u64,
     );
-    obs::add(
+    od_obs::add(
         "discovery.decider_rounds",
         result.stats.decider_rounds as u64,
     );
-    obs::add(
+    od_obs::add(
         "discovery.decider_witness_hits",
         result.stats.decider_witness_hits as u64,
     );
@@ -1143,20 +1119,16 @@ pub(crate) fn discover_with_plane(
 fn confirm(
     result: &mut SetBasedDiscovery,
     state: &mut TraversalState,
-    #[cfg(feature = "decider")] batch: &mut Option<DeciderBatch>,
-    #[cfg(not(feature = "decider"))] batch: &mut Option<()>,
+    batch: &mut Option<DeciderBatch>,
     stmt: SetOd,
     verdict: Verdict,
 ) {
     state.record(&stmt);
-    #[cfg(feature = "decider")]
     if let Some(batch) = batch.as_mut() {
         for od in stmt.as_list_ods() {
             batch.add_premise(od);
         }
     }
-    #[cfg(not(feature = "decider"))]
-    let _ = batch;
     result.holding.insert(stmt);
     result.minimal_index.insert(stmt, result.minimal.len());
     result.minimal.push(stmt);
@@ -1167,13 +1139,13 @@ fn confirm(
 /// ambient recorder — deterministic counts only, recorded on the
 /// orchestrating thread).
 fn roll_up(result: &mut SetBasedDiscovery, lstats: LevelStats) {
-    obs::add("discovery.candidates", lstats.candidates as u64);
-    obs::add("discovery.validated", lstats.validated as u64);
-    obs::add("discovery.inherited", lstats.inherited as u64);
-    obs::add("discovery.decider_pruned", lstats.decider_pruned as u64);
-    obs::add("discovery.nodes_created", lstats.nodes_created as u64);
-    obs::add("discovery.nodes_deleted", lstats.nodes_deleted as u64);
-    obs::add("discovery.propagated_away", lstats.propagated_away as u64);
+    od_obs::add("discovery.candidates", lstats.candidates as u64);
+    od_obs::add("discovery.validated", lstats.validated as u64);
+    od_obs::add("discovery.inherited", lstats.inherited as u64);
+    od_obs::add("discovery.decider_pruned", lstats.decider_pruned as u64);
+    od_obs::add("discovery.nodes_created", lstats.nodes_created as u64);
+    od_obs::add("discovery.nodes_deleted", lstats.nodes_deleted as u64);
+    od_obs::add("discovery.propagated_away", lstats.propagated_away as u64);
     result.stats.candidates += lstats.candidates;
     result.stats.validated += lstats.validated;
     result.stats.inherited += lstats.inherited;
@@ -1224,7 +1196,6 @@ mod tests {
         }
     }
 
-    #[cfg(feature = "decider")]
     #[test]
     fn decider_pruning_only_removes_work_not_answers() {
         let rel = fixtures::example_5_taxes();
@@ -1249,7 +1220,6 @@ mod tests {
         }
     }
 
-    #[cfg(feature = "decider")]
     #[test]
     fn decider_rounds_are_per_level_not_per_candidate() {
         let rel = fixtures::example_5_taxes();
@@ -1381,7 +1351,6 @@ mod tests {
         );
     }
 
-    #[cfg(feature = "decider")]
     #[test]
     fn decider_pruning_fires_on_fd_chains() {
         // B determines C and A determines B (ids ordered so context {B} is

@@ -8,7 +8,7 @@
 //!
 //! | Module | Contents |
 //! |---|---|
-//! | [`partition`] | CSR stripped partitions `Π_X` over tuple ids, memoized radix products over packed class-id keys, sorted partitions |
+//! | [`partition`] | CSR stripped partitions `Π_X` over tuple ids, memoized radix products over packed class-id keys |
 //! | [`canonical`] | the set-based canonical statements and the exact list ↔ set translation |
 //! | [`validate`]  | evidence-returning ([`Verdict`]) statement validation over rank codes, exact per-class `g3` removal counts |
 //! | [`lattice`]   | node-based level-wise traversal on bitset candidate sets: mask propagation, key-based node deletion, batched per-level validation and decider rounds, partition eviction, `g3` thresholds |
@@ -62,19 +62,6 @@
 //! let profile = od_setbased::discover_statements(&rel, &LatticeConfig::default());
 //! assert!(!profile.minimal_statements().is_empty());
 //! ```
-//!
-//! ## Feature flags
-//!
-//! * `decider` *(default)* — pulls in `od-infer` for rule-3 implication
-//!   pruning (one batched [`od_infer::DeciderBatch`] round-trip per lattice
-//!   level).  Without it the bitset core — partitions, canonical statements,
-//!   lattice, engine, streaming — builds standalone on `od-core` alone.
-//! * `obs` *(default)* — pulls in `od-obs` and records phase spans
-//!   (`discovery/level<k>/{expand,refine,validate,decider}`,
-//!   `stream/batch/{splice,patch}`), deterministic counters (nodes, cache
-//!   hits/misses/evictions, rows patched, LIS invocations, …) and histograms
-//!   on the ambient recorder.  Without it every hook compiles to a no-op, so
-//!   the hot paths are exactly the uninstrumented code.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -83,7 +70,6 @@ pub mod canonical;
 pub mod dist;
 pub mod engine;
 pub mod lattice;
-mod obs;
 pub mod parallel;
 pub mod partition;
 pub mod stream;
@@ -100,11 +86,10 @@ pub use lattice::{
     SetBasedDiscovery,
 };
 pub use partition::{
-    ClassCodes, ColCodes, PartitionCache, RefineScratch, SortedPartition, StrippedPartition,
-    CLASS_SENTINEL,
+    ClassCodes, ColCodes, PartitionCache, RefineScratch, StrippedPartition, CLASS_SENTINEL,
 };
 pub use stream::{
     CompactStats, DeltaBatch, DeltaSummary, StreamError, StreamMonitor, StreamStats, TupleId,
     VerdictLedger,
 };
-pub use validate::{error_budget, od_holds_with_partitions, Verdict, WITNESS_SAMPLE_CAP};
+pub use validate::{error_budget, Verdict, WITNESS_SAMPLE_CAP};

@@ -1,4 +1,4 @@
-//! Stripped and sorted partitions over tuple ids.
+//! Stripped partitions over tuple ids.
 //!
 //! The workhorse data structure of set-based OD discovery (following TANE and
 //! FASTOD): for an attribute set `X`, the partition `Π_X` groups tuple ids into
@@ -35,14 +35,8 @@
 //! into the relation's shared columnar encoding, and keeps per-attribute
 //! [`ClassCodes`] alive across level evictions so deep-lattice products never
 //! rebuild them.
-//!
-//! [`SortedPartition`] orders the classes (plus the stripped-out singletons) of
-//! `Π_set(X)` by the list `X`'s value order, which turns whole-OD validation
-//! into two linear scans over groups (`Y` constant inside each group; `Y`
-//! non-decreasing across consecutive groups) — the partition-powered
-//! replacement for the sort-based `od-core` checker.
 
-use od_core::{radix, AttrId, AttrList, AttrSet, ColumnarEncoding, Relation};
+use od_core::{radix, AttrId, AttrSet, ColumnarEncoding, Relation};
 use std::collections::HashMap;
 use std::rc::Rc;
 use std::sync::Arc;
@@ -708,60 +702,6 @@ impl<'r> PartitionCache<'r> {
     }
 }
 
-/// The classes of `Π_set(X)` — including the stripped-out singletons — ordered
-/// by the list `X`'s lexicographic value order, with one representative row per
-/// class.
-///
-/// Because every member of a class agrees on all of `set(X)`, ordering class
-/// representatives by `X` orders the whole relation by `X`; an OD `X ↦ Y` then
-/// reduces to (a) `Y` constant within each class and (b) `Y` non-decreasing
-/// across consecutive classes.
-#[derive(Debug)]
-pub struct SortedPartition {
-    /// Classes in `X` order: (representative row, all rows of the class).
-    groups: Vec<(u32, Vec<u32>)>,
-}
-
-impl SortedPartition {
-    /// Build the sorted partition for a list from the cache.
-    pub fn for_list(cache: &mut PartitionCache<'_>, list: &AttrList) -> Self {
-        let set = list.to_set();
-        let part = cache.partition(&set);
-        let n = part.n_rows();
-        let mut in_class = vec![false; n];
-        let mut groups: Vec<(u32, Vec<u32>)> = Vec::new();
-        for class in part.classes() {
-            for &row in class {
-                in_class[row as usize] = true;
-            }
-            groups.push((class[0], class.to_vec()));
-        }
-        for row in 0..n as u32 {
-            if !in_class[row as usize] {
-                groups.push((row, vec![row]));
-            }
-        }
-        // Sort representatives by the list's per-attribute codes: integer
-        // comparisons, and only one row per class.
-        let key_codes: Vec<ColCodes> = list.iter().map(|a| cache.codes(a)).collect();
-        groups.sort_by(|a, b| {
-            for codes in &key_codes {
-                let ord = codes[a.0 as usize].cmp(&codes[b.0 as usize]);
-                if ord != std::cmp::Ordering::Equal {
-                    return ord;
-                }
-            }
-            std::cmp::Ordering::Equal
-        });
-        SortedPartition { groups }
-    }
-
-    /// The groups in list order: (representative, class members).
-    pub fn groups(&self) -> &[(u32, Vec<u32>)] {
-        &self.groups
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1043,28 +983,5 @@ mod tests {
         assert!(empty.is_key());
         assert_eq!(empty.n_rows(), 3);
         assert_eq!(empty.num_classes(), 0);
-    }
-
-    #[test]
-    fn sorted_partition_orders_groups_by_list_value() {
-        // Rows: (2,9) (1,8) (2,7) (1,8) — Π_{a} classes {0,2} {1,3}.
-        let rel = rel_from(&[&[2, 9], &[1, 8], &[2, 7], &[1, 8]]);
-        let mut cache = PartitionCache::new(&rel);
-        let sp = SortedPartition::for_list(&mut cache, &AttrList::new([AttrId(0)]));
-        let reps: Vec<u32> = sp.groups().iter().map(|(rep, _)| *rep).collect();
-        // a=1 group first (rep 1), then a=2 group (rep 0).
-        assert_eq!(reps, vec![1, 0]);
-        // Descending list puts a=2 first; singleton groups appear for the pair list.
-        let sp2 = SortedPartition::for_list(&mut cache, &AttrList::new([AttrId(1), AttrId(0)]));
-        assert_eq!(sp2.groups().len(), 3, "b distinguishes rows 0 and 2");
-    }
-
-    #[test]
-    fn sorted_partition_of_empty_list_is_one_group() {
-        let rel = rel_from(&[&[1], &[2]]);
-        let mut cache = PartitionCache::new(&rel);
-        let sp = SortedPartition::for_list(&mut cache, &AttrList::empty());
-        assert_eq!(sp.groups().len(), 1);
-        assert_eq!(sp.groups()[0].1.len(), 2);
     }
 }

@@ -55,7 +55,6 @@
 //! the ledger total.
 
 use crate::canonical::{translate_od, SetOd};
-use crate::obs;
 use crate::parallel;
 use crate::validate::{
     class_compatibility_removal, class_constancy_removal, error_budget, Verdict, WITNESS_SAMPLE_CAP,
@@ -1070,8 +1069,8 @@ impl StreamMonitor {
 
         // All mutation happens under stream/batch spans; the batch is valid by
         // now, so the spans never cover a rejected (no-op) delta.
-        let _span_stream = obs::span("stream");
-        let _span_batch = obs::span("batch");
+        let _span_stream = od_obs::span("stream");
+        let _span_batch = od_obs::span("batch");
 
         // Phase 1: the table.  (If a column renumbers here, cached
         // compatibility magnitudes go stale; their version stamps make every
@@ -1101,7 +1100,7 @@ impl StreamMonitor {
 
         // Phase 2: group the delta per partition per class and splice the
         // class member lists with one filtering/extending pass each.
-        let splice_span = obs::span("splice");
+        let splice_span = od_obs::span("splice");
         let mut touched: Vec<TouchedClasses> = Vec::with_capacity(self.partitions.len());
         let mut touched_rows = 0usize;
         let columns = &self.columns;
@@ -1126,7 +1125,7 @@ impl StreamMonitor {
                 }
                 class.extend(&delta.added); // fresh ids grow: order is kept
                 delta.now_len = class.len();
-                obs::record("stream.touched_class_size", delta.now_len as u64);
+                od_obs::record("stream.touched_class_size", delta.now_len as u64);
                 if delta.now_len == 0 {
                     partition.release(class_id, delta.removed[0], columns);
                 } else {
@@ -1144,7 +1143,7 @@ impl StreamMonitor {
         } else {
             1
         };
-        let patch_span = obs::span("patch");
+        let patch_span = od_obs::span("patch");
         let recomputed = AtomicUsize::new(0);
         // Worker threads only bump these atomics; the effort totals are
         // deterministic regardless of thread count because the per-class work
@@ -1199,17 +1198,17 @@ impl StreamMonitor {
         self.stats.rows_patched += rows_patched;
         self.stats.splice_events += splice_events;
         self.stats.lis_invocations += lis_invocations;
-        obs::add("stream.deltas_applied", 1);
-        obs::add("stream.rows_inserted", summary.inserted.len() as u64);
-        obs::add("stream.rows_deleted", summary.deleted as u64);
-        obs::add("stream.classes_touched", summary.touched_classes as u64);
-        obs::add(
+        od_obs::add("stream.deltas_applied", 1);
+        od_obs::add("stream.rows_inserted", summary.inserted.len() as u64);
+        od_obs::add("stream.rows_deleted", summary.deleted as u64);
+        od_obs::add("stream.classes_touched", summary.touched_classes as u64);
+        od_obs::add(
             "stream.classes_recomputed",
             summary.recomputed_classes as u64,
         );
-        obs::add("stream.rows_patched", rows_patched as u64);
-        obs::add("stream.splice_events", splice_events as u64);
-        obs::add("stream.lis_invocations", lis_invocations as u64);
+        od_obs::add("stream.rows_patched", rows_patched as u64);
+        od_obs::add("stream.splice_events", splice_events as u64);
+        od_obs::add("stream.lis_invocations", lis_invocations as u64);
         Ok(summary)
     }
 
@@ -1229,7 +1228,7 @@ impl StreamMonitor {
     /// wall-clock (and hence non-deterministic) — the id and byte counts diff
     /// clean across runs.
     pub fn compact(&mut self) -> CompactStats {
-        let _span = obs::span("stream/compact");
+        let _span = od_obs::span("stream/compact");
         let start = Instant::now();
         let bytes_before = self.approx_heap_bytes();
         let dead_ids_reclaimed = self.alive.len() - self.alive_count;
@@ -1260,12 +1259,12 @@ impl StreamMonitor {
             bytes_freed: bytes_before.saturating_sub(self.approx_heap_bytes()),
             rebuild: start.elapsed(),
         };
-        obs::add("stream.compact.runs", 1);
-        obs::add(
+        od_obs::add("stream.compact.runs", 1);
+        od_obs::add(
             "stream.compact.dead_ids_reclaimed",
             compact.dead_ids_reclaimed as u64,
         );
-        obs::add("stream.compact.bytes_freed", compact.bytes_freed as u64);
+        od_obs::add("stream.compact.bytes_freed", compact.bytes_freed as u64);
         compact
     }
 
@@ -1740,5 +1739,53 @@ mod tests {
                 "thread count must not change counts on {stmt}"
             );
         }
+    }
+
+    /// The benchmark's per-layer stream metrics read these counter and span
+    /// names; a renamed hook would silently zero them.
+    #[test]
+    fn batch_and_compact_metrics_are_pinned() {
+        let rel = od_workload::generate_taxes(500, 7);
+        let mut monitor = StreamMonitor::new(&rel, 1);
+        for od in od_workload::tax::tax_ods(rel.schema()) {
+            monitor.monitor_od(&od);
+        }
+        let mut outlier = rel.tuple(3).clone();
+        outlier[1] = Value::Int(999_999);
+        let batch = DeltaBatch {
+            inserts: (100..120)
+                .map(|i| rel.tuple(i).clone())
+                .chain([outlier])
+                .collect(),
+            deletes: (0..20).collect(),
+        };
+        let registry = std::sync::Arc::new(od_obs::Registry::new());
+        od_obs::scoped(std::sync::Arc::clone(&registry), || {
+            monitor.apply_delta(&batch).unwrap();
+            monitor.compact();
+        });
+        let snap = registry.snapshot();
+        let counter = |name: &str| snap.counters[name];
+        assert_eq!(
+            [
+                counter("stream.rows_patched"),
+                counter("stream.classes_touched"),
+                counter("stream.splice_events"),
+                counter("stream.lis_invocations"),
+                counter("stream.compact.bytes_freed"),
+            ],
+            [162, 42, 82, 1, 4052]
+        );
+        let spans: Vec<&str> = snap.durations.keys().map(String::as_str).collect();
+        assert_eq!(
+            spans,
+            [
+                "stream",
+                "stream/batch",
+                "stream/batch/patch",
+                "stream/batch/splice",
+                "stream/compact"
+            ]
+        );
     }
 }

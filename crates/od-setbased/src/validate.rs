@@ -1,6 +1,5 @@
-//! Data-level validation of canonical statements and whole ODs against
-//! stripped / sorted partitions, returning **violation evidence** rather than
-//! bare booleans.
+//! Data-level validation of canonical statements against stripped
+//! partitions, returning **violation evidence** rather than bare booleans.
 //!
 //! Every statement check produces a [`Verdict`]: the minimal number of tuples
 //! that must be removed for the statement to hold (the numerator of the
@@ -33,8 +32,8 @@
 
 use crate::canonical::SetOd;
 use crate::parallel;
-use crate::partition::{PartitionCache, SortedPartition, StrippedPartition};
-use od_core::{radix, OrderDependency};
+use crate::partition::{PartitionCache, StrippedPartition};
+use od_core::radix;
 
 /// Row-coverage threshold below which threaded validation is not worth the
 /// spawning overhead.
@@ -404,49 +403,10 @@ pub fn statement_verdict(
     }
 }
 
-/// Validate a whole list OD `X ↦ Y` via a sorted partition: `Y` must be
-/// constant within every `Π_set(X)` class (else a split) and non-decreasing
-/// across classes in `X` order (else a swap).
-///
-/// Semantically identical to [`od_core::check::od_holds`]; the cost model is
-/// different — class representatives are sorted instead of all rows, and all
-/// comparisons are on cached integer codes.
-pub fn od_holds_with_partitions(cache: &mut PartitionCache<'_>, od: &OrderDependency) -> bool {
-    let n = cache.relation().len();
-    if n < 2 {
-        return true;
-    }
-    let sorted = SortedPartition::for_list(cache, &od.lhs);
-    let rhs_codes: Vec<_> = od.rhs.iter().map(|a| cache.codes(a)).collect();
-    let mut prev_rep: Option<u32> = None;
-    for (rep, class) in sorted.groups() {
-        // Split check: every class member agrees with the representative on Y.
-        for codes in &rhs_codes {
-            if !class_is_constant(class, codes) {
-                return false;
-            }
-        }
-        // Swap check: representatives are strictly increasing on X (distinct
-        // classes differ on set(X)), so Y must be non-decreasing.
-        if let Some(prev) = prev_rep {
-            for codes in &rhs_codes {
-                match codes[prev as usize].cmp(&codes[*rep as usize]) {
-                    std::cmp::Ordering::Less => break,
-                    std::cmp::Ordering::Equal => continue,
-                    std::cmp::Ordering::Greater => return false,
-                }
-            }
-        }
-        prev_rep = Some(*rep);
-    }
-    true
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use od_core::check::od_holds;
-    use od_core::{AttrId, AttrList, Relation, Schema, Value};
+    use od_core::{AttrId, Relation, Schema, Value};
 
     fn rel_from(rows: &[&[i64]]) -> Relation {
         let mut schema = Schema::new("t");
@@ -626,52 +586,5 @@ mod tests {
         assert_eq!(m.removal_count, 7);
         assert_eq!(m.classes_scanned, 2);
         assert_eq!(m.g3(14), 0.5);
-    }
-
-    #[test]
-    fn partition_od_check_agrees_with_sort_based_checker() {
-        let rel = rel_from(&[
-            &[1, 10, 100],
-            &[2, 10, 200],
-            &[2, 10, 200],
-            &[3, 20, 300],
-            &[4, 20, 100],
-        ]);
-        let ids: Vec<AttrId> = rel.schema().attr_ids().collect();
-        let lists: Vec<AttrList> = vec![
-            AttrList::empty(),
-            AttrList::new([ids[0]]),
-            AttrList::new([ids[1]]),
-            AttrList::new([ids[2]]),
-            AttrList::new([ids[0], ids[1]]),
-            AttrList::new([ids[1], ids[2]]),
-            AttrList::new([ids[2], ids[0]]),
-        ];
-        let mut cache = PartitionCache::new(&rel);
-        for lhs in &lists {
-            for rhs in &lists {
-                let od = OrderDependency::new(lhs.clone(), rhs.clone());
-                assert_eq!(
-                    od_holds_with_partitions(&mut cache, &od),
-                    od_holds(&rel, &od),
-                    "disagreement on {od}"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn tiny_relations_satisfy_everything() {
-        let rel = rel_from(&[&[1, 2]]);
-        let ids: Vec<AttrId> = rel.schema().attr_ids().collect();
-        let mut cache = PartitionCache::new(&rel);
-        let od = OrderDependency::new(vec![ids[1]], vec![ids[0]]);
-        assert!(od_holds_with_partitions(&mut cache, &od));
-        let empty = rel_from(&[]);
-        let mut cache2 = PartitionCache::new(&empty);
-        assert!(od_holds_with_partitions(
-            &mut cache2,
-            &OrderDependency::new(AttrList::empty(), AttrList::empty())
-        ));
     }
 }

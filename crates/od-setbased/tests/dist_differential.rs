@@ -122,26 +122,53 @@ fn captured<T>(f: impl FnOnce() -> T) -> (T, od_obs::MetricsSnapshot) {
     (out, registry.snapshot())
 }
 
-/// How many entries of [`accounting`] a build records: the last two are
-/// metrics, which exist only with the `obs` feature.
-const PINNED: usize = if cfg!(feature = "obs") { 6 } else { 4 };
-
 /// The partition-cache accounting of one run, in the order
 /// `[misses, hits, evictions, peak cached, discovery.partition_products,
 /// partition.csr_bytes]`.
-fn accounting(d: &SetBasedDiscovery, snap: &od_obs::MetricsSnapshot) -> Vec<u64> {
-    let mut got = vec![
+fn accounting(d: &SetBasedDiscovery, snap: &od_obs::MetricsSnapshot) -> [u64; 6] {
+    [
         d.stats.cache_misses as u64,
         d.stats.cache_hits as u64,
         d.stats.cache_evictions as u64,
         d.stats.peak_cached_partitions as u64,
-    ];
-    if PINNED == 6 {
-        got.push(snap.counters["discovery.partition_products"]);
-        got.push(snap.gauges["partition.csr_bytes"]);
-    }
-    got
+        snap.counters["discovery.partition_products"],
+        snap.gauges["partition.csr_bytes"],
+    ]
 }
+
+/// The taxes local run's whole deterministic metrics section.  The
+/// benchmark's per-layer lattice metrics read these counter names.
+const TAXES_METRICS: &str = "{\"deterministic\":{\"counters\":{\
+    \"discovery.candidates\":12,\"discovery.decider_pruned\":1,\
+    \"discovery.decider_rounds\":2,\"discovery.decider_witness_hits\":7,\
+    \"discovery.inherited\":0,\"discovery.nodes_created\":4,\
+    \"discovery.nodes_deleted\":2,\"discovery.partition_cache.evictions\":1,\
+    \"discovery.partition_cache.hits\":0,\"discovery.partition_cache.misses\":4,\
+    \"discovery.partition_products\":3,\"discovery.product_radix_passes\":0,\
+    \"discovery.propagated_away\":6,\"discovery.radix_passes\":0,\
+    \"discovery.validated\":11},\
+    \"gauges\":{\"discovery.partition_cache.peak\":4,\"partition.csr_bytes\":68},\
+    \"histograms\":{\"discovery.partition_classes\":\
+    {\"buckets\":[[0,2],[1,1],[2,1]],\"count\":4,\"sum\":3}}},\
+    \"experiment\":\"taxes\"}\n";
+
+/// The taxes local run's span paths.  The benchmark's per-layer lattice
+/// timings read the phase names under each level.
+const TAXES_SPANS: [&str; 13] = [
+    "discovery",
+    "discovery/level0",
+    "discovery/level0/decider",
+    "discovery/level0/expand",
+    "discovery/level0/refine",
+    "discovery/level0/validate",
+    "discovery/level1",
+    "discovery/level1/decider",
+    "discovery/level1/expand",
+    "discovery/level1/refine",
+    "discovery/level1/validate",
+    "discovery/level2",
+    "discovery/level2/expand",
+];
 
 /// Both planes derive cache accounting from the level schedule in the one
 /// control loop, so comparing them with each other cannot catch a drift in
@@ -174,16 +201,10 @@ fn cache_accounting_is_pinned_on_every_plane() {
     };
     for (name, rel, expected) in cases {
         let (local, snap) = captured(|| discover_statements(&rel, &config));
-        assert_eq!(
-            accounting(&local, &snap),
-            expected[..PINNED],
-            "{name}: local plane"
-        );
+        assert_eq!(accounting(&local, &snap), expected, "{name}: local plane");
         if name == "date_dim" {
             assert_eq!(local.stats.product_radix_passes, 132);
-            if PINNED == 6 {
-                assert_eq!(snap.counters["discovery.radix_passes"], 12);
-            }
+            assert_eq!(snap.counters["discovery.radix_passes"], 12);
             let cached: Vec<usize> = local
                 .level_stats()
                 .iter()
@@ -192,6 +213,11 @@ fn cache_accounting_is_pinned_on_every_plane() {
             assert_eq!(cached, [1, 10, 30, 51, 49]);
         }
         let local_metrics = MetricsReport::from_snapshot(name, &snap).deterministic_json();
+        if name == "taxes" {
+            assert_eq!(local_metrics, TAXES_METRICS);
+            let spans: Vec<&str> = snap.durations.keys().map(String::as_str).collect();
+            assert_eq!(spans, TAXES_SPANS);
+        }
         for workers in [1, 2, 4] {
             let dist_config = LatticeConfig { workers, ..config };
             let ((dist, _), snap) = captured(|| {
@@ -200,7 +226,7 @@ fn cache_accounting_is_pinned_on_every_plane() {
             });
             assert_eq!(
                 accounting(&dist, &snap),
-                expected[..PINNED],
+                expected,
                 "{name}: workers={workers}"
             );
             assert_eq!(dist.stats, local.stats, "{name}: workers={workers}");

@@ -5,8 +5,7 @@
 use od_core::check::{od_holds, od_removal_count};
 use od_core::{AttrId, AttrList, AttrSet, OrderDependency, Relation, Schema, Value};
 use od_setbased::{
-    discover_statements, od_holds_with_partitions, translate_od, LatticeConfig, PartitionCache,
-    SetBasedEngine, SetOd,
+    discover_statements, translate_od, LatticeConfig, PartitionCache, SetBasedEngine, SetOd,
 };
 use proptest::prelude::*;
 
@@ -133,18 +132,6 @@ proptest! {
                 prop_assert_eq!(shared.od_holds(&od), fresh.od_holds(&od));
             }
         }
-    }
-
-    /// The sorted-partition whole-OD validator agrees with the checker.
-    #[test]
-    fn sorted_partition_validation_agrees(
-        rel in relation_strategy(4, 9),
-        lhs in list_strategy(4, 3),
-        rhs in list_strategy(4, 3),
-    ) {
-        let od = OrderDependency::new(lhs, rhs);
-        let mut cache = PartitionCache::new(&rel);
-        prop_assert_eq!(od_holds_with_partitions(&mut cache, &od), od_holds(&rel, &od));
     }
 
     /// The canonical translation is exact: an OD holds iff every translated
