@@ -44,7 +44,7 @@ pub mod span;
 pub use json::Json;
 pub use metrics::{
     add, bucket_bounds, bucket_index, gauge_max, gauge_set, global, record, recorder, scoped,
-    DurationStat, Histogram, HistogramSnapshot, MetricsSnapshot, NoopRecorder, Recorder, Registry,
+    DurationStat, Histogram, HistogramSnapshot, MetricsSnapshot, Recorder, Registry,
     HISTOGRAM_BUCKETS,
 };
 pub use report::{histogram_json, peak_rss_kib, MetricsReport};

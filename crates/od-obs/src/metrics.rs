@@ -135,8 +135,7 @@ pub struct DurationStat {
 
 /// Sink for metric updates.
 ///
-/// [`Registry`] is the real implementation; [`NoopRecorder`] discards
-/// everything.
+/// [`Registry`] is the implementation.
 pub trait Recorder: Send + Sync {
     /// Add `delta` to the named counter.
     fn add(&self, name: &str, delta: u64);
@@ -150,18 +149,6 @@ pub trait Recorder: Send + Sync {
     /// a separate channel so durations can never leak into the deterministic
     /// report section.
     fn record_duration(&self, path: &str, nanos: u64);
-}
-
-/// A recorder that discards every update.
-#[derive(Debug, Default, Clone, Copy)]
-pub struct NoopRecorder;
-
-impl Recorder for NoopRecorder {
-    fn add(&self, _name: &str, _delta: u64) {}
-    fn gauge_set(&self, _name: &str, _value: u64) {}
-    fn gauge_max(&self, _name: &str, _value: u64) {}
-    fn record(&self, _name: &str, _value: u64) {}
-    fn record_duration(&self, _path: &str, _nanos: u64) {}
 }
 
 /// Named-metric registry backing the [`Recorder`] trait with atomics.

@@ -920,20 +920,14 @@ pub fn run_worker(r: &mut impl Read, w: &mut impl Write) -> io::Result<()> {
                 rd.finish().map_err(invalid)?;
                 let parts: Vec<Rc<StrippedPartition>> =
                     items.iter().map(|(ctx, ..)| cache.partition(ctx)).collect();
-                let code_pairs: Vec<(ColCodes, ColCodes)> = items
+                let scans: Vec<(&StrippedPartition, AttrId, AttrId)> = parts
                     .iter()
-                    .map(|&(_, a, b)| (cache.codes(a), cache.codes(b)))
+                    .zip(&items)
+                    .map(|(part, &(_, a, b))| (&**part, a, b))
                     .collect();
-                let jobs: Vec<StatementJob<'_>> = parts
-                    .iter()
-                    .zip(&code_pairs)
-                    .map(|(part, (ca, cb))| StatementJob::Compatibility {
-                        part,
-                        codes_a: ca,
-                        codes_b: cb,
-                    })
-                    .collect();
-                let verdicts = parallel::validate_statement_batch(&jobs, 1, budget);
+                let verdicts = parallel::with_compatibility_jobs(&mut cache, &scans, |jobs| {
+                    parallel::validate_statement_batch(jobs, 1, budget)
+                });
                 write_verdicts(w, &verdicts)?;
             }
             REQ_SCAN_ONE => {

@@ -692,15 +692,20 @@ impl Plane<'_> {
     ) -> Result<Vec<Verdict>, DistError> {
         match self {
             Plane::Local(p) => {
-                let jobs: Vec<StatementJob<'_>> = slots
+                let LocalPlane {
+                    cache,
+                    parts,
+                    threads,
+                    budget,
+                    ..
+                } = &mut **p;
+                let items: Vec<(&StrippedPartition, AttrId, AttrId)> = slots
                     .iter()
-                    .map(|&(i, (a, b))| StatementJob::Compatibility {
-                        part: &p.parts[i],
-                        codes_a: &p.all_codes[a.index()],
-                        codes_b: &p.all_codes[b.index()],
-                    })
+                    .map(|&(i, (a, b))| (&*parts[i], a, b))
                     .collect();
-                Ok(parallel::validate_statement_batch(&jobs, p.threads, p.budget))
+                Ok(parallel::with_compatibility_jobs(cache, &items, |jobs| {
+                    parallel::validate_statement_batch(jobs, *threads, *budget)
+                }))
             }
             Plane::Dist(p) => p.scan_pairs(slots),
         }

@@ -10,7 +10,7 @@
 //! |---|---|
 //! | [`partition`] | CSR stripped partitions `Π_X` over tuple ids, memoized radix products over packed class-id keys |
 //! | [`canonical`] | the set-based canonical statements and the exact list ↔ set translation |
-//! | [`validate`]  | evidence-returning ([`Verdict`]) statement validation over rank codes, exact per-class `g3` removal counts |
+//! | [`validate`]  | evidence-returning ([`Verdict`]) statement validation over rank codes: exact per-class `g3` removal counts, a first-violation exit at ε = 0, and the one-walk τ_A swap check for contexts with a large class |
 //! | [`lattice`]   | node-based level-wise traversal on bitset candidate sets: mask propagation, key-based node deletion, batched per-level validation and decider rounds, partition eviction, `g3` thresholds |
 //! | [`engine`]    | the memoizing demand-driven validator `od-discovery` uses as its default engine |
 //! | [`parallel`]  | sharding across threads: partition classes (atomic error budget), statements per level, and contexts per level expansion |

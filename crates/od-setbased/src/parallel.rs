@@ -15,11 +15,13 @@
 //! complete, exact removal count.  For rejected verdicts the overshoot and the
 //! witness sample depend on scheduling.
 
-use crate::partition::{ClassCodes, RefineScratch, StrippedPartition};
+use crate::partition::{ClassCodes, ColCodes, PartitionCache, RefineScratch, StrippedPartition};
 use crate::validate::{
-    class_compatibility_removal, class_constancy_removal, class_is_compatible, class_is_constant,
-    ClassCode, Verdict, WITNESS_SAMPLE_CAP,
+    class_compatibility_removal, class_constancy_removal, class_first_split, class_first_swap,
+    takes_tau_pass, tau_compatibility_verdict, ClassCode, Verdict, WITNESS_SAMPLE_CAP,
 };
+use od_core::AttrId;
+use std::rc::Rc;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 
 /// A sensible thread count for validation work on this machine.
@@ -110,7 +112,8 @@ where
     }
 }
 
-/// Parallel variant of [`crate::validate::constancy_verdict`].
+/// Parallel variant of [`crate::validate::constancy_verdict`].  At budget 0
+/// a violating class counts 1 and contributes its first split alone.
 pub fn constancy_verdict_parallel<C: ClassCode>(
     part: &StrippedPartition,
     codes: &[C],
@@ -118,15 +121,20 @@ pub fn constancy_verdict_parallel<C: ClassCode>(
     budget: usize,
 ) -> Verdict {
     scan_classes(part, threads, budget, |class, witnesses| {
-        if class_is_constant(class, codes) {
-            0
+        let Some(split) = class_first_split(class, codes) else {
+            return 0;
+        };
+        if budget == 0 {
+            witnesses.push(split);
+            1
         } else {
             class_constancy_removal(class, codes, witnesses)
         }
     })
 }
 
-/// Parallel variant of [`crate::validate::compatibility_verdict`].
+/// Parallel variant of [`crate::validate::compatibility_verdict`].  At budget
+/// 0 a violating class counts 1 and contributes its first swap alone.
 pub fn compatibility_verdict_parallel<C: ClassCode>(
     part: &StrippedPartition,
     codes_a: &[C],
@@ -135,8 +143,12 @@ pub fn compatibility_verdict_parallel<C: ClassCode>(
     budget: usize,
 ) -> Verdict {
     scan_classes(part, threads, budget, |class, witnesses| {
-        if class_is_compatible(class, codes_a, codes_b) {
-            0
+        let Some(swap) = class_first_swap(class, codes_a, codes_b) else {
+            return 0;
+        };
+        if budget == 0 {
+            witnesses.push(swap);
+            1
         } else {
             class_compatibility_removal(class, codes_a, codes_b, witnesses)
         }
@@ -147,7 +159,8 @@ pub fn compatibility_verdict_parallel<C: ClassCode>(
 /// context's stripped partition plus the rank codes of the mentioned
 /// attribute(s).  Building the jobs (partition products, code lookups) stays
 /// serial — the caches hand out `Rc`s — while the scans themselves are
-/// shared-nothing reads.
+/// shared-nothing reads.  Compatibility jobs come from
+/// `with_compatibility_jobs`, which picks each statement's kernel.
 pub enum StatementJob<'a> {
     /// `𝒞 : [] ↦ A` over `part` with `A`'s codes.
     Constancy {
@@ -165,6 +178,106 @@ pub enum StatementJob<'a> {
         /// Rank codes of the pair's larger attribute.
         codes_b: &'a [u32],
     },
+    /// `𝒞 : A ~ B` as one walk over τ_A (see
+    /// [`crate::validate::tau_compatibility_verdict`]).
+    CompatibilityTau {
+        /// Stripped partition of the context `𝒞`.
+        part: &'a StrippedPartition,
+        /// Row → class id in `part`; `None` when one class covers every row.
+        class_ids: Option<&'a ClassCodes>,
+        /// τ_A: every row in order of `A`'s code.
+        order_a: &'a [u32],
+        /// Rank codes of the pair's smaller attribute.
+        codes_a: &'a [u32],
+        /// Rank codes of the pair's larger attribute.
+        codes_b: &'a [u32],
+    },
+}
+
+impl StatementJob<'_> {
+    /// Scan this job.  `threads` shard the classes of a per-class scan; the
+    /// τ pass is one serial walk.
+    pub(crate) fn run(&self, threads: usize, budget: usize) -> Verdict {
+        match *self {
+            StatementJob::Constancy { part, codes } => {
+                constancy_verdict_parallel(part, codes, threads, budget)
+            }
+            StatementJob::Compatibility {
+                part,
+                codes_a,
+                codes_b,
+            } => compatibility_verdict_parallel(part, codes_a, codes_b, threads, budget),
+            StatementJob::CompatibilityTau {
+                part,
+                class_ids,
+                order_a,
+                codes_a,
+                codes_b,
+            } => tau_compatibility_verdict(part, class_ids, order_a, codes_a, codes_b, budget),
+        }
+    }
+}
+
+/// Build the scan jobs of a batch of compatibility statements — each given as
+/// its context's partition and its pair `(A, B)` — and hand them to `scan`.
+///
+/// The one place a compatibility statement's kernel is chosen: a context
+/// whose largest class is large ([`takes_tau_pass`]) walks τ_A, memoized in
+/// `cache`; every other context sorts per class.  A τ-pass context needs the
+/// class id of every row unless one class covers them all; those ids are
+/// built once per run of consecutive items on the same partition (callers
+/// list a context's statements together) and dropped with the batch.
+pub(crate) fn with_compatibility_jobs<R>(
+    cache: &mut PartitionCache<'_>,
+    items: &[(&StrippedPartition, AttrId, AttrId)],
+    scan: impl FnOnce(&[StatementJob<'_>]) -> R,
+) -> R {
+    let codes: Vec<(ColCodes, ColCodes)> = items
+        .iter()
+        .map(|&(_, a, b)| (cache.codes(a), cache.codes(b)))
+        .collect();
+    // Per item on the τ pass: τ_A, and which of `class_ids` is its context's.
+    let mut orders: Vec<Option<Rc<Vec<u32>>>> = Vec::with_capacity(items.len());
+    let mut id_of: Vec<Option<usize>> = Vec::with_capacity(items.len());
+    let mut class_ids: Vec<ClassCodes> = Vec::new();
+    let mut last: Option<(&StrippedPartition, bool)> = None;
+    for &(part, a, _) in items {
+        let tau = match last {
+            Some((prev, tau)) if std::ptr::eq(prev, part) => tau,
+            _ => {
+                let tau = takes_tau_pass(part);
+                if tau && !part.is_single_class() {
+                    class_ids.push(part.class_codes());
+                }
+                last = Some((part, tau));
+                tau
+            }
+        };
+        orders.push(tau.then(|| cache.attr_order(a)));
+        id_of.push((tau && !part.is_single_class()).then(|| class_ids.len() - 1));
+    }
+    let jobs: Vec<StatementJob<'_>> = items
+        .iter()
+        .enumerate()
+        .map(|(i, &(part, ..))| {
+            let (codes_a, codes_b) = (&codes[i].0[..], &codes[i].1[..]);
+            match &orders[i] {
+                Some(order_a) => StatementJob::CompatibilityTau {
+                    part,
+                    class_ids: id_of[i].map(|k| &class_ids[k]),
+                    order_a,
+                    codes_a,
+                    codes_b,
+                },
+                None => StatementJob::Compatibility {
+                    part,
+                    codes_a,
+                    codes_b,
+                },
+            }
+        })
+        .collect();
+    scan(&jobs)
 }
 
 /// Validate a whole level's surviving statements in one sharded pass.
@@ -182,16 +295,7 @@ pub fn validate_statement_batch(
     threads: usize,
     budget: usize,
 ) -> Vec<Verdict> {
-    let run = |job: &StatementJob<'_>| match job {
-        StatementJob::Constancy { part, codes } => {
-            constancy_verdict_parallel(part, codes, 1, budget)
-        }
-        StatementJob::Compatibility {
-            part,
-            codes_a,
-            codes_b,
-        } => compatibility_verdict_parallel(part, codes_a, codes_b, 1, budget),
-    };
+    let run = |job: &StatementJob<'_>| job.run(1, budget);
     let threads = threads.clamp(1, jobs.len().max(1));
     if threads <= 1 || jobs.len() < 2 {
         return jobs.iter().map(run).collect();

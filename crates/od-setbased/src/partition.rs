@@ -34,7 +34,10 @@
 //! visits each set once, hands out code columns as cheap [`ColCodes`] views
 //! into the relation's shared columnar encoding, and keeps per-attribute
 //! [`ClassCodes`] alive across level evictions so deep-lattice products never
-//! rebuild them.
+//! rebuild them.  It also memoizes each attribute's **sorted order** τ_A (the
+//! rows in order of `A`'s code, [`PartitionCache::attr_order`]), which the
+//! compatibility scan walks when a context has a large class (see
+//! [`crate::validate::tau_compatibility_verdict`]).
 
 use od_core::{radix, AttrId, AttrSet, ColumnarEncoding, Relation};
 use std::collections::HashMap;
@@ -44,6 +47,26 @@ use std::sync::Arc;
 /// Pair count from which class bucketing switches from `sort_unstable` to the
 /// radix sort (below it, the radix histogram pre-pass dominates).
 const RADIX_MIN_PAIRS: usize = 256;
+
+/// The rows of a dense code column in code order, rows ascending within
+/// equal codes — a stable sort of `0..codes.len()` by code, done as one
+/// counting pass (`distinct` bounds the codes: every code is below it).
+fn rows_by_code(codes: &[u32], distinct: usize) -> Vec<u32> {
+    let mut next = vec![0u32; distinct + 1];
+    for &c in codes {
+        next[c as usize + 1] += 1;
+    }
+    for i in 1..next.len() {
+        next[i] += next[i - 1];
+    }
+    let mut order = vec![0u32; codes.len()];
+    for (row, &c) in codes.iter().enumerate() {
+        let slot = &mut next[c as usize];
+        order[*slot as usize] = row as u32;
+        *slot += 1;
+    }
+    order
+}
 
 /// Class id marking a row not covered by any (non-singleton) class in a
 /// [`ClassCodes`] column.  Products drop sentinel rows up front: a row that is
@@ -457,6 +480,15 @@ impl StrippedPartition {
         self.offsets.len() == 2 && self.rows.len() == self.n_rows
     }
 
+    /// Row count of the largest class (`0` for a key).
+    pub(crate) fn max_class_len(&self) -> usize {
+        self.offsets
+            .windows(2)
+            .map(|w| (w[1] - w[0]) as usize)
+            .max()
+            .unwrap_or(0)
+    }
+
     /// Heap bytes held by the CSR arrays.
     pub fn approx_heap_bytes(&self) -> usize {
         (self.rows.capacity() + self.offsets.capacity()) * std::mem::size_of::<u32>()
@@ -490,6 +522,9 @@ pub struct PartitionCache<'r> {
     /// one dense `u32` column per attribute is cheap and every level ≥ 2
     /// product reuses them.
     attr_codes: HashMap<AttrId, Rc<ClassCodes>>,
+    /// Per-attribute sorted orders τ_A for the compatibility scan, never
+    /// evicted either (one `u32` per row each).
+    attr_orders: HashMap<AttrId, Rc<Vec<u32>>>,
     scratch: RefineScratch,
 }
 
@@ -503,6 +538,7 @@ impl<'r> PartitionCache<'r> {
             enc: rel.encoding(),
             partitions: HashMap::new(),
             attr_codes: HashMap::new(),
+            attr_orders: HashMap::new(),
             scratch: RefineScratch::default(),
         }
     }
@@ -520,6 +556,7 @@ impl<'r> PartitionCache<'r> {
             enc,
             partitions: HashMap::new(),
             attr_codes: HashMap::new(),
+            attr_orders: HashMap::new(),
             scratch: RefineScratch::default(),
         }
     }
@@ -572,6 +609,19 @@ impl<'r> PartitionCache<'r> {
         let rc = Rc::new(cc);
         self.attr_codes.insert(attr, rc.clone());
         rc
+    }
+
+    /// τ_A: every row in order of `attr`'s code, rows ascending within equal
+    /// codes (one counting pass over the code column), memoized per attribute
+    /// and immune to [`Self::evict_sets_of_size`].
+    pub fn attr_order(&mut self, attr: AttrId) -> Rc<Vec<u32>> {
+        if let Some(order) = self.attr_orders.get(&attr) {
+            return order.clone();
+        }
+        let col = self.enc.column(attr.index());
+        let order = Rc::new(rows_by_code(col.codes(), col.distinct_count()));
+        self.attr_orders.insert(attr, order.clone());
+        order
     }
 
     /// The stripped partition `Π_X` (memoized).

@@ -23,16 +23,30 @@
 //! Classes are independent — removing tuples of one class cannot create
 //! violations in another — so the statement-level removal count is the sum
 //! over classes, and scans short-circuit once the running sum exceeds the
-//! budget.
+//! budget.  At ε = 0 (budget 0) the first violating class decides: the scan
+//! stops there and reports a removal count of 1 with that class's first
+//! split or swap, without computing the class's full removal.
 //!
-//! All validators work on order-preserving rank codes (see
-//! [`od_core::Relation::rank_column`]): equality is integer equality, order is
-//! integer order, and every check is a linear pass over the rows a partition
-//! still tracks — never an `O(n log n)` re-sort of the relation.
+//! All validators work on the dense order-preserving codes of the relation's
+//! shared [`od_core::ColumnarEncoding`]: equality is integer equality and
+//! order is integer order.  A constancy check is a linear pass over each
+//! class.  A compatibility check runs one of two kernels, chosen per context
+//! by the size of its largest class:
+//!
+//! * **per class** ([`crate::parallel::compatibility_verdict_parallel`]) —
+//!   sort each class's `(code_A, code_B, row)` triples and walk them for the
+//!   first swap;
+//! * **τ pass** ([`tau_compatibility_verdict`]) — when the context has a large
+//!   class, walk τ_A (every row in `A` order, memoized per attribute by
+//!   [`PartitionCache::attr_order`]) once, keeping a few codes of state per
+//!   class, and stop at the first swap.
+//!
+//! Either way only classes that hold a swap pay for the `O(k log k)` LIS
+//! removal, so accepted verdicts are identical on both kernels.
 
 use crate::canonical::SetOd;
 use crate::parallel;
-use crate::partition::{PartitionCache, StrippedPartition};
+use crate::partition::{ClassCodes, PartitionCache, StrippedPartition, CLASS_SENTINEL};
 use od_core::radix;
 
 /// Row-coverage threshold below which threaded validation is not worth the
@@ -46,6 +60,14 @@ pub const WITNESS_SAMPLE_CAP: usize = 8;
 /// from `sort_unstable` to counting-sort radix passes.
 const CLASS_RADIX_MIN: usize = 256;
 
+/// A compatibility scan walks τ_A ([`tau_compatibility_verdict`]) when the
+/// context's largest class holds at least `n / TAU_PASS_DIVISOR` of the
+/// relation's `n` rows, and sorts per class otherwise.  The τ pass visits
+/// every row, singletons included, so it pays off only when per-class sorts
+/// are large; 8 was measured on the 200k-row profile-scale table (DESIGN.md,
+/// "The τ pass").
+pub(crate) const TAU_PASS_DIVISOR: usize = 8;
+
 /// An order-preserving code type the class validators can sort on.
 ///
 /// Implemented for `u32` (the snapshot path's dense rank codes, see
@@ -57,7 +79,7 @@ const CLASS_RADIX_MIN: usize = 256;
 /// `u64` key.  Both routes produce the same sorted order — validators are
 /// bit-identical either way.
 ///
-/// **Precondition** shared by all three sorts: callers push class rows in
+/// **Precondition** shared by both sorts: callers push class rows in
 /// ascending row order, which lets the stable radix path stand in for a full
 /// lexicographic `sort_unstable` (equal keys keep ascending rows either way).
 /// These per-class sorts run inside worker threads, so unlike partition
@@ -66,11 +88,6 @@ const CLASS_RADIX_MIN: usize = 256;
 pub trait ClassCode: Copy + Ord + Send + Sync {
     /// Sort `(code, row)` pairs by code, rows ascending within equal codes.
     fn sort_group_pairs(pairs: &mut Vec<(Self, u32)>) {
-        pairs.sort_unstable();
-    }
-
-    /// Sort `(code_a, code_b)` pairs lexicographically.
-    fn sort_key_pairs(pairs: &mut Vec<(Self, Self)>) {
         pairs.sort_unstable();
     }
 
@@ -90,23 +107,6 @@ impl ClassCode for u32 {
             pairs.sort_unstable();
         } else {
             radix::sort_pairs(pairs, &mut Vec::new());
-        }
-    }
-
-    fn sort_key_pairs(pairs: &mut Vec<(u32, u32)>) {
-        if pairs.len() < CLASS_RADIX_MIN {
-            pairs.sort_unstable();
-            return;
-        }
-        // Pack both codes into one u64 key (payload unused — equal packed
-        // keys are identical pairs, so any stable order is the sorted order).
-        let mut keyed: Vec<(u64, u32)> = pairs
-            .iter()
-            .map(|&(a, b)| ((u64::from(a) << 32) | u64::from(b), 0))
-            .collect();
-        radix::sort_pairs(&mut keyed, &mut Vec::new());
-        for (dst, &(key, _)) in pairs.iter_mut().zip(keyed.iter()) {
-            *dst = ((key >> 32) as u32, key as u32);
         }
     }
 
@@ -144,7 +144,10 @@ pub struct Verdict {
     /// Minimal number of tuples to remove so the checked statement holds (the
     /// `g3` numerator).  Exact when the scan ran to completion; a lower bound
     /// when [`Self::exceeded`] is set; an upper bound when the verdict was
-    /// inherited from a sub-context statement instead of scanned.
+    /// inherited from a sub-context statement instead of scanned.  An ε = 0
+    /// rejection reports 1: the scan stops at the first violating class
+    /// (a class-sharded scan adds one per shard that found a violation
+    /// before it saw the stop).
     pub removal_count: usize,
     /// True when the scan stopped early because `removal_count` went past the
     /// error budget — the count is then a lower bound, which is all an
@@ -205,15 +208,15 @@ impl Verdict {
     }
 }
 
-/// Is `attr` (given by its codes) constant within one equivalence class?
-///
-/// Generic over the code type so both the snapshot path (dense `u32` rank
-/// codes) and the streaming path (gapped `u64` live codes, see
-/// [`crate::stream`]) share one implementation — any order-preserving code
-/// assignment yields the same answer.
-pub fn class_is_constant<C: Copy + Ord>(class: &[u32], codes: &[C]) -> bool {
-    let first = codes[class[0] as usize];
-    class.iter().all(|&row| codes[row as usize] == first)
+/// The first split of one equivalence class on `attr` (given by its codes),
+/// if any: the class head and the first row holding a different value.
+pub(crate) fn class_first_split<C: Copy + Eq>(class: &[u32], codes: &[C]) -> Option<(u32, u32)> {
+    let head = class[0];
+    let first = codes[head as usize];
+    class
+        .iter()
+        .find(|&&row| codes[row as usize] != first)
+        .map(|&row| (head, row))
 }
 
 /// Minimal tuples to remove so the class becomes constant on `attr`:
@@ -251,40 +254,35 @@ pub fn class_constancy_removal<C: ClassCode>(
     class.len() - max_group
 }
 
-/// Are two attributes (given by their codes) order compatible within one
-/// equivalence class — i.e. is there no pair `s, t` in the class with
-/// `s.A < t.A` but `s.B > t.B`?
+/// The first swap of one equivalence class, if any: rows `(s, t)` with
+/// `s.A < t.A` but `s.B > t.B`.
 ///
-/// Runs by sorting the class's `(code_a, code_b)` pairs and requiring that the
-/// minimum `B` of each successive `A`-group is no smaller than the maximum `B`
-/// seen in earlier groups.  Ties on `A` never produce swaps.
-pub fn class_is_compatible<C: ClassCode>(class: &[u32], codes_a: &[C], codes_b: &[C]) -> bool {
+/// Sorts the class's `(code_a, code_b, row)` triples once and walks the
+/// `A`-groups in order.  Each group starts at its smallest `B` and ends at
+/// its largest, and until the first swap each group's largest `B` is at most
+/// the next group's smallest — so the first swap, if any, is a group's first
+/// triple undercutting the previous group's last.  Ties on `A` never produce
+/// swaps.
+pub(crate) fn class_first_swap<C: ClassCode>(
+    class: &[u32],
+    codes_a: &[C],
+    codes_b: &[C],
+) -> Option<(u32, u32)> {
     if class.len() < 2 {
-        return true;
+        return None;
     }
-    let mut pairs: Vec<(C, C)> = class
+    let mut triples: Vec<(C, C, u32)> = class
         .iter()
-        .map(|&row| (codes_a[row as usize], codes_b[row as usize]))
+        .map(|&row| (codes_a[row as usize], codes_b[row as usize], row))
         .collect();
-    C::sort_key_pairs(&mut pairs);
-    let mut prev_groups_max_b: Option<C> = None;
-    let mut group_a = pairs[0].0;
-    let mut group_max_b = pairs[0].1;
-    for &(a, b) in &pairs[1..] {
-        if a != group_a {
-            // New A-group: its smallest B (this element, since pairs are sorted)
-            // must not undercut any earlier group's B.
-            prev_groups_max_b = Some(prev_groups_max_b.map_or(group_max_b, |m| m.max(group_max_b)));
-            if b < prev_groups_max_b.expect("just set") {
-                return false;
-            }
-            group_a = a;
-            group_max_b = b;
-        } else {
-            group_max_b = group_max_b.max(b);
+    C::sort_triples(&mut triples);
+    for pair in triples.windows(2) {
+        let ((a_s, b_s, s), (a_t, b_t, t)) = (pair[0], pair[1]);
+        if a_s != a_t && b_t < b_s {
+            return Some((s, t));
         }
     }
-    true
+    None
 }
 
 /// Minimal tuples to remove so the class becomes swap-free on `(A, B)`.
@@ -343,6 +341,146 @@ pub fn class_compatibility_removal<C: ClassCode>(
     class.len() - tails.len()
 }
 
+/// One class's state in the τ walk.  The walk reads rows in `A` order, so it
+/// meets each class's `A`-groups in ascending order.
+#[derive(Clone, Copy)]
+struct SwapState {
+    /// `A` code of the group being read; `u32::MAX` before the class's first
+    /// row (dense codes stay below the row count, so it is never a code).
+    a: u32,
+    /// Maximum `B` of the group being read, and its row.
+    group_max: u32,
+    group_row: u32,
+    /// Maximum `B` of the class's previous group, and its row.  Until the
+    /// class is flagged this is the maximum over all its earlier groups,
+    /// since each group's maximum is at most the next group's minimum.  `0`
+    /// before a group has passed: no code is below it, so it flags nothing.
+    prev_max: u32,
+    prev_row: u32,
+    /// A swap has been found in this class.
+    flagged: bool,
+}
+
+impl SwapState {
+    const START: SwapState = SwapState {
+        a: u32::MAX,
+        group_max: 0,
+        group_row: 0,
+        prev_max: 0,
+        prev_row: 0,
+        flagged: false,
+    };
+}
+
+/// Should a compatibility scan over `part` walk τ_A
+/// ([`tau_compatibility_verdict`]) instead of sorting each class?  Yes when
+/// its largest class holds at least `n / TAU_PASS_DIVISOR` rows.
+pub(crate) fn takes_tau_pass(part: &StrippedPartition) -> bool {
+    !part.is_key() && part.max_class_len() * TAU_PASS_DIVISOR >= part.n_rows()
+}
+
+/// Validate `𝒞 : A ~ B` over a stripped partition of `𝒞` by one walk over
+/// τ_A, every row of the relation in `A` order (`order_a`, see
+/// [`PartitionCache::attr_order`]).
+///
+/// `class_ids` maps each row to its class in `part` ([`ClassCodes`],
+/// singletons [`CLASS_SENTINEL`]); pass `None` exactly when one class covers
+/// every row.  The walk meets each class's rows in ascending `A`, so a row is
+/// a swap partner iff its `B` is below the largest `B` of the class's earlier
+/// `A`-groups.  Until its first swap that is the previous group's largest `B`,
+/// which the walk keeps per class.  At budget 0 the first swap ends the scan.
+/// Otherwise the walk flags each class holding a swap, stops once more
+/// classes are flagged than the budget allows (each needs at least one
+/// removal), and runs [`class_compatibility_removal`] on the flagged classes
+/// alone, in class order.  An accepted verdict is therefore identical, field
+/// for field, to the per-class scan's.
+pub fn tau_compatibility_verdict(
+    part: &StrippedPartition,
+    class_ids: Option<&ClassCodes>,
+    order_a: &[u32],
+    codes_a: &[u32],
+    codes_b: &[u32],
+    budget: usize,
+) -> Verdict {
+    match class_ids {
+        Some(ids) => {
+            let ids = ids.codes();
+            let class_of = |row: u32| ids[row as usize];
+            tau_walk(part, order_a, class_of, codes_a, codes_b, budget)
+        }
+        None => tau_walk(part, order_a, |_| 0, codes_a, codes_b, budget),
+    }
+}
+
+/// [`tau_compatibility_verdict`] over a `row → class` lookup.
+fn tau_walk(
+    part: &StrippedPartition,
+    order_a: &[u32],
+    class_of: impl Fn(u32) -> u32,
+    codes_a: &[u32],
+    codes_b: &[u32],
+    budget: usize,
+) -> Verdict {
+    let mut state = vec![SwapState::START; part.num_classes()];
+    let mut flagged: Vec<u32> = Vec::new();
+    let mut witnesses = Vec::new();
+    let mut touched = 0usize;
+    for &row in order_a {
+        let class = class_of(row);
+        if class == CLASS_SENTINEL {
+            continue;
+        }
+        let s = &mut state[class as usize];
+        let (a, b) = (codes_a[row as usize], codes_b[row as usize]);
+        if a != s.a {
+            touched += usize::from(s.a == u32::MAX);
+            s.prev_max = s.group_max;
+            s.prev_row = s.group_row;
+            s.a = a;
+            s.group_max = b;
+            s.group_row = row;
+        } else if b > s.group_max {
+            s.group_max = b;
+            s.group_row = row;
+        }
+        if b < s.prev_max && !s.flagged {
+            s.flagged = true;
+            flagged.push(class);
+            if witnesses.len() < WITNESS_SAMPLE_CAP {
+                witnesses.push((s.prev_row, row));
+            }
+            if flagged.len() > budget {
+                return Verdict {
+                    removal_count: flagged.len(),
+                    exceeded: true,
+                    violating_pairs: witnesses,
+                    classes_scanned: touched,
+                };
+            }
+        }
+    }
+    // Swap-free classes remove nothing: the exact count is the flagged
+    // classes' LIS removals, summed in class order like the per-class scan.
+    flagged.sort_unstable();
+    let mut verdict = Verdict {
+        classes_scanned: part.num_classes(),
+        ..Verdict::clean()
+    };
+    for class in flagged {
+        verdict.removal_count += class_compatibility_removal(
+            part.class(class as usize),
+            codes_a,
+            codes_b,
+            &mut verdict.violating_pairs,
+        );
+        if verdict.removal_count > budget {
+            verdict.exceeded = true;
+            break;
+        }
+    }
+    verdict
+}
+
 /// Validate `𝒞 : [] ↦ A` over a stripped partition of `𝒞`, stopping once the
 /// removal count exceeds `budget` (the serial case of
 /// [`parallel::constancy_verdict_parallel`] — one scan loop serves both).
@@ -350,8 +488,8 @@ pub fn constancy_verdict(part: &StrippedPartition, codes: &[u32], budget: usize)
     parallel::constancy_verdict_parallel(part, codes, 1, budget)
 }
 
-/// Validate `𝒞 : A ~ B` over a stripped partition of `𝒞`, stopping once the
-/// removal count exceeds `budget` (the serial case of
+/// Validate `𝒞 : A ~ B` over a stripped partition of `𝒞` class by class,
+/// stopping once the removal count exceeds `budget` (the serial case of
 /// [`parallel::compatibility_verdict_parallel`]).
 pub fn compatibility_verdict(
     part: &StrippedPartition,
@@ -363,10 +501,12 @@ pub fn compatibility_verdict(
 }
 
 /// Validate one canonical statement against the data: fetch (or build) the
-/// context's stripped partition and scan it, sharding classes across
-/// `threads` threads when the partition covers at least
-/// [`PARALLEL_ROW_THRESHOLD`] rows.  The single dispatch point shared by the
-/// lattice traversal and the demand-driven engine.
+/// context's stripped partition and scan it.  A compatibility statement gets
+/// its kernel from `parallel::with_compatibility_jobs`, like the lattice's
+/// batches.  Per-class scans shard classes across `threads` threads when the
+/// partition covers at least [`PARALLEL_ROW_THRESHOLD`] rows; the τ pass is
+/// one serial walk.  The dispatch point of the demand-driven engine and the
+/// lattice's replay fallback.
 ///
 /// `budget` is the tuple-removal allowance `⌊ε·n⌋`: the scan short-circuits
 /// once the statement's removal count exceeds it (0 = exact validation with
@@ -396,9 +536,9 @@ pub fn statement_verdict(
             parallel::constancy_verdict_parallel(&part, &codes, threads, budget)
         }
         SetOd::Compatibility { a, b, .. } => {
-            let ca = cache.codes(*a);
-            let cb = cache.codes(*b);
-            parallel::compatibility_verdict_parallel(&part, &ca, &cb, threads, budget)
+            parallel::with_compatibility_jobs(cache, &[(&*part, *a, *b)], |jobs| {
+                jobs[0].run(threads, budget)
+            })
         }
     }
 }
@@ -406,7 +546,7 @@ pub fn statement_verdict(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use od_core::{AttrId, Relation, Schema, Value};
+    use od_core::{AttrId, AttrSet, Relation, Schema, Value};
 
     fn rel_from(rows: &[&[i64]]) -> Relation {
         let mut schema = Schema::new("t");
@@ -425,9 +565,9 @@ mod tests {
     #[test]
     fn class_constancy_detects_variation() {
         let codes = [0u32, 1, 1, 0];
-        assert!(class_is_constant(&[1, 2], &codes));
-        assert!(!class_is_constant(&[0, 1], &codes));
-        assert!(class_is_constant(&[3], &codes));
+        assert_eq!(class_first_split(&[1, 2], &codes), None);
+        assert_eq!(class_first_split(&[0, 1, 2], &codes), Some((0, 1)));
+        assert_eq!(class_first_split(&[3], &codes), None);
     }
 
     #[test]
@@ -435,24 +575,24 @@ mod tests {
         // a: 0 0 1 1, b: 5 7 7 9 — compatible (ties on a, b rises).
         let a = [0u32, 0, 1, 1];
         let b = [5u32, 7, 7, 9];
-        assert!(class_is_compatible(&[0, 1, 2, 3], &a, &b));
+        assert_eq!(class_first_swap(&[0, 1, 2, 3], &a, &b), None);
         // b2: 5 7 6 9 — swap: row1 (a=0,b=7) vs row2 (a=1,b=6).
         let b2 = [5u32, 7, 6, 9];
-        assert!(!class_is_compatible(&[0, 1, 2, 3], &a, &b2));
+        assert_eq!(class_first_swap(&[0, 1, 2, 3], &a, &b2), Some((1, 2)));
         // Equal a values never swap even with wild b.
         let a3 = [4u32, 4, 4, 4];
-        assert!(class_is_compatible(&[0, 1, 2, 3], &a3, &b2));
+        assert_eq!(class_first_swap(&[0, 1, 2, 3], &a3, &b2), None);
         // Singleton and pair classes.
-        assert!(class_is_compatible(&[2], &a, &b2));
-        assert!(class_is_compatible(&[0, 1], &a, &b2));
+        assert_eq!(class_first_swap(&[2], &a, &b2), None);
+        assert_eq!(class_first_swap(&[0, 1], &a, &b2), None);
     }
 
     #[test]
     fn swap_detection_needs_strictly_smaller_b_in_later_group() {
         // a: 0 1, b: 3 3 — equal b across groups is fine (non-decreasing).
-        assert!(class_is_compatible(&[0, 1], &[0u32, 1], &[3, 3]));
+        assert_eq!(class_first_swap(&[0, 1], &[0u32, 1], &[3, 3]), None);
         // a: 0 1, b: 3 2 — genuine swap.
-        assert!(!class_is_compatible(&[0, 1], &[0u32, 1], &[3, 2]));
+        assert_eq!(class_first_swap(&[0, 1], &[0u32, 1], &[3, 2]), Some((0, 1)));
     }
 
     #[test]
@@ -532,9 +672,83 @@ mod tests {
         );
         assert_eq!(w32, w64);
         assert_eq!(
-            class_is_compatible(&class, &codes_a, &codes_b),
-            class_is_compatible(&class, &a64, &b64)
+            class_first_swap(&class, &codes_a, &codes_b),
+            class_first_swap(&class, &a64, &b64)
         );
+    }
+
+    /// Rows `(g, a, b)` with `g` the context column.  `dominant` puts 3/4 of
+    /// the rows in one class of `g` (the τ pass); otherwise every class of
+    /// `g` holds two rows (the per-class path).  `a` cycles through five
+    /// values and `b` rises with the row but drops to 0 on every fourth row,
+    /// so classes hold splits and swaps.
+    fn contract_relation(dominant: bool) -> Relation {
+        let n = 64i64;
+        let rows: Vec<Vec<i64>> = (0..n)
+            .map(|i| {
+                let g = match dominant {
+                    true if i < 48 => 0,
+                    true => i,
+                    false => i / 2,
+                };
+                vec![g, i % 5, if i % 4 == 3 { 0 } else { i }]
+            })
+            .collect();
+        let rows: Vec<&[i64]> = rows.iter().map(|r| r.as_slice()).collect();
+        rel_from(&rows)
+    }
+
+    /// The ε = 0 rejection contract of `stmt` on `rel`: budget 0 reports
+    /// `exceeded`, a removal count of 1 and one witness that `is_violation`
+    /// accepts; an unbounded budget reports the exact count.  `dominant`
+    /// says whether the context has a class large enough for the τ pass.
+    fn assert_rejection_contract(
+        rel: &Relation,
+        stmt: SetOd,
+        dominant: bool,
+        is_violation: impl Fn(usize, usize) -> bool,
+    ) {
+        let mut cache = PartitionCache::new(rel);
+        let part = cache.partition(stmt.context());
+        assert_eq!(takes_tau_pass(&part), dominant, "{stmt}");
+        let g = rel.rank_column(AttrId(0));
+        let exact = statement_verdict(&mut cache, &stmt, 1, usize::MAX);
+        let oracle = od_core::check::od_removal_count(rel, &stmt.as_list_ods()[0]);
+        assert_eq!(exact.removal_count, oracle, "{stmt}");
+        assert!(oracle > 1 && !exact.exceeded);
+        let v = statement_verdict(&mut cache, &stmt, 1, 0);
+        assert!(v.exceeded && !v.within(0), "{stmt}");
+        assert_eq!(v.removal_count, 1, "{stmt}");
+        assert_eq!(v.violating_pairs.len(), 1, "{stmt}");
+        let (s, t) = v.violating_pairs[0];
+        let (s, t) = (s as usize, t as usize);
+        if !stmt.context().is_empty() {
+            assert_eq!(g[s], g[t], "{stmt}: witness rows share a class");
+        }
+        assert!(is_violation(s, t), "{stmt}: ({s}, {t}) is no violation");
+    }
+
+    #[test]
+    fn epsilon_zero_constancy_rejection_reports_one_split() {
+        let g = AttrSet::singleton(AttrId(0));
+        for (dominant, ctx) in [(true, g), (true, AttrSet::new()), (false, g)] {
+            let rel = contract_relation(dominant);
+            let a = rel.rank_column(AttrId(1));
+            let stmt = SetOd::constancy(ctx, AttrId(1));
+            assert_rejection_contract(&rel, stmt, dominant, |s, t| a[s] != a[t]);
+        }
+    }
+
+    #[test]
+    fn epsilon_zero_compatibility_rejection_reports_one_swap() {
+        let g = AttrSet::singleton(AttrId(0));
+        for (dominant, ctx) in [(true, g), (true, AttrSet::new()), (false, g)] {
+            let rel = contract_relation(dominant);
+            let a = rel.rank_column(AttrId(1));
+            let b = rel.rank_column(AttrId(2));
+            let stmt = SetOd::compatibility(ctx, AttrId(1), AttrId(2));
+            assert_rejection_contract(&rel, stmt, dominant, |s, t| a[s] < a[t] && b[s] > b[t]);
+        }
     }
 
     #[test]

@@ -5,10 +5,12 @@
 //! duplicates, mixed value types, and single-value columns, both below and
 //! above the radix thresholds (`RADIX_MIN_PAIRS` and `CLASS_RADIX_MIN` are
 //! both 256, so the "large" cases genuinely take the counting-sort paths).
+//! The two compatibility kernels — the τ pass and the per-class scan — are
+//! also pinned against each other, called directly whatever the class sizes.
 
 use od_core::check::od_removal_count;
 use od_core::{AttrId, AttrSet, Relation, Schema, Value};
-use od_setbased::validate::statement_verdict;
+use od_setbased::validate::{compatibility_verdict, statement_verdict, tau_compatibility_verdict};
 use od_setbased::{
     discover_statements, error_budget, ClassCodes, LatticeConfig, PartitionCache, RefineScratch,
     SetOd, StrippedPartition,
@@ -51,6 +53,38 @@ fn relation_strategy(cols: usize, rows: std::ops::Range<usize>) -> impl Strategy
             .expect("arity fixed by construction")
         },
     )
+}
+
+/// A relation of [`relation_strategy`]'s shape whose first column plants one
+/// class holding at least half the rows: every even row, and any odd row a
+/// coin picks, takes `Int(1)` there.  The other columns keep the NULLs and
+/// mixed value types of [`value_strategy`].
+fn dominant_class_strategy(
+    cols: usize,
+    rows: std::ops::Range<usize>,
+) -> impl Strategy<Value = Relation> {
+    prop::collection::vec(
+        (prop::collection::vec(value_strategy(), cols), 0u8..2),
+        rows,
+    )
+    .prop_map(move |rows| {
+        let mut schema = Schema::new("dominant");
+        for i in 0..=cols + 1 {
+            schema.add_attr(format!("c{i}"));
+        }
+        Relation::from_rows(
+            schema,
+            rows.into_iter().enumerate().map(|(i, (mut r, coin))| {
+                if i % 2 == 0 || coin == 1 {
+                    r[0] = Value::Int(1);
+                }
+                r.push(Value::Int(42));
+                r.push(Value::Int(i as i64));
+                r
+            }),
+        )
+        .expect("arity fixed by construction")
+    })
 }
 
 /// Value-path oracle for stripped bucketing: sort `(&Value, row)` pairs with
@@ -192,6 +226,58 @@ fn assert_verdicts_match_value_oracle(rel: &Relation) -> Result<(), TestCaseErro
     Ok(())
 }
 
+/// Shared body: the τ pass against the per-class scan on every compatibility
+/// statement with a context of width ≤ 2, at budgets 0, 1, ⌊0.25·n⌋ and
+/// unbounded.  Both kernels must agree on acceptance, accepted verdicts must
+/// be equal field for field, and the unbounded count must equal the list-OD
+/// oracle's.  Also pins τ_A to a stable sort of the rows by code.
+fn assert_tau_pass_matches_per_class_scan(rel: &Relation) -> Result<(), TestCaseError> {
+    let n = rel.len();
+    let cols = rel.schema().arity() as u32;
+    let mut cache = PartitionCache::new(rel);
+    for a in rel.schema().attr_ids() {
+        let codes = cache.codes(a);
+        let mut stable: Vec<u32> = (0..n as u32).collect();
+        stable.sort_by_key(|&row| codes[row as usize]);
+        prop_assert_eq!(&cache.attr_order(a)[..], &stable[..], "τ of {:?}", a);
+    }
+    for stmt in all_statements(cols, 2) {
+        let SetOd::Compatibility { context, a, b } = stmt else {
+            continue;
+        };
+        let part = cache.partition(&context);
+        let class_ids = (!part.is_single_class()).then(|| part.class_codes());
+        let order = cache.attr_order(a);
+        let (codes_a, codes_b) = (cache.codes(a), cache.codes(b));
+        let oracle = od_removal_count(rel, &stmt.as_list_ods()[0]);
+        for budget in [0, 1, error_budget(n, 0.25), usize::MAX] {
+            let per_class = compatibility_verdict(&part, &codes_a, &codes_b, budget);
+            let tau = tau_compatibility_verdict(
+                &part,
+                class_ids.as_ref(),
+                &order,
+                &codes_a,
+                &codes_b,
+                budget,
+            );
+            prop_assert_eq!(
+                tau.within(budget),
+                per_class.within(budget),
+                "{} at budget {}",
+                &stmt,
+                budget
+            );
+            if per_class.within(budget) {
+                prop_assert_eq!(&tau, &per_class, "{} at budget {}", &stmt, budget);
+            }
+            if budget == usize::MAX {
+                prop_assert_eq!(tau.removal_count, oracle, "{}", &stmt);
+            }
+        }
+    }
+    Ok(())
+}
+
 /// Shared body: every ordered-pair product Π_A · Π_B on the radix,
 /// comparison-sort, and hash paths, bit for bit against the raw-code
 /// refinement oracle (`Π_A` refined by B's dictionary codes — the level-1
@@ -243,6 +329,16 @@ proptest! {
         assert_partitions_match_value_oracle(&rel)?;
         assert_products_match_oracles(&rel)?;
         assert_verdicts_match_value_oracle(&rel)?;
+        assert_tau_pass_matches_per_class_scan(&rel)?;
+    }
+
+    /// One class of the first column holds at least half the rows, next to
+    /// NULL and mixed-type columns: the shape that takes the τ pass.
+    #[test]
+    fn tau_pass_matches_per_class_scan_on_dominant_classes(
+        rel in dominant_class_strategy(3, 0usize..40),
+    ) {
+        assert_tau_pass_matches_per_class_scan(&rel)?;
     }
 }
 
@@ -266,6 +362,7 @@ proptest! {
             "expected product radix passes above the threshold"
         );
         assert_verdicts_match_value_oracle(&rel)?;
+        assert_tau_pass_matches_per_class_scan(&rel)?;
     }
 }
 
