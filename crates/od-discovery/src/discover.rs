@@ -21,9 +21,15 @@
 //!   re-sorting the relation per candidate with the `O(n log n)` split/swap
 //!   checker of `od-core`; kept as the oracle for differential tests.
 //!
-//! Both engines see the same candidate stream and the same implication
-//! pruning, so they return the same minimal OD set — a property the
-//! differential proptests in `tests/differential.rs` enforce.
+//! Both engines see the same candidate stream but prune in different orders.
+//! The set-based engine answers a candidate from its profile first, then
+//! proves most implied candidates by statement subsumption
+//! ([`od_setbased::SetOd::subsumes`]) and asks the decider only for the rest;
+//! the naive engine asks the decider before it validates.  Either way a
+//! candidate is kept iff it holds and the ODs kept before it do not imply it,
+//! so both return the same minimal OD set — a property the differential
+//! proptests in `tests/differential.rs` enforce, together with an oracle that
+//! minimizes the unpruned result with a fresh decider per OD.
 
 use od_core::check::{check_fd, od_holds, od_removal_count};
 use od_core::{AttrId, FunctionalDependency, OrderDependency, Relation};
@@ -31,8 +37,10 @@ use od_infer::witness::enumerate_lists;
 use od_infer::{Decider, OdSet};
 use od_optimizer::OdRegistry;
 use od_setbased::{
-    discover_statements, error_budget, translate_od, LatticeConfig, LatticeStats, SetBasedEngine,
+    discover_statements, error_budget, translate_od, LatticeConfig, LatticeStats,
+    SetBasedDiscovery, SetBasedEngine, SetOd,
 };
+use std::collections::HashMap;
 
 /// Which validation engine a discovery run uses.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -52,9 +60,12 @@ pub struct DiscoveryConfig {
     pub max_lhs: usize,
     /// Maximum length of the right-hand side list.
     pub max_rhs: usize,
-    /// Skip candidates already implied by the confirmed ODs (axiom-based
-    /// pruning; only sound — and only applied — when `epsilon == 0`, since
-    /// implication combines premises whose removal sets may differ).
+    /// Skip candidates implied by the ODs confirmed before them, so no
+    /// returned OD is implied by those listed before it (axiom-based pruning;
+    /// the set-based engine tries statement subsumption before the exact
+    /// decider, with the same result).  Only sound — and only applied — when
+    /// `epsilon == 0`, since implication combines premises whose removal sets
+    /// may differ.
     pub prune_implied: bool,
     /// Validation engine.
     pub engine: DiscoveryEngine,
@@ -198,7 +209,7 @@ pub fn discover_ods(rel: &Relation, config: DiscoveryConfig) -> Discovery {
                     )
                 }
             };
-            let mut result = run_discovery(rel, config, &mut check);
+            let mut result = run_discovery(rel, config, None, &mut check);
             result.statement_validations = result.validated;
             result
         }
@@ -232,32 +243,26 @@ pub fn discover_ods(rel: &Relation, config: DiscoveryConfig) -> Discovery {
             let mut engine: Option<SetBasedEngine> = None;
             let n = rel.len();
             let mut check = |od: &OrderDependency| {
-                let stmts = translate_od(od);
-                if stmts.iter().all(|s| s.context().len() <= depth) {
-                    let mut worst = 0usize;
-                    for stmt in &stmts {
-                        match profile.removal_upper_bound(stmt) {
-                            Some(removal) => worst = worst.max(removal),
-                            None => return (false, false, 1.0),
-                        }
-                    }
-                    (true, false, worst as f64 / n.max(1) as f64)
-                } else {
-                    let engine = engine.get_or_insert_with(|| {
-                        let mut e = SetBasedEngine::with_budget(rel, threads, budget);
-                        e.adopt_profile(&profile);
-                        e
-                    });
-                    let before = engine.data_validations();
-                    let verdict = engine.od_verdict(od);
-                    (
-                        verdict.within(budget),
-                        engine.data_validations() > before,
-                        verdict.g3(n),
-                    )
-                }
+                let engine = engine.get_or_insert_with(|| {
+                    let mut e = SetBasedEngine::with_budget(rel, threads, budget);
+                    e.adopt_profile(&profile);
+                    e
+                });
+                let before = engine.data_validations();
+                let verdict = engine.od_verdict(od);
+                (
+                    verdict.within(budget),
+                    engine.data_validations() > before,
+                    verdict.g3(n),
+                )
             };
-            let mut result = run_discovery(rel, config, &mut check);
+            let answers = ProfileAnswers {
+                profile: &profile,
+                depth,
+                rows: n,
+                memo: HashMap::new(),
+            };
+            let mut result = run_discovery(rel, config, Some(answers), &mut check);
             result.statement_validations =
                 profile.stats.validated + engine.as_ref().map_or(0, |e| e.data_validations());
             result.lattice_stats = Some(profile.stats);
@@ -278,23 +283,133 @@ pub fn discover_ods_naive(rel: &Relation, config: DiscoveryConfig) -> Discovery 
     )
 }
 
-/// The shared enumeration / pruning loop.  `check` answers whether a candidate
-/// holds (within the error budget), whether answering touched the data, and
-/// the candidate's `g3` error score.
+/// How the lattice profile answers one candidate.
+enum ProfileAnswer {
+    /// Every canonical statement holds; the candidate's `g3` error score.
+    Holds(f64),
+    /// Some canonical statement does not hold.
+    Fails,
+    /// No scan-free answer: a statement's context is deeper than the profile,
+    /// or there is no profile (the naive engine).
+    Unanswered,
+}
+
+/// The set-based engine's lattice profile, read per canonical statement.
+struct ProfileAnswers<'a> {
+    profile: &'a SetBasedDiscovery,
+    depth: usize,
+    rows: usize,
+    /// [`SetBasedDiscovery::removal_upper_bound`] per statement: candidates
+    /// share statements, and a miss there costs two linear subsumption scans.
+    memo: HashMap<SetOd, Option<usize>>,
+}
+
+impl ProfileAnswers<'_> {
+    /// Answer a candidate from its canonical statements, stopping at the
+    /// first one that does not hold.
+    fn answer(&mut self, stmts: &[SetOd]) -> ProfileAnswer {
+        if stmts.iter().any(|s| s.context().len() > self.depth) {
+            return ProfileAnswer::Unanswered;
+        }
+        let profile = self.profile;
+        let mut worst = 0usize;
+        for stmt in stmts {
+            match *self
+                .memo
+                .entry(*stmt)
+                .or_insert_with(|| profile.removal_upper_bound(stmt))
+            {
+                Some(removal) => worst = worst.max(removal),
+                None => return ProfileAnswer::Fails,
+            }
+        }
+        ProfileAnswer::Holds(worst as f64 / self.rows.max(1) as f64)
+    }
+}
+
+/// The ODs confirmed so far, as the premises of implication pruning.
+#[derive(Default)]
+struct Confirmed {
+    ods: OdSet,
+    /// The canonical statements of `ods`.  An OD is equivalent to the
+    /// conjunction of its statements, so `ods` imply every statement these
+    /// subsume.
+    statements: Vec<SetOd>,
+    /// The decider over `ods`, rebuilt lazily after `ods` grows.
+    decider: Option<Decider>,
+}
+
+impl Confirmed {
+    /// Is every statement subsumed by a confirmed one?  A search-free
+    /// sufficient condition for implication.
+    fn subsume(&self, stmts: &[SetOd]) -> bool {
+        stmts
+            .iter()
+            .all(|s| self.statements.iter().any(|c| c.subsumes(s)))
+    }
+
+    /// Do the confirmed ODs imply `od`?  One decider search.
+    fn imply(&mut self, od: &OrderDependency, tally: &mut Tally) -> bool {
+        let ods = &self.ods;
+        let implied = self
+            .decider
+            .get_or_insert_with(|| Decider::new(ods))
+            .implies(od);
+        tally.implies_calls += 1;
+        tally.implied += u64::from(implied);
+        implied
+    }
+
+    fn add(&mut self, od: OrderDependency, stmts: Vec<SetOd>) {
+        self.ods.add_od(od);
+        self.statements.extend(stmts);
+        self.decider = None;
+    }
+}
+
+/// Where the enumeration's non-trivial candidates went, flushed once per run
+/// as the `enumerate.*` counters.
+#[derive(Default)]
+struct Tally {
+    profile_rejected: u64,
+    subsumed: u64,
+    implies_calls: u64,
+    implied: u64,
+}
+
+impl Tally {
+    fn flush(&self) {
+        od_obs::add("enumerate.profile_rejected", self.profile_rejected);
+        od_obs::add("enumerate.subsumed", self.subsumed);
+        od_obs::add("enumerate.implies_calls", self.implies_calls);
+        od_obs::add("enumerate.implied", self.implied);
+    }
+}
+
+/// The shared enumeration / pruning loop.
+///
+/// A candidate the `profile` answers is rejected or accepted there first,
+/// before any implication pruning: the profile is fixed for the run and both
+/// filters are pure, so their order cannot change which candidates are kept.
+/// An accepted candidate is then pruned when its statements are subsumed by
+/// the confirmed ones, and only otherwise asked of the decider.  Any other
+/// candidate is asked of the decider before `check` answers whether it holds
+/// (within the error budget), whether answering touched the data, and its
+/// `g3` error score.
 fn run_discovery(
     rel: &Relation,
     config: DiscoveryConfig,
+    mut profile: Option<ProfileAnswers>,
     check: &mut dyn FnMut(&OrderDependency) -> (bool, bool, f64),
 ) -> Discovery {
     let universe: Vec<AttrId> = rel.schema().attr_ids().collect();
     let lhs_lists = enumerate_lists(&universe, config.max_lhs);
     let rhs_lists = enumerate_lists(&universe, config.max_rhs);
-    let mut found = OdSet::new();
-    // The decider over `found` is rebuilt lazily, only after `found` grows.
     // Implication pruning combines many confirmed premises, so it is only
     // sound (and only used) in exact mode.
     let prune_implied = config.prune_implied && config.epsilon <= 0.0;
-    let mut decider: Option<Decider> = None;
+    let mut confirmed = Confirmed::default();
+    let mut tally = Tally::default();
     let mut result = Discovery::default();
 
     for lhs in &lhs_lists {
@@ -307,25 +422,47 @@ fn run_discovery(
             if candidate.is_syntactically_trivial() {
                 continue;
             }
-            if prune_implied
-                && decider
-                    .get_or_insert_with(|| Decider::new(&found))
-                    .implies(&candidate)
-            {
-                continue;
-            }
-            let (holds, touched_data, error) = check(&candidate);
-            if touched_data {
-                result.validated += 1;
-            }
-            if holds {
-                found.add_od(candidate.clone());
-                decider = None;
-                result.ods.push(candidate);
-                result.errors.push(error);
-            }
+            let stmts = translate_od(&candidate);
+            let answer = profile
+                .as_mut()
+                .map_or(ProfileAnswer::Unanswered, |p| p.answer(&stmts));
+            let error = match answer {
+                ProfileAnswer::Fails => {
+                    tally.profile_rejected += 1;
+                    continue;
+                }
+                ProfileAnswer::Holds(error) => {
+                    if prune_implied {
+                        if confirmed.subsume(&stmts) {
+                            tally.subsumed += 1;
+                            continue;
+                        }
+                        if confirmed.imply(&candidate, &mut tally) {
+                            continue;
+                        }
+                    }
+                    error
+                }
+                ProfileAnswer::Unanswered => {
+                    if prune_implied && confirmed.imply(&candidate, &mut tally) {
+                        continue;
+                    }
+                    let (holds, touched_data, error) = check(&candidate);
+                    if touched_data {
+                        result.validated += 1;
+                    }
+                    if !holds {
+                        continue;
+                    }
+                    error
+                }
+            };
+            confirmed.add(candidate.clone(), stmts);
+            result.ods.push(candidate);
+            result.errors.push(error);
         }
     }
+    tally.flush();
     result
 }
 
@@ -360,6 +497,7 @@ pub fn discover_fds(rel: &Relation, max_lhs: usize) -> Vec<FunctionalDependency>
 mod tests {
     use super::*;
     use od_core::fixtures;
+    use std::sync::Arc;
 
     #[test]
     fn discovers_the_example_5_ods() {
@@ -418,6 +556,30 @@ mod tests {
                 "{od} must be implied by the pruned discovery result"
             );
         }
+    }
+
+    #[test]
+    fn enumeration_counters_are_pinned_on_a_three_year_date_dim() {
+        let rel = od_workload::generate_date_dim(2017, 1095, 0);
+        let registry = Arc::new(od_obs::Registry::new());
+        let d = od_obs::scoped(Arc::clone(&registry), || {
+            discover_ods(&rel, DiscoveryConfig::default())
+        });
+        let counter = |name: &str| registry.counter_value(&format!("enumerate.{name}"));
+        let (rejected, subsumed, calls, implied) = (
+            counter("profile_rejected"),
+            counter("subsumed"),
+            counter("implies_calls"),
+            counter("implied"),
+        );
+        assert_eq!((rejected, subsumed, calls, implied), (5_665, 556, 268, 236));
+        // Every non-trivial candidate is rejected by the profile, proven by
+        // subsumption, or asked of the decider, and each candidate the
+        // decider does not prune is a confirmed OD.
+        assert_eq!(d.candidates, 6_642);
+        assert_eq!(rejected + subsumed + calls, 6_489);
+        assert_eq!(calls - implied, d.ods.len() as u64);
+        assert_eq!(d.ods.len(), 32);
     }
 
     #[test]

@@ -1,10 +1,14 @@
 //! Differential tests between the naive (sort-per-candidate) discovery engine
 //! and the set-based partition engine: identical minimal OD sets on random
 //! relations, and the acceptance criteria on the date-warehouse workload.
+//! Both engines share one pruning loop, so implication pruning is checked
+//! against its own oracle: a greedy decider minimization of the unpruned
+//! result.
 
 use od_core::check::od_holds;
-use od_core::{Relation, Schema, Value};
-use od_discovery::{discover_ods, discover_ods_naive, DiscoveryConfig};
+use od_core::{OrderDependency, Relation, Schema, Value};
+use od_discovery::{discover_ods, discover_ods_naive, DiscoveryConfig, DiscoveryEngine};
+use od_infer::{Decider, OdSet};
 use od_workload::generate_date_dim;
 use proptest::prelude::*;
 
@@ -23,8 +27,69 @@ fn relation_strategy(cols: usize, max_rows: usize) -> impl Strategy<Value = Rela
     })
 }
 
+/// Keep each OD, in order, unless a fresh decider over the ODs kept so far
+/// implies it.
+fn greedy_minimization(ods: &[OrderDependency]) -> Vec<OrderDependency> {
+    let mut kept: Vec<OrderDependency> = Vec::new();
+    for od in ods {
+        if !Decider::new(&OdSet::from_ods(kept.iter().cloned())).implies(od) {
+            kept.push(od.clone());
+        }
+    }
+    kept
+}
+
+/// Pruned discovery and the greedy minimization of unpruned discovery, as
+/// `(unpruned count, pruned ODs, minimized ODs)`.
+fn pruned_and_minimized(
+    rel: &Relation,
+    config: DiscoveryConfig,
+) -> (usize, Vec<OrderDependency>, Vec<OrderDependency>) {
+    let all = discover_ods(
+        rel,
+        DiscoveryConfig {
+            prune_implied: false,
+            ..config
+        },
+    )
+    .ods;
+    let pruned = discover_ods(
+        rel,
+        DiscoveryConfig {
+            prune_implied: true,
+            ..config
+        },
+    )
+    .ods;
+    (all.len(), pruned, greedy_minimization(&all))
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// Implication pruning keeps exactly the ODs a greedy decider
+    /// minimization keeps, for both engines, with the profile deep enough
+    /// for every candidate and with a depth-1 profile that sends wide
+    /// candidates to the fallback engine.
+    #[test]
+    fn pruning_equals_greedy_decider_minimization(rel in relation_strategy(4, 10)) {
+        for engine in [DiscoveryEngine::SetBased, DiscoveryEngine::Naive] {
+            for (max_lhs, max_rhs, max_context) in [(2, 2, 4), (3, 2, 4), (3, 2, 1)] {
+                let config = DiscoveryConfig {
+                    max_lhs,
+                    max_rhs,
+                    max_context,
+                    engine,
+                    ..Default::default()
+                };
+                let (_, pruned, minimized) = pruned_and_minimized(&rel, config);
+                prop_assert_eq!(
+                    &pruned, &minimized,
+                    "{:?} at widths {}/{}, depth {}", engine, max_lhs, max_rhs, max_context
+                );
+            }
+        }
+    }
 
     /// Both engines return the same minimal OD set on random small relations,
     /// with and without implication pruning, and the set-based engine never
@@ -149,6 +214,17 @@ proptest! {
             }
         }
     }
+}
+
+/// On a three-year `date_dim`, 824 candidates hold and implication pruning
+/// keeps the 32 that a greedy decider minimization keeps.
+#[test]
+fn warehouse_pruning_equals_greedy_decider_minimization() {
+    let rel = generate_date_dim(2017, 1095, 0);
+    let (holding, pruned, minimized) = pruned_and_minimized(&rel, DiscoveryConfig::default());
+    assert_eq!(holding, 824);
+    assert_eq!(pruned.len(), 32);
+    assert_eq!(pruned, minimized);
 }
 
 /// The tentpole acceptance criterion: on the date-warehouse fixture the

@@ -4,10 +4,10 @@
 //! crates.io access, so `tracing`/`metrics` are out of reach) with three
 //! pieces:
 //!
-//! 1. **Metrics** ([`metrics`]): a [`Recorder`] trait over named atomic
-//!    counters, gauges, and log-bucketed [`Histogram`]s with *fixed*
-//!    power-of-two bucket bounds, so bucket counts are bit-identical across
-//!    runs and thread counts.  A process-wide default [`Registry`] serves the
+//! 1. **Metrics** ([`metrics`]): a [`Registry`] of named atomic counters,
+//!    gauges, and log-bucketed [`Histogram`]s with *fixed* power-of-two
+//!    bucket bounds, so bucket counts are bit-identical across runs and
+//!    thread counts.  A process-wide default [`Registry`] serves the
 //!    free functions [`add`]/[`gauge_set`]/[`gauge_max`]/[`record`]; tests and
 //!    experiment harnesses isolate themselves with [`scoped`] registries.
 //! 2. **Spans** ([`span`](mod@span)): RAII guards forming a hierarchical phase
@@ -44,8 +44,7 @@ pub mod span;
 pub use json::Json;
 pub use metrics::{
     add, bucket_bounds, bucket_index, gauge_max, gauge_set, global, record, recorder, scoped,
-    DurationStat, Histogram, HistogramSnapshot, MetricsSnapshot, Recorder, Registry,
-    HISTOGRAM_BUCKETS,
+    DurationStat, Histogram, HistogramSnapshot, MetricsSnapshot, Registry, HISTOGRAM_BUCKETS,
 };
 pub use report::{histogram_json, peak_rss_kib, MetricsReport};
 pub use span::{span, timed, SpanGuard};

@@ -10,7 +10,7 @@
 //! Determinism contract: counters, gauges, and histograms must only ever be
 //! fed *deterministic counts* (rows, nodes, classes, cache events) — never
 //! wall-clock readings.  Durations flow through the separate
-//! [`Recorder::record_duration`] channel and are kept out of the canonical
+//! [`Registry::record_duration`] channel and are kept out of the canonical
 //! (diffable) report section by construction.
 
 use std::cell::RefCell;
@@ -133,25 +133,8 @@ pub struct DurationStat {
     pub max_nanos: u64,
 }
 
-/// Sink for metric updates.
-///
-/// [`Registry`] is the implementation.
-pub trait Recorder: Send + Sync {
-    /// Add `delta` to the named counter.
-    fn add(&self, name: &str, delta: u64);
-    /// Set the named gauge to `value`.
-    fn gauge_set(&self, name: &str, value: u64);
-    /// Raise the named gauge to at least `value`.
-    fn gauge_max(&self, name: &str, value: u64);
-    /// Record one observation into the named histogram.
-    fn record(&self, name: &str, value: u64);
-    /// Record a completed span's wall-clock duration under its path.  Kept in
-    /// a separate channel so durations can never leak into the deterministic
-    /// report section.
-    fn record_duration(&self, path: &str, nanos: u64);
-}
-
-/// Named-metric registry backing the [`Recorder`] trait with atomics.
+/// Named-metric registry: the sink for every metric update, backed by
+/// atomics.
 #[derive(Debug, Default)]
 pub struct Registry {
     counters: RwLock<HashMap<String, Arc<AtomicU64>>>,
@@ -187,6 +170,37 @@ impl Registry {
     /// Handle to the named histogram, creating it empty if absent.
     pub fn histogram(&self, name: &str) -> Arc<Histogram> {
         intern(&self.histograms, name)
+    }
+
+    /// Add `delta` to the named counter.
+    pub fn add(&self, name: &str, delta: u64) {
+        self.counter(name).fetch_add(delta, Ordering::Relaxed);
+    }
+
+    /// Set the named gauge to `value`.
+    pub fn gauge_set(&self, name: &str, value: u64) {
+        self.gauge(name).store(value, Ordering::Relaxed);
+    }
+
+    /// Raise the named gauge to at least `value`.
+    pub fn gauge_max(&self, name: &str, value: u64) {
+        self.gauge(name).fetch_max(value, Ordering::Relaxed);
+    }
+
+    /// Record one observation into the named histogram.
+    pub fn record(&self, name: &str, value: u64) {
+        self.histogram(name).record(value);
+    }
+
+    /// Record a completed span's wall-clock duration under its path.  Kept in
+    /// a separate channel so durations can never leak into the deterministic
+    /// report section.
+    pub fn record_duration(&self, path: &str, nanos: u64) {
+        let mut map = self.durations.lock().expect("duration map poisoned");
+        let stat = map.entry(path.to_string()).or_default();
+        stat.count += 1;
+        stat.total_nanos += nanos;
+        stat.max_nanos = stat.max_nanos.max(nanos);
     }
 
     /// Current value of a counter (zero if it was never touched).
@@ -243,32 +257,6 @@ impl Registry {
             histograms,
             durations,
         }
-    }
-}
-
-impl Recorder for Registry {
-    fn add(&self, name: &str, delta: u64) {
-        self.counter(name).fetch_add(delta, Ordering::Relaxed);
-    }
-
-    fn gauge_set(&self, name: &str, value: u64) {
-        self.gauge(name).store(value, Ordering::Relaxed);
-    }
-
-    fn gauge_max(&self, name: &str, value: u64) {
-        self.gauge(name).fetch_max(value, Ordering::Relaxed);
-    }
-
-    fn record(&self, name: &str, value: u64) {
-        self.histogram(name).record(value);
-    }
-
-    fn record_duration(&self, path: &str, nanos: u64) {
-        let mut map = self.durations.lock().expect("duration map poisoned");
-        let stat = map.entry(path.to_string()).or_default();
-        stat.count += 1;
-        stat.total_nanos += nanos;
-        stat.max_nanos = stat.max_nanos.max(nanos);
     }
 }
 

@@ -206,7 +206,7 @@ pub fn peak_rss_kib() -> Option<u64> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::metrics::{Recorder as _, Registry};
+    use crate::metrics::Registry;
 
     #[test]
     fn report_sections_split_durations_from_counts() {

@@ -4,9 +4,9 @@
 //! the guard drops, the elapsed wall-clock time is recorded on the ambient
 //! recorder under the `/`-joined path of every open span on this thread, e.g.
 //! `discovery/level2/refine` or `stream/batch/patch`.  Durations travel
-//! through [`Recorder::record_duration`](crate::Recorder::record_duration)
-//! only, so they land in the *non-deterministic* report section and never
-//! perturb the canonical (diffable) output.
+//! through [`Registry::record_duration`] only, so they land in the
+//! *non-deterministic* report section and never perturb the canonical
+//! (diffable) output.
 
 use crate::metrics::{recorder, Registry};
 use std::cell::RefCell;
@@ -68,7 +68,6 @@ impl Drop for SpanGuard {
                 stack.remove(pos);
             }
         });
-        use crate::metrics::Recorder as _;
         self.registry.record_duration(&self.path, nanos);
     }
 }

@@ -95,6 +95,28 @@ impl SetOd {
         }
     }
 
+    /// Does this statement subsume `query` by **context monotonicity** (the
+    /// same constancy or compatibility over a subset context) or because a
+    /// **constancy implies a compatibility** (if `𝒞 : [] ↦ A` holds, `A` never
+    /// swaps against anything inside `𝒞`'s classes)?  Sound on every
+    /// instance; pure mask arithmetic.  Both statements are expected in
+    /// canonical `a ≤ b` form.
+    pub fn subsumes(&self, query: &SetOd) -> bool {
+        let ctx = query.context();
+        match (self, query) {
+            (SetOd::Constancy { context, attr }, SetOd::Constancy { attr: qattr, .. }) => {
+                attr == qattr && context.is_subset(ctx)
+            }
+            (SetOd::Compatibility { context, a, b }, SetOd::Compatibility { a: qa, b: qb, .. }) => {
+                a == qa && b == qb && context.is_subset(ctx)
+            }
+            (SetOd::Constancy { context, attr }, SetOd::Compatibility { a: qa, b: qb, .. }) => {
+                (attr == qa || attr == qb) && context.is_subset(ctx)
+            }
+            (SetOd::Compatibility { .. }, SetOd::Constancy { .. }) => false,
+        }
+    }
+
     /// The equivalent list-based OD(s): one OD for a constancy, the two
     /// direction ODs of the defining equivalence for a compatibility.
     pub fn as_list_ods(&self) -> Vec<OrderDependency> {
@@ -219,6 +241,27 @@ mod tests {
         assert!(SetOd::compatibility(set(&[]), AttrId(4), AttrId(4)).is_trivial());
         assert!(SetOd::compatibility(set(&[4]), AttrId(4), AttrId(5)).is_trivial());
         assert!(!SetOd::compatibility(set(&[0]), AttrId(4), AttrId(5)).is_trivial());
+    }
+
+    #[test]
+    fn subsumption_is_context_monotone_and_constancy_covers_compatibility() {
+        let (a, b, c) = (AttrId(0), AttrId(1), AttrId(2));
+        let constancy = SetOd::constancy(set(&[2]), a);
+        let compatibility = SetOd::compatibility(set(&[2]), a, b);
+        // Context monotonicity, including the statement itself.
+        assert!(constancy.subsumes(&constancy));
+        assert!(constancy.subsumes(&SetOd::constancy(set(&[2, 3]), a)));
+        assert!(!constancy.subsumes(&SetOd::constancy(set(&[]), a)));
+        assert!(!constancy.subsumes(&SetOd::constancy(set(&[2]), b)));
+        assert!(compatibility.subsumes(&SetOd::compatibility(set(&[2, 3]), b, a)));
+        assert!(!compatibility.subsumes(&SetOd::compatibility(set(&[3]), a, b)));
+        assert!(!compatibility.subsumes(&SetOd::compatibility(set(&[2]), a, c)));
+        // A constancy of either pair attribute covers the compatibility, never
+        // the other way round.
+        assert!(constancy.subsumes(&compatibility));
+        assert!(constancy.subsumes(&SetOd::compatibility(set(&[2, 3]), a, AttrId(4))));
+        assert!(!constancy.subsumes(&SetOd::compatibility(set(&[]), a, b)));
+        assert!(!compatibility.subsumes(&SetOd::constancy(set(&[2]), a)));
     }
 
     #[test]

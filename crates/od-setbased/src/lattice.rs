@@ -269,26 +269,6 @@ pub struct SetBasedDiscovery {
     pub stats: LatticeStats,
 }
 
-/// Does `premise` subsume `query` by context monotonicity (rule 1) or
-/// constancy-subsumes-compatibility (rule 2)?  Pure mask arithmetic.
-fn subsumes(premise: &SetOd, query: &SetOd) -> bool {
-    let ctx = query.context();
-    match (premise, query) {
-        (SetOd::Constancy { context, attr }, SetOd::Constancy { attr: qattr, .. }) => {
-            attr == qattr && context.is_subset(ctx)
-        }
-        (SetOd::Compatibility { context, a, b }, SetOd::Compatibility { a: qa, b: qb, .. }) => {
-            a == qa && b == qb && context.is_subset(ctx)
-        }
-        // A constancy of either pair attribute subsumes the compatibility
-        // (rule 2).
-        (SetOd::Constancy { context, attr }, SetOd::Compatibility { a: qa, b: qb, .. }) => {
-            (attr == qa || attr == qb) && context.is_subset(ctx)
-        }
-        _ => false,
-    }
-}
-
 impl SetBasedDiscovery {
     /// The minimal valid statements: those not subsumed from a smaller context
     /// and not implied by previously confirmed statements.
@@ -339,8 +319,8 @@ impl SetBasedDiscovery {
         if stmt.is_trivial() || self.holding.contains(stmt) {
             return true;
         }
-        self.minimal.iter().any(|m| subsumes(m, stmt))
-            || self.pruned.iter().any(|p| subsumes(p, stmt))
+        self.minimal.iter().any(|m| m.subsumes(stmt))
+            || self.pruned.iter().any(|p| p.subsumes(stmt))
     }
 
     /// An upper bound on the statement's `g3` removal count, or `None` when
@@ -364,10 +344,10 @@ impl SetBasedDiscovery {
         if let Some(&i) = self.minimal_index.get(stmt) {
             return Some(self.verdicts[i].removal_count);
         }
-        if let Some(i) = self.minimal.iter().position(|m| subsumes(m, stmt)) {
+        if let Some(i) = self.minimal.iter().position(|m| m.subsumes(stmt)) {
             return Some(self.verdicts[i].removal_count);
         }
-        if self.pruned.iter().any(|p| p == stmt || subsumes(p, stmt)) {
+        if self.pruned.iter().any(|p| p.subsumes(stmt)) {
             return Some(0);
         }
         None
