@@ -14,7 +14,7 @@
 //!   discovery on the snapshot.
 //!
 //! The churn batches, statement set, and re-validation baseline are shared
-//! with the ≥5× acceptance-criterion guard (`tests/stream_speed.rs`, run in
+//! with the ≥4× acceptance-criterion guard (`tests/stream_speed.rs`, run in
 //! CI under the release profile) via [`od_bench::streaming`], so the bench
 //! measures exactly what the guard asserts.
 

@@ -2,11 +2,12 @@
 //! table under 1%-sized deltas, delta maintenance must beat full
 //! re-validation by at least 4×.  The floor was 5× until the columnar core
 //! landed: radix-bucketed refinement made the full-revalidation *baseline*
-//! ~20% cheaper (the steady-state margin is now ~5×, measured from ~6.4×
-//! before), so the guard keeps one turn of headroom under CI noise against
-//! the faster denominator.  Runs in CI under the release profile alongside
-//! `setbased_speed.rs`; the churn batches, statement set, and baseline are
-//! shared with the E11 bench via [`od_bench::streaming`].
+//! ~20% cheaper (the margin fell from ~6.4× to ~5×), so the guard keeps one
+//! turn of headroom under CI noise against the faster denominator.  Pair
+//! multiset ledgers brought the release margin back to ~7× (6.4–7.6× over
+//! six runs on a 2-vCPU Intel Xeon host).  Runs in CI under the release
+//! profile alongside `setbased_speed.rs`; the churn batches, statement set,
+//! and baseline are shared with the E11 bench via [`od_bench::streaming`].
 
 use od_bench::streaming::{churn_batch, full_revalidation, monitored_statements};
 use od_bench::timing::best_of;

@@ -557,10 +557,17 @@ pub fn get_od(r: &mut Reader<'_>) -> WireResult<OrderDependency> {
 // Framing
 // ---------------------------------------------------------------------------
 
-/// Write one frame: `u32 LE` payload length followed by the payload.
-/// Payloads beyond `MAX_FRAME_LEN` are a programming error on the sending
-/// side and reported as `InvalidInput` rather than truncated.
+/// Write one frame: `u32 LE` payload length followed by the payload, then
+/// flush.  Payloads beyond `MAX_FRAME_LEN` are a programming error on the
+/// sending side and reported as `InvalidInput` rather than truncated.
 pub fn write_frame(w: &mut impl Write, payload: &[u8]) -> io::Result<()> {
+    write_frame_unflushed(w, payload)?;
+    w.flush()
+}
+
+/// [`write_frame`] without the flush, for a writer that batches several
+/// frames into one flush.
+pub fn write_frame_unflushed(w: &mut impl Write, payload: &[u8]) -> io::Result<()> {
     if payload.len() > MAX_FRAME_LEN {
         return Err(io::Error::new(
             io::ErrorKind::InvalidInput,
@@ -571,8 +578,7 @@ pub fn write_frame(w: &mut impl Write, payload: &[u8]) -> io::Result<()> {
         ));
     }
     w.write_all(&(payload.len() as u32).to_le_bytes())?;
-    w.write_all(payload)?;
-    w.flush()
+    w.write_all(payload)
 }
 
 /// Read one frame's payload, enforcing `max_len` *before* allocating.

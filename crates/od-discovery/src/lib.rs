@@ -20,9 +20,10 @@
 //! discovered ODs live on a *changing* table.  A [`Monitor`] watches a set of
 //! ODs (typically the zero-error install set of a discovery run), maintains
 //! their exact `g3` removal counts under tuple insert/delete
-//! [`DeltaBatch`](od_setbased::stream::DeltaBatch)es in `O(touched classes)`
-//! per delta — via `od-setbased`'s delta-maintained partitions and verdict
-//! ledgers — and can [`sync`](Monitor::sync_registry) the optimizer's
+//! [`DeltaBatch`](od_setbased::stream::DeltaBatch)es at `O(log k)` per
+//! changed row in each touched class of `k` rows — via `od-setbased`'s
+//! delta-maintained partitions and verdict ledgers — and can
+//! [`sync`](Monitor::sync_registry) the optimizer's
 //! [`OdRegistry`](od_optimizer::OdRegistry) so rewrite licenses track the
 //! data: an OD that stops holding is retracted, one that heals is
 //! reinstalled.

@@ -27,7 +27,11 @@
 //! stopped reading overflows its own queue and loses notifications (flagged
 //! by a [`Notification::Lagged`] frame once it drains) while every other
 //! client keeps receiving.  A slow consumer can therefore never stall the
-//! monitor, the batch submitter, or other subscribers.
+//! monitor, the batch submitter, or other subscribers.  A client that
+//! pipelines requests cannot crowd out its own notifications either: its
+//! responses may hold at most half the queue (the connection's response
+//! window), and the writer keeps up by coalescing — after each blocking
+//! receive it writes every frame already queued and flushes them once.
 
 use crate::proto::{ErrorCode, Notification, Request, Response, WireOdStatus};
 use od_core::wire::{self, WireError, MAX_FRAME_LEN};
@@ -37,7 +41,7 @@ use od_infer::{Decider, OdSet};
 use od_setbased::stream::DeltaBatch;
 use od_setbased::LatticeConfig;
 use std::collections::HashMap;
-use std::io::{self, BufReader, BufWriter};
+use std::io::{self, BufReader, BufWriter, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc::{sync_channel, Receiver, SyncSender, TrySendError};
@@ -50,9 +54,10 @@ pub struct ServerConfig {
     /// Per-frame payload cap for reads (writes share the global
     /// [`MAX_FRAME_LEN`]).
     pub max_frame: usize,
-    /// Outbound queue depth per connection.  Responses always fit (a
-    /// connection has at most a handful of requests in flight); notifications
-    /// beyond this bound are dropped for that subscriber only.
+    /// Outbound queue depth per connection.  Responses may hold at most
+    /// half of it (the reader waits for the writer beyond that), so the other
+    /// half always has room for notifications; notifications beyond this
+    /// bound are dropped for that subscriber only.
     pub outbound_queue: usize,
 }
 
@@ -65,10 +70,20 @@ impl Default for ServerConfig {
     }
 }
 
+/// One frame on a connection's outbound queue.
+#[derive(Debug, PartialEq, Eq)]
+enum Outbound {
+    /// A response; it holds a slot of the connection's response window
+    /// until the writer takes it.
+    Response(Vec<u8>),
+    /// A notification, pushed without waiting.
+    Notification(Vec<u8>),
+}
+
 /// One subscribed connection of a monitor.
 struct SubEntry {
     conn_id: u64,
-    tx: SyncSender<Vec<u8>>,
+    tx: SyncSender<Outbound>,
     /// Flip broadcasts dropped since this subscriber last kept up.
     dropped: u64,
 }
@@ -83,7 +98,7 @@ impl SubEntry {
                 dropped: self.dropped,
             }
             .encode();
-            match self.tx.try_send(lag) {
+            match self.tx.try_send(Outbound::Notification(lag)) {
                 Ok(()) => self.dropped = 0,
                 Err(TrySendError::Full(_)) => {
                     // Still backed up: this broadcast is dropped too.
@@ -94,7 +109,7 @@ impl SubEntry {
                 Err(TrySendError::Disconnected(_)) => return false,
             }
         }
-        match self.tx.try_send(frame.to_vec()) {
+        match self.tx.try_send(Outbound::Notification(frame.to_vec())) {
             Ok(()) => {
                 od_obs::add("server.notifications_sent", 1);
                 true
@@ -309,8 +324,9 @@ fn accept_loop(listener: TcpListener, shared: Arc<Shared>) {
         if shared.shutting_down.load(Ordering::SeqCst) {
             break;
         }
-        // Responses are written one frame per flush; Nagle's algorithm would
-        // hold each small frame back until the peer's delayed ACK.
+        // The writer flushes whenever its queue runs dry, often after one
+        // small frame; Nagle's algorithm would hold such a frame back until
+        // the peer's delayed ACK.
         let _ = stream.set_nodelay(true);
         let conn_id = shared.next_conn.fetch_add(1, Ordering::Relaxed);
         od_obs::add("server.connections", 1);
@@ -320,16 +336,18 @@ fn accept_loop(listener: TcpListener, shared: Arc<Shared>) {
         shared.conns.lock().unwrap().insert(conn_id, shutdown_half);
         // Depth ≥ 2 so a `Lagged` marker and the frame after it can coexist;
         // with a single slot the marker would starve the payloads forever.
-        let (tx, rx) = sync_channel::<Vec<u8>>(shared.config.outbound_queue.max(2));
+        let depth = shared.config.outbound_queue.max(2);
+        let (tx, rx) = sync_channel::<Outbound>(depth);
+        let (window, window_rx) = sync_channel::<()>(depth / 2);
         let writer = std::thread::Builder::new()
             .name(format!("od-server-write-{conn_id}"))
-            .spawn(move || writer_loop(write_half, rx))
+            .spawn(move || writer_loop(write_half, rx, &window_rx))
             .expect("spawn writer thread");
         let reader_shared = Arc::clone(&shared);
         let reader = std::thread::Builder::new()
             .name(format!("od-server-conn-{conn_id}"))
             .spawn(move || {
-                conn_loop(stream, conn_id, tx, &reader_shared);
+                conn_loop(stream, conn_id, tx, window, &reader_shared);
                 disconnect(conn_id, &reader_shared);
             })
             .expect("spawn reader thread");
@@ -339,15 +357,38 @@ fn accept_loop(listener: TcpListener, shared: Arc<Shared>) {
     }
 }
 
-fn writer_loop(stream: TcpStream, rx: Receiver<Vec<u8>>) {
+/// Drain a connection's outbound queue onto its socket, reopening a slot of
+/// the response window for each response taken.  After each blocking
+/// receive, every frame already queued behind it goes into the buffer too,
+/// and the batch is flushed once: flushing per frame lets a pipelining
+/// client outrun the writer.
+fn writer_loop(stream: impl Write, rx: Receiver<Outbound>, window: &Receiver<()>) {
     let mut w = BufWriter::new(stream);
-    while let Ok(payload) = rx.recv() {
-        if wire::write_frame(&mut w, &payload).is_err() {
+    while let Ok(frame) = rx.recv() {
+        let written = std::iter::once(frame)
+            .chain(rx.try_iter())
+            .try_for_each(|frame| wire::write_frame_unflushed(&mut w, &take_frame(frame, window)))
+            .and_then(|()| w.flush());
+        if written.is_err() {
             // The peer is gone; drain silently so senders never block on a
             // dead connection (the queue keeps accepting until dropped).
-            while rx.recv().is_ok() {}
+            for frame in rx.iter() {
+                take_frame(frame, window);
+            }
             return;
         }
+    }
+}
+
+/// A frame's payload, as the writer takes it off the queue: a response
+/// reopens its slot of the response window.
+fn take_frame(frame: Outbound, window: &Receiver<()>) -> Vec<u8> {
+    match frame {
+        Outbound::Response(payload) => {
+            let _ = window.try_recv();
+            payload
+        }
+        Outbound::Notification(payload) => payload,
     }
 }
 
@@ -366,15 +407,18 @@ fn disconnect(conn_id: u64, shared: &Shared) {
 
 /// Per-connection read → handle → respond loop.  Returns when the client
 /// closes, the framing breaks, or shutdown is requested.
-fn conn_loop(stream: TcpStream, conn_id: u64, tx: SyncSender<Vec<u8>>, shared: &Arc<Shared>) {
+fn conn_loop(
+    stream: TcpStream,
+    conn_id: u64,
+    tx: SyncSender<Outbound>,
+    window: SyncSender<()>,
+    shared: &Arc<Shared>,
+) {
     let max_frame = shared.config.max_frame;
     let mut reader = BufReader::new(stream);
     let respond = |resp: Response| {
         od_obs::add("server.responses", 1);
-        // Blocking send: responses are never dropped.  The queue can only
-        // stay full if this very client stops reading — then its own reader
-        // thread (us) parks here, harming nobody else.
-        tx.send(resp.encode()).is_ok()
+        send_response(&tx, &window, resp.encode())
     };
     loop {
         if shared.shutting_down.load(Ordering::SeqCst) {
@@ -430,6 +474,15 @@ fn conn_loop(stream: TcpStream, conn_id: u64, tx: SyncSender<Vec<u8>>, shared: &
     }
 }
 
+/// Queue one response, first taking a slot of the response window.  Both
+/// sends block: responses are never dropped.  The window only stays full if
+/// this very client stops reading — then its own reader thread parks here,
+/// harming nobody else, while the queue's other half still takes its
+/// notifications.
+fn send_response(tx: &SyncSender<Outbound>, window: &SyncSender<()>, payload: Vec<u8>) -> bool {
+    window.send(()).is_ok() && tx.send(Outbound::Response(payload)).is_ok()
+}
+
 fn conn_loop_addr(reader: &BufReader<TcpStream>) -> SocketAddr {
     reader
         .get_ref()
@@ -472,7 +525,7 @@ fn wire_status(status: &od_discovery::OdStatus) -> WireOdStatus {
 fn handle(
     request: Request,
     conn_id: u64,
-    tx: &SyncSender<Vec<u8>>,
+    tx: &SyncSender<Outbound>,
     shared: &Arc<Shared>,
 ) -> Response {
     if shared.shutting_down.load(Ordering::SeqCst) {
@@ -765,7 +818,7 @@ mod tests {
     use super::*;
     use crate::proto::ServerMessage;
 
-    fn sub(depth: usize) -> (SubEntry, Receiver<Vec<u8>>) {
+    fn sub(depth: usize) -> (SubEntry, Receiver<Outbound>) {
         let (tx, rx) = sync_channel(depth);
         (
             SubEntry {
@@ -777,8 +830,11 @@ mod tests {
         )
     }
 
-    fn decode(frame: Vec<u8>) -> Notification {
-        match ServerMessage::decode(&frame).unwrap() {
+    fn decode(frame: Outbound) -> Notification {
+        let Outbound::Notification(payload) = frame else {
+            panic!("unexpected response frame {frame:?}");
+        };
+        match ServerMessage::decode(&payload).unwrap() {
             ServerMessage::Notification(n) => n,
             ServerMessage::Response(r) => panic!("unexpected response {r:?}"),
         }
@@ -794,8 +850,8 @@ mod tests {
         }
         assert_eq!(entry.dropped, 3);
         // Only the first two broadcasts made it through.
-        assert_eq!(rx.try_recv().unwrap(), vec![0]);
-        assert_eq!(rx.try_recv().unwrap(), vec![1]);
+        assert_eq!(rx.try_recv().unwrap(), Outbound::Notification(vec![0]));
+        assert_eq!(rx.try_recv().unwrap(), Outbound::Notification(vec![1]));
         assert!(rx.try_recv().is_err());
     }
 
@@ -827,7 +883,7 @@ mod tests {
             }
             n => panic!("expected Lagged, got {n:?}"),
         }
-        assert_eq!(rx.try_recv().unwrap(), fresh);
+        assert_eq!(rx.try_recv().unwrap(), Outbound::Notification(fresh));
     }
 
     /// If there is room for the `Lagged` marker but not the payload, the
@@ -867,7 +923,7 @@ mod tests {
             Notification::Lagged { dropped, .. } => assert_eq!(dropped, 1),
             n => panic!("expected Lagged, got {n:?}"),
         }
-        assert_eq!(rx.try_recv().unwrap(), vec![4]);
+        assert_eq!(rx.try_recv().unwrap(), Outbound::Notification(vec![4]));
         assert_eq!(entry.dropped, 0);
     }
 
@@ -878,6 +934,88 @@ mod tests {
         let (mut entry, rx) = sub(1);
         drop(rx);
         assert!(!entry.push("m", &[1]));
+    }
+
+    /// A sink that keeps every byte written to it and counts flushes.
+    #[derive(Default)]
+    struct FlushCounter {
+        bytes: Vec<u8>,
+        flushes: usize,
+    }
+
+    impl Write for FlushCounter {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            self.bytes.extend_from_slice(buf);
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            self.flushes += 1;
+            Ok(())
+        }
+    }
+
+    /// Frames already queued when the writer wakes leave in one flush, with
+    /// the bytes and order of one `write_frame` each.
+    #[test]
+    fn writer_coalesces_queued_frames_into_one_flush() {
+        let payloads: Vec<Vec<u8>> = (0..100u32)
+            .map(|i| i.to_le_bytes().repeat(i as usize % 7))
+            .collect();
+        let (tx, rx) = sync_channel(payloads.len());
+        let (window, window_rx) = sync_channel(payloads.len() / 2);
+        for (i, payload) in payloads.iter().enumerate() {
+            if i % 2 == 0 {
+                assert!(send_response(&tx, &window, payload.clone()));
+            } else {
+                tx.send(Outbound::Notification(payload.clone())).unwrap();
+            }
+        }
+        drop(tx);
+        let mut sink = FlushCounter::default();
+        writer_loop(&mut sink, rx, &window_rx);
+        assert_eq!(sink.flushes, 1);
+        let mut read = sink.bytes.as_slice();
+        for payload in &payloads {
+            assert_eq!(
+                &wire::read_frame(&mut read, MAX_FRAME_LEN).unwrap(),
+                payload
+            );
+        }
+        assert!(read.is_empty(), "no bytes beyond the frames");
+    }
+
+    /// A client that pipelines requests and has stopped reading fills only
+    /// its response window: the rest of the queue still takes notifications,
+    /// and the writer reopens the window as it takes the responses.
+    #[test]
+    fn responses_leave_half_the_queue_to_notifications() {
+        let (tx, rx) = sync_channel(8);
+        let (window, window_rx) = sync_channel(4);
+        for i in 0..4u8 {
+            assert!(send_response(&tx, &window, vec![i]));
+        }
+        assert!(window.try_send(()).is_err(), "a fifth response waits");
+        let mut entry = SubEntry {
+            conn_id: 0,
+            tx,
+            dropped: 0,
+        };
+        for i in 4..9u8 {
+            assert!(entry.push("m", &[i]));
+        }
+        assert_eq!(entry.dropped, 1, "only the notification past the depth");
+        drop(entry);
+        let mut sink = FlushCounter::default();
+        writer_loop(&mut sink, rx, &window_rx);
+        let mut read = sink.bytes.as_slice();
+        for i in 0..8u8 {
+            assert_eq!(wire::read_frame(&mut read, MAX_FRAME_LEN).unwrap(), [i]);
+        }
+        assert!(read.is_empty());
+        for _ in 0..4 {
+            assert!(window.try_send(()).is_ok(), "every response slot reopened");
+        }
     }
 
     /// Accepted sockets disable Nagle's algorithm, so a small response frame

@@ -228,7 +228,7 @@ impl<'r> SetBasedEngine<'r> {
     /// the same data: every canonical statement the engine has memoized
     /// becomes a monitored ledger, after which tuple-level
     /// [`DeltaBatch`](crate::stream::DeltaBatch)es keep the verdicts current
-    /// in `O(touched classes)` per delta.
+    /// at `O(log k)` per changed row in each touched class of `k` rows.
     ///
     /// The engine itself cannot apply deltas in place — it borrows an
     /// immutable relation *snapshot*, and its memoized verdicts may be

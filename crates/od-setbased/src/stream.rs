@@ -28,16 +28,18 @@
 //! * [`StreamMonitor`] — owns the columns, an alive bitmap (tuple ids are
 //!   stable and never reused), and one live partition per monitored context,
 //!   which maps the context's id tuple to a dense class id.  Class member
-//!   lists stay sorted by id for free: fresh ids only ever grow, and deletes
-//!   use a filtering pass.
+//!   lists stay sorted by id for free: fresh ids only ever grow, and each
+//!   deleted member is found by binary search and closed over by one shift.
 //! * [`VerdictLedger`] — per monitored statement, a per-class incremental
 //!   state plus the statement's running removal total.  Constancy classes
 //!   keep a dictionary-id multiset with an `O(1)`-amortized max-group
-//!   tracker, so a touched row costs `O(1)`.  Compatibility classes keep the
-//!   class **pre-sorted** by `(code_A, code_B, id)` and patch it with a
-//!   single filter-merge pass — never a re-sort; a swap-free class is then
-//!   verified with one linear non-decreasing-`B` scan, and the `O(k log k)`
-//!   LIS pass runs only on classes that actually violate.
+//!   tracker, so a touched row costs `O(1)`.  Compatibility classes keep a
+//!   **multiset of distinct `(code_A, code_B)` pairs** in `(A, B)` order plus
+//!   the number of adjacent pairs whose `B` descends — each such descent is a
+//!   swap, and a class without one is swap-free — so a touched row costs
+//!   `O(log k)`.  A class that still descends gets its removal count from
+//!   the `[r − d, r + i]` bound when that pins it, and from an LIS tails
+//!   pass over the pairs otherwise.
 //! * [`crate::parallel::for_each_ledger`] — ledgers are mutually independent,
 //!   so large deltas shard the patch phase across threads, one ledger per
 //!   task.
@@ -207,10 +209,11 @@ pub struct StreamStats {
     /// Rows moved through ledger class patches (delta rows advanced in place,
     /// plus full memberships on rebuild paths).
     pub rows_patched: usize,
-    /// Point events filter-merged into pre-sorted compatibility classes.
+    /// Row events applied to compatibility classes' pair multisets (one per
+    /// changed row per touched compatibility class advanced in place).
     pub splice_events: usize,
-    /// `O(k log k)` LIS tails passes actually run — only classes whose linear
-    /// non-decreasing check failed pay for one.
+    /// LIS tails passes actually run — only classes that still descend and
+    /// whose count the `[r − d, r + i]` bound leaves open pay for one.
     pub lis_invocations: usize,
     /// [`StreamMonitor::compact`] calls performed.
     pub compactions: usize,
@@ -236,7 +239,7 @@ pub struct CompactStats {
 struct PatchEffort {
     /// Rows moved through class patches.
     rows: usize,
-    /// Point events merged into sorted compatibility classes.
+    /// Row events applied to compatibility pair multisets.
     splices: usize,
     /// LIS tails passes run.
     lis: usize,
@@ -428,6 +431,26 @@ impl LivePartition {
     }
 }
 
+/// Remove `doomed` (ascending, each a member) from the ascending `members`:
+/// one binary search per doomed id, and each surviving run after the first
+/// removal shifts left once.
+fn remove_members(members: &mut Vec<TupleId>, doomed: &[TupleId]) {
+    let mut read = 0; // first member not yet kept or dropped
+    let mut write = 0; // where the next kept member goes
+    for &id in doomed {
+        let pos = read + members[read..].partition_point(|&t| t < id);
+        debug_assert_eq!(members.get(pos), Some(&id), "deleting a member");
+        if write < read {
+            members.copy_within(read..pos, write);
+        }
+        write += pos - read;
+        read = pos + 1;
+    }
+    let kept = members.len() - read;
+    members.copy_within(read.., write);
+    members.truncate(write + kept);
+}
+
 /// The ids a delta added to / removed from one class of one partition, plus
 /// the class's size before and after the splice — ledgers skip classes that
 /// were and stay below two members (nothing to track) without a hash lookup.
@@ -441,6 +464,9 @@ struct ClassDelta {
 
 /// Per-partition map of touched class ids for one delta.
 type TouchedClasses = HashMap<u32, ClassDelta>;
+
+/// A `(code_A, code_B)` pair of a compatibility class.
+type CodePair = (u64, u64);
 
 /// Incrementally maintained per-class evidence for one ledger.
 #[derive(Debug)]
@@ -456,18 +482,96 @@ enum ClassState {
         max_count: usize,
         size: usize,
     },
-    /// Compatibility `𝒞 : A ~ B`: the class pre-sorted by
-    /// `(code_A, code_B, id)`, patched by filter-merge (never re-sorted).
+    /// Compatibility `𝒞 : A ~ B`: the class as a multiset of distinct
+    /// `(code_A, code_B)` pairs (pair → multiplicity) in `(A, B)` order, plus
+    /// `descents`, the number of adjacent pairs `(a₁, b₁) < (a₂, b₂)` with
+    /// `b₁ > b₂`.  Equal `A` codes sort by `B`, so a descent has `a₁ < a₂`
+    /// and is itself a swap; with no descent the `B` sequence is
+    /// non-decreasing and the class is swap-free.  A row event changes only
+    /// the descents between its pair and that pair's two neighbours, so it
+    /// costs `O(log k)`.
+    ///
+    /// `removal` is `k − LNDS` of the `B` sequence.  One insert raises the
+    /// LNDS by at most one and one delete lowers it by at most one, so after
+    /// `i` inserts and `d` deletes the count lies in `[r − d, r + i]`, and a
+    /// class that still descends needs at least one removal: the LIS pass
+    /// runs only when `max(1, r − d) < r + i`.
+    ///
     /// `version` is the two columns' renumber counters at build time: cached
     /// code **magnitudes** go stale when a column renumbers (the cached
     /// *count* stays exact, renumbering being order-isomorphic), so a stale
     /// state is rebuilt instead of advanced the next time its class is
     /// touched.
     Compatibility {
-        sorted: Vec<(u64, u64, TupleId)>,
+        pairs: BTreeMap<CodePair, u32>,
+        descents: usize,
         removal: usize,
         version: usize,
     },
+}
+
+/// 1 if `lo → hi` (adjacent pairs, `lo` first) descends in `B`, else 0.
+fn descent(lo: Option<CodePair>, hi: Option<CodePair>) -> usize {
+    matches!((lo, hi), (Some((_, b1)), Some((_, b2))) if b1 > b2) as usize
+}
+
+/// The distinct pairs just below and just above `key` (excluding `key`).
+fn neighbours(
+    pairs: &BTreeMap<CodePair, u32>,
+    key: CodePair,
+) -> (Option<CodePair>, Option<CodePair>) {
+    let below = pairs.range(..key).next_back().map(|(&k, _)| k);
+    let above = pairs
+        .range((Bound::Excluded(key), Bound::Unbounded))
+        .next()
+        .map(|(&k, _)| k);
+    (below, above)
+}
+
+/// Add one row's pair; a new distinct pair splits the boundary between its
+/// neighbours into two.
+fn pair_add(pairs: &mut BTreeMap<CodePair, u32>, descents: &mut usize, key: CodePair) {
+    if let Some(count) = pairs.get_mut(&key) {
+        *count += 1;
+        return;
+    }
+    let (below, above) = neighbours(pairs, key);
+    *descents =
+        *descents + descent(below, Some(key)) + descent(Some(key), above) - descent(below, above);
+    pairs.insert(key, 1);
+}
+
+/// Remove one row's pair; dropping its last copy joins its neighbours.
+fn pair_remove(pairs: &mut BTreeMap<CodePair, u32>, descents: &mut usize, key: CodePair) {
+    let count = pairs.get_mut(&key).expect("removing a tracked pair");
+    if *count > 1 {
+        *count -= 1;
+        return;
+    }
+    pairs.remove(&key);
+    let (below, above) = neighbours(pairs, key);
+    *descents =
+        *descents + descent(below, above) - descent(below, Some(key)) - descent(Some(key), above);
+}
+
+/// `k − LNDS` of a class's `B` sequence, by the LIS tails pass over its
+/// pairs in `(A, B)` order.  A pair of multiplicity `c` fills `c`
+/// consecutive tails slots, which is what `c` equal `B` values in a row do
+/// in a pass over single rows.
+fn lis_removal(pairs: &BTreeMap<CodePair, u32>) -> usize {
+    let mut tails: Vec<u64> = Vec::new();
+    let mut size = 0usize;
+    for (&(_, b), &count) in pairs {
+        let count = count as usize;
+        size += count;
+        let pos = tails.partition_point(|&t| t <= b);
+        let end = pos + count;
+        if end > tails.len() {
+            tails.resize(end, b);
+        }
+        tails[pos..end].fill(b);
+    }
+    size - tails.len()
 }
 
 impl ClassState {
@@ -524,28 +628,6 @@ impl ClassState {
         }
     }
 
-    /// Exact removal count of a compatibility class from its pre-sorted
-    /// triples: the linear swap-free check first (a `(A, B)`-sorted class is
-    /// swap-free iff its `B`-sequence is globally non-decreasing), the
-    /// `O(k log k)` LIS tails pass only when it actually violates.  The
-    /// boolean reports whether the LIS pass actually ran (the cost metric
-    /// behind [`StreamStats::lis_invocations`]).
-    fn compat_removal(sorted: &[(u64, u64, TupleId)]) -> (usize, bool) {
-        if sorted.windows(2).all(|w| w[0].1 <= w[1].1) {
-            return (0, false);
-        }
-        let mut tails: Vec<u64> = Vec::new();
-        for &(_, b, _) in sorted {
-            let pos = tails.partition_point(|&t| t <= b);
-            if pos == tails.len() {
-                tails.push(b);
-            } else {
-                tails[pos] = b;
-            }
-        }
-        (sorted.len() - tails.len(), true)
-    }
-
     /// Advance this state by one delta, in place, reporting the work done.
     fn advance(&mut self, stmt: &SetOd, delta: &ClassDelta, columns: &[Column]) -> PatchEffort {
         match (self, stmt) {
@@ -575,47 +657,32 @@ impl ClassState {
             }
             (
                 ClassState::Compatibility {
-                    sorted, removal, ..
+                    pairs,
+                    descents,
+                    removal,
+                    ..
                 },
                 SetOd::Compatibility { a, b, .. },
             ) => {
                 let (ca, cb) = (&columns[a.index()], &columns[b.index()]);
-                // Every changed row's triple is exactly reconstructible from
-                // the codes, so inserts and deletes are both point *events* in
-                // the sorted order: binary-search each event's position and
-                // bulk-copy (memcpy) the untouched runs between them, instead
-                // of walking all k elements.
-                let mut events: Vec<(u64, u64, TupleId, bool)> = delta
-                    .added
-                    .iter()
-                    .map(|&row| (ca.code(row), cb.code(row), row, true))
-                    .chain(
-                        delta
-                            .removed
-                            .iter()
-                            .map(|&row| (ca.code(row), cb.code(row), row, false)),
-                    )
-                    .collect();
-                events.sort_unstable();
-                let mut merged =
-                    Vec::with_capacity(sorted.len() + delta.added.len() - delta.removed.len());
-                let mut src = 0usize;
-                for (a, b, row, is_insert) in events {
-                    let pos = src + sorted[src..].partition_point(|&t| t < (a, b, row));
-                    merged.extend_from_slice(&sorted[src..pos]);
-                    if is_insert {
-                        merged.push((a, b, row));
-                        src = pos;
-                    } else {
-                        debug_assert_eq!(sorted.get(pos), Some(&(a, b, row)));
-                        src = pos + 1;
-                    }
+                // A dead row keeps its ids, so its pair is still exact.
+                for &row in &delta.removed {
+                    pair_remove(pairs, descents, (ca.code(row), cb.code(row)));
                 }
-                merged.extend_from_slice(&sorted[src..]);
-                *sorted = merged;
+                for &row in &delta.added {
+                    pair_add(pairs, descents, (ca.code(row), cb.code(row)));
+                }
+                let lis_ran = if *descents == 0 {
+                    *removal = 0;
+                    false
+                } else {
+                    let low = removal.saturating_sub(delta.removed.len()).max(1);
+                    let high = *removal + delta.added.len();
+                    debug_assert!(low <= high, "the bounds always admit the count");
+                    *removal = if low == high { low } else { lis_removal(pairs) };
+                    low != high
+                };
                 let splices = delta.added.len() + delta.removed.len();
-                let (new_removal, lis_ran) = ClassState::compat_removal(sorted);
-                *removal = new_removal;
                 PatchEffort {
                     rows: splices,
                     splices,
@@ -736,7 +803,7 @@ impl VerdictLedger {
     }
 
     /// Build a class's state from scratch (the one place a compatibility
-    /// class is sorted), reporting the full-membership work it cost.
+    /// class's pairs are sorted), reporting the full-membership work it cost.
     fn build_state(&self, class: &[TupleId], columns: &[Column]) -> (ClassState, PatchEffort) {
         let mut effort = PatchEffort {
             rows: class.len(),
@@ -766,15 +833,32 @@ impl VerdictLedger {
             }
             SetOd::Compatibility { a, b, .. } => {
                 let (ca, cb) = (&columns[a.index()], &columns[b.index()]);
-                let mut sorted: Vec<(u64, u64, TupleId)> = class
+                let mut codes: Vec<CodePair> = class
                     .iter()
-                    .map(|&row| (ca.code(row), cb.code(row), row))
+                    .map(|&row| (ca.code(row), cb.code(row)))
                     .collect();
-                sorted.sort_unstable();
-                let (removal, lis_ran) = ClassState::compat_removal(&sorted);
-                effort.lis = lis_ran as usize;
+                codes.sort_unstable();
+                let mut counted: Vec<(CodePair, u32)> = Vec::new();
+                let mut descents = 0;
+                for key in codes {
+                    match counted.last_mut() {
+                        Some((last, count)) if *last == key => *count += 1,
+                        last => {
+                            descents += descent(last.map(|&mut (k, _)| k), Some(key));
+                            counted.push((key, 1));
+                        }
+                    }
+                }
+                let pairs: BTreeMap<CodePair, u32> = counted.into_iter().collect();
+                let removal = if descents == 0 {
+                    0
+                } else {
+                    effort.lis = 1;
+                    lis_removal(&pairs)
+                };
                 ClassState::Compatibility {
-                    sorted,
+                    pairs,
+                    descents,
                     removal,
                     version: self.code_version(columns),
                 }
@@ -837,7 +921,7 @@ impl VerdictLedger {
 ///     .unwrap();
 /// assert_eq!(monitor.od_removal(&od), Some(1));
 ///
-/// // Deleting the offender restores the OD — O(touched classes) each time.
+/// // Deleting the offender restores the OD — O(log k) per changed row each time.
 /// let fix = DeltaBatch::new().delete(summary.inserted[0]);
 /// monitor.apply_delta(&fix).unwrap();
 /// assert_eq!(monitor.od_removal(&od), Some(0));
@@ -852,11 +936,6 @@ pub struct StreamMonitor {
     partition_index: HashMap<AttrSet, usize>,
     ledgers: Vec<VerdictLedger>,
     ledger_index: HashMap<SetOd, usize>,
-    /// Reusable per-batch "deleted by this batch" bitmap, indexed by tuple
-    /// id.  Grown (never shrunk) to the id space once, with only the bits a
-    /// batch sets cleared afterwards — so each delta pays O(batch), not
-    /// O(lifetime ids), for its membership tests.
-    deleted_scratch: Vec<bool>,
     threads: usize,
     /// Lifetime maintenance counters.
     pub stats: StreamStats,
@@ -887,7 +966,6 @@ impl StreamMonitor {
             partition_index: HashMap::new(),
             ledgers: Vec::new(),
             ledger_index: HashMap::new(),
-            deleted_scratch: Vec::new(),
             threads: threads.max(1),
             stats: StreamStats::default(),
         }
@@ -1090,21 +1168,13 @@ impl StreamMonitor {
         }
         self.alive_count += batch.inserts.len();
         let inserted: Vec<TupleId> = (first..self.alive.len() as TupleId).collect();
-        // O(1) membership test for "deleted by this batch", shared by every
-        // filtering pass below (a per-class `HashSet` would pay a hash per
-        // surviving member — this is the hot loop of large touched classes).
-        self.deleted_scratch.resize(self.alive.len(), false);
-        for &id in &batch.deletes {
-            self.deleted_scratch[id as usize] = true;
-        }
 
         // Phase 2: group the delta per partition per class and splice the
-        // class member lists with one filtering/extending pass each.
+        // class member lists: binary-searched deletes, appended inserts.
         let splice_span = od_obs::span("splice");
         let mut touched: Vec<TouchedClasses> = Vec::with_capacity(self.partitions.len());
         let mut touched_rows = 0usize;
         let columns = &self.columns;
-        let deleted_mark = &self.deleted_scratch;
         for partition in &mut self.partitions {
             let mut changes = TouchedClasses::new();
             for &id in &batch.deletes {
@@ -1121,7 +1191,8 @@ impl StreamMonitor {
                 let class = &mut partition.classes[class_id as usize];
                 delta.was_len = class.len();
                 if !delta.removed.is_empty() {
-                    class.retain(|id| !deleted_mark[*id as usize]);
+                    delta.removed.sort_unstable();
+                    remove_members(class, &delta.removed);
                 }
                 class.extend(&delta.added); // fresh ids grow: order is kept
                 delta.now_len = class.len();
@@ -1184,10 +1255,6 @@ impl StreamMonitor {
             touched_classes: touched.iter().map(|t| t.len()).sum(),
             recomputed_classes: recomputed.into_inner(),
         };
-        // Clear only the bits this batch set (see `deleted_scratch`).
-        for &id in &batch.deletes {
-            self.deleted_scratch[id as usize] = false;
-        }
         self.stats.deltas_applied += 1;
         self.stats.rows_inserted += summary.inserted.len();
         self.stats.rows_deleted += summary.deleted;
@@ -1739,6 +1806,66 @@ mod tests {
                 "thread count must not change counts on {stmt}"
             );
         }
+    }
+
+    #[test]
+    fn descents_match_a_recount_after_every_pair_event() {
+        // At most six rows over a 4×4 grid of pairs: keys appear and vanish
+        // all the time, often between two neighbours that descend.
+        let mut pairs = BTreeMap::new();
+        let mut descents = 0;
+        let mut rows: Vec<CodePair> = Vec::new();
+        let mut rng = 0x2545_f491_4f6c_dd1d_u64;
+        for step in 0..2_000 {
+            rng ^= rng << 13;
+            rng ^= rng >> 7;
+            rng ^= rng << 17;
+            if rows.len() < 6 && (rows.is_empty() || rng.is_multiple_of(2)) {
+                let key = ((rng >> 8) % 4, (rng >> 16) % 4);
+                pair_add(&mut pairs, &mut descents, key);
+                rows.push(key);
+            } else {
+                let key = rows.swap_remove((rng >> 24) as usize % rows.len());
+                pair_remove(&mut pairs, &mut descents, key);
+            }
+            let keys: Vec<&CodePair> = pairs.keys().collect();
+            let recount = keys.windows(2).filter(|w| w[0].1 > w[1].1).count();
+            assert_eq!(descents, recount, "descent count drifted at step {step}");
+        }
+    }
+
+    #[test]
+    fn single_offender_is_counted_without_an_lis_pass() {
+        // One clean 10k-row class whose pairs repeat four times each.
+        let rows: Vec<Vec<i64>> = (0..10_000i64).map(|i| vec![i / 4, i / 4]).collect();
+        let refs: Vec<&[i64]> = rows.iter().map(|r| r.as_slice()).collect();
+        let stmt = SetOd::compatibility(AttrSet::new(), AttrId(0), AttrId(1));
+        let mut monitor = StreamMonitor::new(&rel_from(&refs), 1);
+        monitor.monitor_statement(&stmt);
+        assert_eq!(monitor.statement_removal(&stmt), Some(0));
+
+        // One row that swaps with every other: the bounds pin the count at 1.
+        let lis_before = monitor.stats.lis_invocations;
+        let summary = monitor
+            .apply_delta(&DeltaBatch::new().insert(vec![Value::Int(5_000), Value::Int(-1)]))
+            .unwrap();
+        assert_eq!(monitor.statement_removal(&stmt), Some(1));
+        assert_eq!(monitor.stats.lis_invocations, lis_before);
+
+        monitor
+            .apply_delta(&DeltaBatch::new().delete(summary.inserted[0]))
+            .unwrap();
+        assert_eq!(monitor.statement_removal(&stmt), Some(0));
+
+        // Two rows that swap only with each other: the bounds leave [1, 2]
+        // open, so the LIS pass (weighted by pair multiplicity) decides.
+        let pair = DeltaBatch::new()
+            .insert(vec![Value::Int(5_000), Value::Int(5_001)])
+            .insert(vec![Value::Int(5_001), Value::Int(5_000)]);
+        monitor.apply_delta(&pair).unwrap();
+        assert_eq!(monitor.stats.lis_invocations, lis_before + 1);
+        assert_eq!(monitor.statement_removal(&stmt), Some(1));
+        assert_ledgers_match_oracle(&monitor, &[stmt]);
     }
 
     /// The benchmark's per-layer stream metrics read these counter and span

@@ -126,6 +126,18 @@ fn mixed_workload_strategy() -> impl Strategy<
     )
 }
 
+/// Strategy: 100–300 initial rows over the values `0..3`, so classes are
+/// large and `(A, B)` pairs repeat, then 30–60 single-row steps, each a
+/// delete pick (kind 0) or an insert of its row (kind 1).
+#[allow(clippy::type_complexity)]
+fn churn_strategy() -> impl Strategy<Value = (Vec<Vec<i64>>, Vec<(u8, Vec<i64>, u64)>)> {
+    let row = || prop::collection::vec(0i64..3, COLS);
+    (
+        prop::collection::vec(row(), 100..300),
+        prop::collection::vec((0u8..2, row(), 0u64..1_000), 30..60),
+    )
+}
+
 /// From-scratch oracle: exact removal count of one statement over a snapshot.
 fn oracle_removal(rel: &Relation, stmt: &SetOd) -> usize {
     let mut cache = PartitionCache::new(rel);
@@ -289,6 +301,51 @@ proptest! {
                 one_by_one.statement_removal(stmt),
                 "granularity drift on {}", stmt
             );
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// Single-row deltas are where a ledger advances by its local descent
+    /// updates and settles most counts by the `[r − d, r + i]` bound instead
+    /// of an LIS pass: after every step, every ledger equals a fresh scan.
+    #[test]
+    fn single_row_churn_matches_full_recompute_at_every_step(
+        workload in churn_strategy()
+    ) {
+        let (initial, steps) = workload;
+        let rel = Relation::from_rows(schema(), initial.into_iter().map(to_row))
+            .expect("fixed arity");
+        let stmts = all_statements(2);
+        let mut monitor = StreamMonitor::new(&rel, 1);
+        for stmt in &stmts {
+            monitor.monitor_statement(stmt);
+        }
+        let mut alive: Vec<u32> = (0..rel.len() as u32).collect();
+
+        for (step, (kind, row, pick)) in steps.into_iter().enumerate() {
+            let batch = if kind == 0 && !alive.is_empty() {
+                let idx = (pick % alive.len() as u64) as usize;
+                DeltaBatch::new().delete(alive.swap_remove(idx))
+            } else {
+                DeltaBatch::new().insert(to_row(row))
+            };
+            let summary = monitor.apply_delta(&batch).expect("batch is valid");
+            alive.extend(summary.inserted);
+
+            // One cache per step: the oracle scans share its partitions.
+            let snapshot = monitor.to_relation();
+            let mut cache = PartitionCache::new(&snapshot);
+            for stmt in &stmts {
+                let oracle = validate::statement_verdict(&mut cache, stmt, 1, usize::MAX);
+                prop_assert_eq!(
+                    monitor.statement_removal(stmt),
+                    Some(oracle.removal_count),
+                    "ledger drift on {} after step {}", stmt, step
+                );
+            }
         }
     }
 }
