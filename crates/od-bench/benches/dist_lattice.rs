@@ -28,7 +28,11 @@ fn bench(c: &mut Criterion) {
         };
 
         group.bench_with_input(BenchmarkId::new("threaded", rows), &rows, |b, _| {
-            b.iter(|| discover_statements(&rel, &config).minimal_statements().len())
+            b.iter(|| {
+                discover_statements(&rel, &config)
+                    .minimal_statements()
+                    .len()
+            })
         });
 
         for workers in [1usize, 2, 4] {

@@ -1124,7 +1124,8 @@ pub fn exp_e17_dist_with_metrics(
     workers: usize,
     launcher: &WorkerLauncher,
 ) -> (String, od_obs::MetricsReport) {
-    let ((report, stats), mut metrics) = metrics::capture("e17", || run_e17(rows, workers, launcher));
+    let ((report, stats), mut metrics) =
+        metrics::capture("e17", || run_e17(rows, workers, launcher));
     metrics.set_nondeterministic("dist.workers", stats.workers as f64);
     metrics.set_nondeterministic("dist.frames", stats.frames as f64);
     metrics.set_nondeterministic("dist.bytes", stats.bytes as f64);
@@ -1173,10 +1174,7 @@ fn run_e17(rows: usize, workers: usize, launcher: &WorkerLauncher) -> (String, D
     // The distributed run, timed end-to-end: worker spawn, snapshot
     // streaming, prewarm, the sharded traversal, and shutdown/reap all
     // count — a fair bar for "spin up processes and still win".
-    let dist_config = LatticeConfig {
-        workers,
-        ..config
-    };
+    let dist_config = LatticeConfig { workers, ..config };
     let (dist_result, dist_time) = timing::best_of_with(2, "bench.e17.dist", || {
         discover_statements_dist(&rel, &dist_config, launcher)
     });

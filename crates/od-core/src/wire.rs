@@ -782,10 +782,7 @@ mod tests {
             other => panic!("expected a float, got {other:?}"),
         }
         // Empty relation, zero-arity relation.
-        for empty in [
-            Relation::new(schema),
-            Relation::new(Schema::new("no-cols")),
-        ] {
+        for empty in [Relation::new(schema), Relation::new(Schema::new("no-cols"))] {
             let bytes = empty.to_bytes();
             assert_eq!(Relation::from_bytes(&bytes).unwrap(), empty);
         }
@@ -797,7 +794,11 @@ mod tests {
         schema.add_attr("c0");
         let rel = Relation::from_rows(
             schema,
-            vec![vec![Value::Int(2)], vec![Value::Int(1)], vec![Value::Int(2)]],
+            vec![
+                vec![Value::Int(2)],
+                vec![Value::Int(1)],
+                vec![Value::Int(2)],
+            ],
         )
         .unwrap();
         let good = rel.to_bytes();

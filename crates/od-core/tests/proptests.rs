@@ -203,8 +203,7 @@ fn mixed_relation_strategy(cols: usize, max_rows: usize) -> impl Strategy<Value 
             };
             Relation::from_rows(
                 schema,
-                rows.into_iter()
-                    .map(|r| r.into_iter().map(value).collect()),
+                rows.into_iter().map(|r| r.into_iter().map(value).collect()),
             )
             .expect("arity is fixed by construction")
         },

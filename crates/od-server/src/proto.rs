@@ -24,8 +24,7 @@
 //! round-trip proptests).
 
 use od_core::wire::{
-    get_od, get_relation, get_tuple, put_od, put_relation, put_tuple, Reader, WireError,
-    WireResult,
+    get_od, get_relation, get_tuple, put_od, put_relation, put_tuple, Reader, WireError, WireResult,
 };
 use od_core::{wire, OrderDependency, Relation, Tuple};
 use od_setbased::wire::{get_statement, put_statement};

@@ -183,7 +183,10 @@ pub struct DistStats {
 /// How the coordinator obtains its worker transports.
 enum LaunchMode {
     SelfExec,
-    Command { program: String, args: Vec<String> },
+    Command {
+        program: String,
+        args: Vec<String>,
+    },
     InProcess,
     /// Test-only: hand-built transports, for workers that misbehave at
     /// chosen protocol points (see the crash-coverage tests).
@@ -561,7 +564,10 @@ impl DistPlane {
                 }
                 let n = r.seq_len(16).map_err(|e| e.to_string())?;
                 if n != group.len() {
-                    return Err(format!("RefineDone carries {n} metas, expected {}", group.len()));
+                    return Err(format!(
+                        "RefineDone carries {n} metas, expected {}",
+                        group.len()
+                    ));
                 }
                 for &i in group {
                     let classes = r.u64().map_err(|e| e.to_string())?;
@@ -623,7 +629,8 @@ impl DistPlane {
                     return Err(format!("{n} verdicts for {} requests", group.len()));
                 }
                 for &i in group {
-                    verdicts[i] = Some(crate::wire::get_verdict(&mut r).map_err(|e| e.to_string())?);
+                    verdicts[i] =
+                        Some(crate::wire::get_verdict(&mut r).map_err(|e| e.to_string())?);
                 }
                 Ok(())
             };
@@ -967,8 +974,7 @@ mod tests {
     #[test]
     fn sharding_is_static_and_min_attr_stable() {
         let rel = fixtures::example_5_taxes();
-        let plane =
-            DistPlane::spawn(&rel, 3, 0, 4, &WorkerLauncher::in_process()).expect("spawn");
+        let plane = DistPlane::spawn(&rel, 3, 0, 4, &WorkerLauncher::in_process()).expect("spawn");
         for mask in 0u64..16 {
             let ctx = AttrSet::from_mask(mask);
             let owner = plane.owner_of(ctx);

@@ -659,7 +659,9 @@ impl Plane<'_> {
                         codes: &p.all_codes[attr.index()],
                     })
                     .collect();
-                Ok(parallel::validate_statement_batch(&jobs, p.threads, p.budget))
+                Ok(parallel::validate_statement_batch(
+                    &jobs, p.threads, p.budget,
+                ))
             }
             Plane::Dist(p) => p.scan_consts(slots),
         }

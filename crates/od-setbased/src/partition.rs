@@ -710,10 +710,7 @@ impl<'r> PartitionCache<'r> {
                         base: b,
                         codes: &c[..],
                     },
-                    Aux::Product(cc) => RefineJob::Product {
-                        base: b,
-                        other: cc,
-                    },
+                    Aux::Product(cc) => RefineJob::Product { base: b, other: cc },
                 })
             })
             .collect();

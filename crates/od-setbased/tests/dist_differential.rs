@@ -272,7 +272,12 @@ mod crash {
         let me = std::process::id().to_string();
         let mut zombies = 0;
         for entry in std::fs::read_dir("/proc").into_iter().flatten().flatten() {
-            if !entry.file_name().to_string_lossy().bytes().all(|b| b.is_ascii_digit()) {
+            if !entry
+                .file_name()
+                .to_string_lossy()
+                .bytes()
+                .all(|b| b.is_ascii_digit())
+            {
                 continue;
             }
             let Ok(stat) = std::fs::read_to_string(entry.path().join("stat")) else {
@@ -298,8 +303,7 @@ mod crash {
         let rel = od_core::fixtures::example_5_taxes();
         // Each "worker" SIGKILLs itself on startup — the hard-crash shape: no
         // clean exit code, pipes torn down by the kernel.
-        let launcher =
-            WorkerLauncher::command("sh", ["-c".to_string(), "kill -9 $$".to_string()]);
+        let launcher = WorkerLauncher::command("sh", ["-c".to_string(), "kill -9 $$".to_string()]);
         let config = LatticeConfig {
             workers: 3,
             ..Default::default()
