@@ -4,27 +4,29 @@
 //!
 //! ```text
 //! cargo run --release -p od-bench --bin reproduce                    # all experiments
-//! cargo run --release -p od-bench --bin reproduce -- e4              # a single experiment (e1..e9, e12, e13)
+//! cargo run --release -p od-bench --bin reproduce -- e4              # a single experiment (e1..e9, e12, e13, e17)
 //! cargo run --release -p od-bench --bin reproduce -- --tiny          # small data sizes (quick smoke run)
 //! cargo run --release -p od-bench --bin reproduce -- e13 --max-context 5
 //! #                       deepest lattice level for E13 (default 4)
 //! cargo run --release -p od-bench --bin reproduce -- e12 e13 --metrics-out out/
 //! #                       also write BENCH_<exp>.json canonical-metrics artifacts
-//! cargo run --release -p od-bench --bin reproduce -- e14 --rows 250000
-//! #                       rows for the E14 columnar-scale table (default 1M; --tiny 20k)
-//! cargo run --release -p od-bench --bin reproduce -- e15 --metrics-out out/
-//! #                       service-layer load over loopback TCP (throughput, latency
-//! #                       percentiles, pub/sub flips, max-capacity saturation knee)
-//! cargo run --release -p od-bench --bin reproduce -- e16 --rows 1000000
-//! #                       partition products (hash vs comparison vs radix CSR) and
-//! #                       width-2/3/4 discovery on the scale table (--rows as in e14)
-//! cargo run --release -p od-bench --bin reproduce -- e17 --workers 2
+//! cargo run --release -p od-bench --bin reproduce -- e17 --workers 2 --rows 250000
 //! #                       multi-process width-4 discovery: N worker processes
 //! #                       (this binary re-exec'd with --od-worker) shard the data
-//! #                       plane over pipes, bit-identical to the threaded engine
+//! #                       plane over pipes, bit-identical to the threaded engine;
+//! #                       --rows sizes its scale table (default 1M; --tiny 20k)
 //! ```
+//!
+//! An experiment id outside the list above is an error (exit status 2).
+//! Columnar encoding, partition products and server load are timed by the
+//! `benchmark` package's `profile-scale` and `serve-mixed` workloads.
 
 use od_bench::*;
+
+/// The experiment ids this binary serves, in run order.
+const EXPERIMENTS: [&str; 12] = [
+    "e1", "e2", "e3", "e4", "e5", "e6", "e7", "e8", "e9", "e12", "e13", "e17",
+];
 
 fn main() {
     // Worker-mode hook for E17's self-exec'd workers: with `--od-worker`
@@ -66,7 +68,7 @@ fn main() {
         },
         None => None,
     };
-    // `--rows N` sizes the E14/E16 scale table (default 1M full, 20k tiny).
+    // `--rows N` sizes the E17 scale table (default 1M full, 20k tiny).
     let rows_pos = args.iter().position(|a| a == "--rows");
     let scale_rows = match rows_pos {
         Some(i) => match args.get(i + 1).map(|v| v.parse::<usize>()) {
@@ -108,6 +110,16 @@ fn main() {
         })
         .map(|(_, a)| a.to_lowercase())
         .collect();
+    if let Some(unknown) = selected
+        .iter()
+        .find(|id| !EXPERIMENTS.contains(&id.as_str()))
+    {
+        eprintln!(
+            "unknown experiment id {unknown}; valid ids: {}",
+            EXPERIMENTS.join(" ")
+        );
+        std::process::exit(2);
+    }
     let want = |id: &str| selected.is_empty() || selected.iter().any(|s| s == id);
 
     println!("Reproduction harness — 'Fundamentals of Order Dependencies' (VLDB 2012)");
@@ -159,41 +171,6 @@ fn main() {
                 emit(&metrics, dir);
             }
             None => println!("{}", exp_e13_width4(scale, max_context)),
-        }
-    }
-    if want("e14") {
-        match &metrics_out {
-            Some(dir) => {
-                let (report, metrics) = exp_e14_columnar_with_metrics(scale_rows, 1);
-                println!("{report}");
-                emit(&metrics, dir);
-            }
-            None => println!("{}", exp_e14_columnar(scale_rows)),
-        }
-    }
-    if want("e15") {
-        let config = if tiny {
-            LoadConfig::tiny()
-        } else {
-            LoadConfig::default()
-        };
-        match &metrics_out {
-            Some(dir) => {
-                let (report, metrics) = exp_e15_server_load_with_metrics(config);
-                println!("{report}");
-                emit(&metrics, dir);
-            }
-            None => println!("{}", exp_e15_server_load(config)),
-        }
-    }
-    if want("e16") {
-        match &metrics_out {
-            Some(dir) => {
-                let (report, metrics) = exp_e16_lattice_with_metrics(scale_rows, 1);
-                println!("{report}");
-                emit(&metrics, dir);
-            }
-            None => println!("{}", exp_e16_lattice(scale_rows)),
         }
     }
     if want("e17") {

@@ -3,7 +3,7 @@
 //! hosts with ≥2 CPUs — the ≥1.3x wall-clock bar at scale), with real
 //! `reproduce`-binary worker processes wherever a process can be spawned.
 //!
-//! Wall-clock bounds follow the `lattice_scale` idiom: asserted only in
+//! Wall-clock bounds follow the `width4_speed` idiom: asserted only in
 //! release builds, while the semantic checks run in every profile at a
 //! debug-affordable row count.  In-process workers cover the protocol from
 //! inside the test binary (which cannot self-exec into worker mode — libtest

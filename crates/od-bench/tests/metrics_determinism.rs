@@ -65,53 +65,6 @@ fn e13_deterministic_section_is_byte_identical_across_runs_and_threads() {
 }
 
 #[test]
-fn e14_deterministic_section_is_byte_identical_across_runs_and_threads() {
-    // The whole E14 pipeline — scale-table generation, columnar encode,
-    // three-way refinement, width-2 discovery — under the capture, at a CI
-    // scale that still clears the radix thresholds.
-    let (_, reference) = od_bench::exp_e14_columnar_with_metrics(30_000, 1);
-    let reference = reference.deterministic_json();
-    assert!(reference.contains("relation.encode.radix_passes"));
-    assert!(reference.contains("relation.encode.dict_entries"));
-    assert!(reference.contains("discovery.radix_passes"));
-    assert!(reference.contains("e14.refine.radix_passes"));
-    for threads in [1, 4, 8] {
-        for run in 0..2 {
-            let (_, report) = od_bench::exp_e14_columnar_with_metrics(30_000, threads);
-            assert_eq!(
-                report.deterministic_json(),
-                reference,
-                "e14 deterministic section drifted (threads={threads}, run={run})"
-            );
-        }
-    }
-}
-
-#[test]
-fn e16_deterministic_section_is_byte_identical_across_runs_and_threads() {
-    // The whole E16 pipeline — scale-table generation, three-way partition
-    // products, width-2/3/4 discovery on memoized radix products — under the
-    // capture.  `discovery.product_radix_passes` is pinned across thread
-    // counts: products are sharded but the pass counts are absorbed on the
-    // orchestrating thread in lattice order.
-    let (_, reference) = od_bench::exp_e16_lattice_with_metrics(30_000, 1);
-    let reference = reference.deterministic_json();
-    assert!(reference.contains("e16.rows"));
-    assert!(reference.contains("e16.product.radix_passes"));
-    assert!(reference.contains("discovery.product_radix_passes"));
-    for threads in [1, 4, 8] {
-        for run in 0..2 {
-            let (_, report) = od_bench::exp_e16_lattice_with_metrics(30_000, threads);
-            assert_eq!(
-                report.deterministic_json(),
-                reference,
-                "e16 deterministic section drifted (threads={threads}, run={run})"
-            );
-        }
-    }
-}
-
-#[test]
 fn e17_deterministic_section_is_byte_identical_across_runs_and_worker_counts() {
     // The whole E17 pipeline — scale-table generation, the threaded oracle
     // run, the distributed traversal over in-process workers — under the
@@ -138,36 +91,6 @@ fn e17_deterministic_section_is_byte_identical_across_runs_and_worker_counts() {
                 run(workers),
                 reference,
                 "e17 deterministic section drifted (workers={workers}, run={iteration})"
-            );
-        }
-    }
-}
-
-#[test]
-fn e15_deterministic_section_is_byte_identical_across_runs_and_threads() {
-    // The whole E15 service-layer load harness — server boot, pub/sub flip
-    // phase, multi-threaded spot load over loopback TCP — with the wall-clock
-    // knee search disabled: the deterministic section records only request
-    // counts and verdict-flip accounting, both of which are functions of the
-    // workload alone, never of scheduling.
-    let config = |threads| od_bench::LoadConfig {
-        rows: 800,
-        requests: 400,
-        threads,
-        knee_search: false,
-    };
-    let (_, reference) = od_bench::exp_e15_server_load_with_metrics(config(1));
-    let reference = reference.deterministic_json();
-    assert!(reference.contains("e15.flip.broadcasts"));
-    assert!(reference.contains("e15.load.requests"));
-    assert!(reference.contains("e15.load.final_rows"));
-    for threads in [1, 2, 5] {
-        for run in 0..2 {
-            let (_, report) = od_bench::exp_e15_server_load_with_metrics(config(threads));
-            assert_eq!(
-                report.deterministic_json(),
-                reference,
-                "e15 deterministic section drifted (threads={threads}, run={run})"
             );
         }
     }

@@ -234,27 +234,6 @@ impl Relation {
         self.encoding().codes(attr.index()).to_vec()
     }
 
-    /// Reference implementation of [`Self::rank_column`] via one comparison
-    /// sort over [`Value`]s, bypassing the columnar encoding.
-    ///
-    /// Kept as the *`Value`-comparison baseline*: differential tests pin the
-    /// radix-built encoding against it bit for bit, and the E14 experiment
-    /// measures the columnar speedup against it in the same run.
-    pub fn rank_column_by_sort(&self, attr: AttrId) -> Vec<u32> {
-        let col = attr.index();
-        let mut order: Vec<usize> = (0..self.tuples.len()).collect();
-        order.sort_unstable_by(|&a, &b| self.tuples[a][col].cmp(&self.tuples[b][col]));
-        let mut codes = vec![0u32; self.tuples.len()];
-        let mut rank = 0u32;
-        for w in 0..order.len() {
-            if w > 0 && self.tuples[order[w]][col] != self.tuples[order[w - 1]][col] {
-                rank += 1;
-            }
-            codes[order[w]] = rank;
-        }
-        codes
-    }
-
     /// Render the relation as a small ASCII table (diagnostics and examples).
     pub fn render(&self) -> String {
         let mut out = String::new();
@@ -430,10 +409,8 @@ mod tests {
                 assert_eq!(codes[i].cmp(&codes[j]), r.value(i, a).cmp(r.value(j, a)));
             }
         }
-        // The codes come straight out of the shared encoding, and the
-        // comparison-sort baseline agrees bit for bit.
+        // The codes come straight out of the shared encoding.
         assert_eq!(codes, r.encoding().codes(a.index()));
-        assert_eq!(codes, r.rank_column_by_sort(a));
     }
 
     #[test]
@@ -453,7 +430,6 @@ mod tests {
         assert_eq!(r.rank_column(a), vec![2, 0, 1], "push re-ranks");
         r.tuples_mut().reverse();
         assert_eq!(r.rank_column(b), vec![0, 2, 1], "tuples_mut re-ranks");
-        assert_eq!(r.rank_column(b), r.rank_column_by_sort(b));
     }
 
     #[test]

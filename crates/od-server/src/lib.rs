@@ -27,7 +27,8 @@
 //! [`proto::WireOdStatus`]), per-monitor flip sequences are contiguous, and
 //! concurrent clients driving one monitor land on final verdicts
 //! bit-identical to a single-threaded replay of the same batches (pinned by
-//! this crate's integration tests and the `e15` bench artifact).
+//! this crate's integration tests).  The `benchmark` package's
+//! `serve-mixed` workload times the server end to end.
 //!
 //! ```no_run
 //! use od_server::{Client, OdServer, proto::{Request, Response}};

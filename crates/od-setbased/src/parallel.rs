@@ -481,7 +481,7 @@ mod tests {
         let g = rel.rank_column(AttrId(0));
         let a = rel.rank_column(AttrId(1));
         let b = rel.rank_column(AttrId(2));
-        let part = crate::partition::StrippedPartition::by_codes(&g);
+        let part = StrippedPartition::by_codes_with(&g, &mut RefineScratch::default());
         for threads in [1, 2, 4, 16] {
             // Unlimited budget: removal counts are exact on any thread count.
             let c = constancy_verdict_parallel(&part, &a, threads, usize::MAX);
@@ -516,7 +516,7 @@ mod tests {
         let g = rel.rank_column(AttrId(0));
         let a = rel.rank_column(AttrId(1));
         let b = rel.rank_column(AttrId(2));
-        let part = crate::partition::StrippedPartition::by_codes(&g);
+        let part = StrippedPartition::by_codes_with(&g, &mut RefineScratch::default());
         let k = compatibility_verdict_parallel(&part, &a, &b, 8, 0);
         assert!(!k.holds() && k.exceeded && !k.within(0));
         assert!(!k.violating_pairs.is_empty());
@@ -547,7 +547,7 @@ mod tests {
         let g = rel.rank_column(AttrId(0));
         let a = rel.rank_column(AttrId(1));
         let b = rel.rank_column(AttrId(2));
-        let part = crate::partition::StrippedPartition::by_codes(&g);
+        let part = StrippedPartition::by_codes_with(&g, &mut RefineScratch::default());
         let jobs = vec![
             StatementJob::Constancy {
                 part: &part,

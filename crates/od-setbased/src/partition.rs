@@ -223,11 +223,9 @@ impl RefineScratch {
         }
     }
 
-    /// [`Self::emit_u32_runs`] over the packed u64 product keys.  `radix`
-    /// selects the production radix path; `false` forces the comparison sort
-    /// (the in-run baseline E16 compares against).
-    fn emit_u64_runs(&mut self, radix_path: bool) {
-        if radix_path && self.pairs64.len() >= RADIX_MIN_PAIRS {
+    /// [`Self::emit_u32_runs`] over the packed u64 product keys.
+    fn emit_u64_runs(&mut self) {
+        if self.pairs64.len() >= RADIX_MIN_PAIRS {
             self.product_passes +=
                 u64::from(radix::sort_pairs(&mut self.pairs64, &mut self.radix64));
         } else {
@@ -319,12 +317,8 @@ impl StrippedPartition {
         }
     }
 
-    /// Build `Π_{{A}}` from an attribute's code column.
-    pub fn by_codes(codes: &[u32]) -> Self {
-        Self::by_codes_with(codes, &mut RefineScratch::default())
-    }
-
-    /// [`Self::by_codes`] with caller-provided scratch buffers.
+    /// Build `Π_{{A}}` from an attribute's code column, bucketing through
+    /// caller-provided scratch buffers.
     pub fn by_codes_with(codes: &[u32], scratch: &mut RefineScratch) -> Self {
         scratch.pairs.clear();
         scratch
@@ -336,12 +330,7 @@ impl StrippedPartition {
 
     /// Refine by one more attribute's code column: `Π_X · Π_{{A}}` restricted
     /// to the tuples `Π_X` still tracks.  Linear in [`Self::covered_rows`] up
-    /// to the per-class sort on `(code, row)` pairs.
-    pub fn refine_by(&self, codes: &[u32]) -> Self {
-        self.refine_by_with(codes, &mut RefineScratch::default())
-    }
-
-    /// [`Self::refine_by`] with caller-provided scratch buffers: each class is
+    /// to the per-class sort on `(code, row)` pairs: each class is
     /// bucketed by sorting its `(code, row)` pairs in a reused buffer —
     /// radix passes for large classes, `sort_unstable` for small ones — and
     /// emitting the runs of equal codes, instead of hashing into freshly
@@ -382,38 +371,8 @@ impl StrippedPartition {
     /// `scratch.product_radix_passes()`.
     pub fn product_with(&self, other: &ClassCodes, scratch: &mut RefineScratch) -> Self {
         self.product_keys(other, scratch);
-        scratch.emit_u64_runs(true);
+        scratch.emit_u64_runs();
         scratch.finish(self.n_rows)
-    }
-
-    /// [`Self::product_with`] with the comparison sort forced — the
-    /// sorted-pairs baseline E16 measures the radix kernel against.  Output
-    /// is bit-identical to the radix path.
-    pub fn product_comparison(&self, other: &ClassCodes, scratch: &mut RefineScratch) -> Self {
-        self.product_keys(other, scratch);
-        scratch.emit_u64_runs(false);
-        scratch.finish(self.n_rows)
-    }
-
-    /// Hash-based product oracle: buckets `(class_a, class_b)` keys into a
-    /// `HashMap`, the pre-CSR strategy.  Kept as the differential baseline
-    /// for proptests and the E16 in-run comparison.
-    pub fn product_hash(&self, other: &ClassCodes) -> Self {
-        let shift = other.id_bits();
-        let ocodes = other.codes();
-        let mut buckets: HashMap<u64, Vec<u32>> = HashMap::new();
-        for (ci, class) in self.classes().enumerate() {
-            let hi = (ci as u64) << shift;
-            for &row in class {
-                let oc = ocodes[row as usize];
-                if oc == CLASS_SENTINEL {
-                    continue;
-                }
-                buckets.entry(hi | u64::from(oc)).or_default().push(row);
-            }
-        }
-        let classes: Vec<Vec<u32>> = buckets.into_values().filter(|c| c.len() >= 2).collect();
-        Self::from_classes(classes, self.n_rows)
     }
 
     /// Collect the packed product keys of `self · other` into
@@ -785,7 +744,7 @@ mod tests {
         // Column: [5, 3, 5, 9, 3] → classes {0,2} and {1,4}; row 3 is stripped.
         let rel = rel_from(&[&[5], &[3], &[5], &[9], &[3]]);
         let codes = rel.rank_column(AttrId(0));
-        let p = StrippedPartition::by_codes(&codes);
+        let p = StrippedPartition::by_codes_with(&codes, &mut RefineScratch::default());
         assert_eq!(p.class_vecs(), vec![vec![0, 2], vec![1, 4]]);
         assert_eq!(p.class(0), &[0, 2]);
         assert_eq!(p.class(1), &[1, 4]);
@@ -844,7 +803,7 @@ mod tests {
         // And refining by the second column matches the cache-built product.
         let mut cache = PartitionCache::new(&rel);
         let pab = cache.partition(&set(&[0, 1]));
-        let manual = via_radix.refine_by(&rel.rank_column(AttrId(1)));
+        let manual = via_radix.refine_by_with(&rel.rank_column(AttrId(1)), &mut scratch);
         assert_eq!(*pab, manual);
     }
 
@@ -864,7 +823,10 @@ mod tests {
         // Column: [5, 3, 5, 9, 3] → class 0 = {0,2}, class 1 = {1,4}, row 3
         // is a singleton.
         let rel = rel_from(&[&[5], &[3], &[5], &[9], &[3]]);
-        let p = StrippedPartition::by_codes(&rel.rank_column(AttrId(0)));
+        let p = StrippedPartition::by_codes_with(
+            &rel.rank_column(AttrId(0)),
+            &mut RefineScratch::default(),
+        );
         let cc = p.class_codes();
         assert_eq!(cc.num_classes(), 2);
         assert_eq!(cc.codes(), &[0, 1, 0, CLASS_SENTINEL, 1]);
@@ -881,23 +843,17 @@ mod tests {
         let rows: Vec<Vec<i64>> = (0..700i64).map(|i| vec![i % 6, i % 4, i % 35]).collect();
         let rows: Vec<&[i64]> = rows.iter().map(|r| r.as_slice()).collect();
         let rel = rel_from(&rows);
-        let pa = StrippedPartition::by_codes(&rel.rank_column(AttrId(0)));
-        let pb = StrippedPartition::by_codes(&rel.rank_column(AttrId(1)));
-        let pc = StrippedPartition::by_codes(&rel.rank_column(AttrId(2)));
         let mut scratch = RefineScratch::default();
+        let pa = StrippedPartition::by_codes_with(&rel.rank_column(AttrId(0)), &mut scratch);
+        let pb = StrippedPartition::by_codes_with(&rel.rank_column(AttrId(1)), &mut scratch);
+        let pc = StrippedPartition::by_codes_with(&rel.rank_column(AttrId(2)), &mut scratch);
         for (base, other) in [(&pa, &pb), (&pb, &pa), (&pa, &pc), (&pc, &pb)] {
             let cc = other.class_codes();
             let radix = base.product_with(&cc, &mut scratch);
-            let comparison = base.product_comparison(&cc, &mut scratch);
-            let hash = base.product_hash(&cc);
-            // Refinement by the other partition's class ids equals the product
-            // when `other` has no sentinel rows (true here: every column is
-            // duplicate-heavy).
-            let refined = base.refine_by(cc.codes());
-            assert_eq!(radix, comparison);
-            assert_eq!(radix, hash);
             // All columns here are duplicate-heavy (no singletons), so the
-            // class-code column is total and plain refinement agrees too.
+            // class-code column is total and refinement by the other
+            // partition's class ids equals the product.
+            let refined = base.refine_by_with(cc.codes(), &mut scratch);
             assert!(cc.codes().iter().all(|&c| c != CLASS_SENTINEL));
             assert_eq!(radix, refined);
         }
@@ -913,12 +869,11 @@ mod tests {
         // Product: rows 0 (singleton in b via class id) and 4 (singleton in a)
         // drop; {1},{2},{3} all become singletons → empty (key) product.
         let rel = rel_from(&[&[1, 7], &[1, 8], &[2, 8], &[2, 9], &[3, 9]]);
-        let pa = StrippedPartition::by_codes(&rel.rank_column(AttrId(0)));
-        let pb = StrippedPartition::by_codes(&rel.rank_column(AttrId(1)));
         let mut scratch = RefineScratch::default();
+        let pa = StrippedPartition::by_codes_with(&rel.rank_column(AttrId(0)), &mut scratch);
+        let pb = StrippedPartition::by_codes_with(&rel.rank_column(AttrId(1)), &mut scratch);
         let prod = pa.product_with(&pb.class_codes(), &mut scratch);
         assert!(prod.is_key());
-        assert_eq!(prod, pa.product_hash(&pb.class_codes()));
         // A product with itself is idempotent.
         let same = pa.product_with(&pa.class_codes(), &mut scratch);
         assert_eq!(same, pa);
@@ -935,8 +890,9 @@ mod tests {
         let deep = cache.partition(&set(&[0, 1, 2, 3]));
         // Oracle: chain of raw-code refinements, no products involved.
         let mut oracle = StrippedPartition::full(rel.len());
+        let mut scratch = RefineScratch::default();
         for a in 0..4 {
-            oracle = oracle.refine_by(&rel.rank_column(AttrId(a)));
+            oracle = oracle.refine_by_with(&rel.rank_column(AttrId(a)), &mut scratch);
         }
         assert_eq!(*deep, oracle);
         assert!(

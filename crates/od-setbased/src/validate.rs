@@ -546,6 +546,7 @@ pub fn statement_verdict(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::partition::RefineScratch;
     use od_core::{AttrId, AttrSet, Relation, Schema, Value};
 
     fn rel_from(rows: &[&[i64]]) -> Relation {
@@ -759,7 +760,7 @@ mod tests {
         let rel = rel_from(&rows);
         let ctx = rel.rank_column(AttrId(0));
         let a = rel.rank_column(AttrId(1));
-        let part = StrippedPartition::by_codes(&ctx);
+        let part = StrippedPartition::by_codes_with(&ctx, &mut RefineScratch::default());
         // Exact: removal 9 (keep one of ten values).
         let exact = constancy_verdict(&part, &a, usize::MAX);
         assert_eq!(exact.removal_count, 9);

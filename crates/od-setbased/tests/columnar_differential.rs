@@ -7,16 +7,20 @@
 //! both 256, so the "large" cases genuinely take the counting-sort paths).
 //! The two compatibility kernels — the τ pass and the per-class scan — are
 //! also pinned against each other, called directly whatever the class sizes.
+//! One fixed test runs the partition and product oracles on the scale table,
+//! whose classes outnumber anything the random relations produce.
 
 use od_core::check::od_removal_count;
 use od_core::{AttrId, AttrSet, Relation, Schema, Value};
 use od_setbased::validate::{compatibility_verdict, statement_verdict, tau_compatibility_verdict};
 use od_setbased::{
     discover_statements, error_budget, ClassCodes, LatticeConfig, PartitionCache, RefineScratch,
-    SetOd, StrippedPartition,
+    SetOd, StrippedPartition, CLASS_SENTINEL,
 };
+use od_workload::{scale_relation, SCALE_1M};
 use proptest::prelude::*;
 use proptest::test_runner::TestCaseError;
+use std::collections::HashMap;
 
 /// Small value pool: NULLs, duplicate-heavy small integers, and a couple of
 /// strings so the per-attribute dictionaries span value types (`Value`'s
@@ -112,6 +116,40 @@ fn bucket_by_value(rel: &Relation, attr: AttrId, rows: &[u32]) -> Vec<Vec<u32>> 
     classes
 }
 
+/// Comparison-sort oracle for a dictionary code column: the dense rank of
+/// each row's value among the column's distinct values, from one sort over
+/// [`Value`]s that bypasses the columnar encoding.
+fn rank_by_sort(rel: &Relation, attr: AttrId) -> Vec<u32> {
+    let mut order: Vec<usize> = (0..rel.len()).collect();
+    order.sort_by(|&x, &y| rel.value(x, attr).cmp(rel.value(y, attr)));
+    let mut codes = vec![0u32; rel.len()];
+    let mut rank = 0u32;
+    for w in 0..order.len() {
+        if w > 0 && rel.value(order[w], attr) != rel.value(order[w - 1], attr) {
+            rank += 1;
+        }
+        codes[order[w]] = rank;
+    }
+    codes
+}
+
+/// Hash-grouping oracle for the partition product `p · other`: rows keyed by
+/// the pair (class index in `p`, class id in `other`), rows singleton in
+/// either operand dropped, groups of ≥ 2 kept — no packed keys, no sorting.
+fn product_by_hash(p: &StrippedPartition, other: &ClassCodes) -> StrippedPartition {
+    let mut groups: HashMap<(usize, u32), Vec<u32>> = HashMap::new();
+    for (ci, class) in p.classes().enumerate() {
+        for &row in class {
+            let oc = other.codes()[row as usize];
+            if oc != CLASS_SENTINEL {
+                groups.entry((ci, oc)).or_default().push(row);
+            }
+        }
+    }
+    let classes = groups.into_values().filter(|c| c.len() >= 2).collect();
+    StrippedPartition::from_classes(classes, p.n_rows())
+}
+
 /// Every non-trivial canonical statement over the relation's attributes with
 /// a context of at most `max_context` attributes.
 fn all_statements(cols: u32, max_context: usize) -> Vec<SetOd> {
@@ -164,12 +202,7 @@ fn assert_partitions_match_value_oracle(rel: &Relation) -> Result<u64, TestCaseE
     for (i, &a) in attrs.iter().enumerate() {
         // The encoding's code column is the same dense ranking the
         // comparison-sort reference produces.
-        prop_assert_eq!(
-            rel.rank_column(a),
-            rel.rank_column_by_sort(a),
-            "codes of {:?}",
-            a
-        );
+        prop_assert_eq!(rel.rank_column(a), rank_by_sort(rel, a), "codes of {:?}", a);
         let p = StrippedPartition::by_codes_with(enc.codes(i), &mut scratch);
         let single = bucket_by_value(rel, a, &all_rows);
         prop_assert_eq!(p.class_vecs(), single.clone(), "Π_{{{:?}}}", a);
@@ -278,13 +311,13 @@ fn assert_tau_pass_matches_per_class_scan(rel: &Relation) -> Result<(), TestCase
     Ok(())
 }
 
-/// Shared body: every ordered-pair product Π_A · Π_B on the radix,
-/// comparison-sort, and hash paths, bit for bit against the raw-code
-/// refinement oracle (`Π_A` refined by B's dictionary codes — the level-1
-/// path, which never sees the packed keys).  The three product paths drop
-/// rows singleton in either operand; refinement strips them afterwards, so
-/// all four land on the identical CSR partition.  Also pins self-product
-/// idempotence (Π · Π = Π).
+/// Shared body: every ordered-pair product Π_A · Π_B from the radix kernel,
+/// bit for bit against two oracles: the raw-code refinement (`Π_A` refined
+/// by B's dictionary codes — the level-1 path, which never sees the packed
+/// keys) and [`product_by_hash`].  The product paths drop rows singleton in
+/// either operand; refinement strips them afterwards, so all three land on
+/// the identical CSR partition.  Also pins self-product idempotence
+/// (Π · Π = Π).
 fn assert_products_match_oracles(rel: &Relation) -> Result<u64, TestCaseError> {
     let attrs: Vec<AttrId> = rel.schema().attr_ids().collect();
     let enc = rel.encoding();
@@ -301,9 +334,7 @@ fn assert_products_match_oracles(rel: &Relation) -> Result<u64, TestCaseError> {
             let radix = p.product_with(c, &mut scratch);
             let oracle = p.refine_by_with(enc.codes(j), &mut scratch);
             prop_assert_eq!(&radix, &oracle, "product vs refinement {:?}x{:?}", i, j);
-            let comparison = p.product_comparison(c, &mut scratch);
-            prop_assert_eq!(&radix, &comparison, "product vs comparison {:?}x{:?}", i, j);
-            let hash = p.product_hash(c);
+            let hash = product_by_hash(p, c);
             prop_assert_eq!(&radix, &hash, "product vs hash oracle {:?}x{:?}", i, j);
         }
         let self_product = p.product_with(&codes[i], &mut scratch);
@@ -315,6 +346,18 @@ fn assert_products_match_oracles(rel: &Relation) -> Result<u64, TestCaseError> {
         );
     }
     Ok(scratch.product_radix_passes())
+}
+
+/// The scale table at 20k rows: its `zipf_key` and `noisy_rank` partitions
+/// hold 848 and 5,330 classes, so products pack class indices wider than a
+/// byte, and both refinement and products take their radix paths.
+#[test]
+fn scale_table_partitions_and_products_match_oracles() {
+    let rel = scale_relation(&SCALE_1M.with_rows(20_000));
+    let passes = assert_partitions_match_value_oracle(&rel).unwrap_or_else(|e| panic!("{e}"));
+    assert!(passes > 0, "refinement must take the radix path");
+    let product_passes = assert_products_match_oracles(&rel).unwrap_or_else(|e| panic!("{e}"));
+    assert!(product_passes > 0, "products must take the radix path");
 }
 
 proptest! {

@@ -10,7 +10,8 @@
 //!   surrogate) and the 18-query date-predicate suite of Section 2.3;
 //! * [`tax`] — the Example 5 progressive-tax workload;
 //! * [`scale`] — seeded million-row relations (zipfian + sorted-with-noise
-//!   columns) for the columnar throughput experiment E14.
+//!   columns) for the columnar core: the `benchmark` package's
+//!   `profile-scale` workload sets up from them.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -24,8 +25,7 @@ pub use dates::{
     daily_sales_table, date_dim_table, figure_2_ods, figure_2_odset, generate_date_dim,
 };
 pub use scale::{
-    generate_scale_rows, generate_scale_rows_sampled, scale_ods, scale_relation,
-    scale_relation_sampled, scale_schema, ScaleConfig, SCALE_10M, SCALE_1M,
+    generate_scale_rows, scale_ods, scale_relation, scale_schema, ScaleConfig, SCALE_1M,
 };
 pub use star::{build_warehouse, date_query_suite, SuiteQuery, Warehouse, WarehouseConfig};
 pub use tax::{generate_taxes, tax_odset, tax_table};

@@ -1,9 +1,9 @@
-//! Million-row scale workload for the columnar-core experiments (E14).
+//! Million-row scale workload for the columnar core.
 //!
 //! The paper's motivating workloads (dates, star, tax) are shaped for
 //! *semantic* coverage; this module is shaped for *throughput* measurement:
-//! seeded, deterministic relations of 1M–10M rows mixing the column profiles
-//! that exercise the columnar encoder and radix partition refinement
+//! seeded, deterministic relations of up to a million rows mixing the column
+//! profiles that exercise the columnar encoder and radix partition refinement
 //! differently:
 //!
 //! * `ts` — a strictly increasing event timestamp (row `i` draws from
@@ -21,8 +21,10 @@
 //! * `payload` — near-unique uniform noise (wide dictionaries, tiny classes).
 //!
 //! Generation is `O(rows)` per column off one [`StdRng`] stream, so the same
-//! `(rows, seed)` always produces the identical relation, bit for bit —
-//! BENCH_e14's deterministic section depends on it.
+//! `(rows, seed)` always produces the identical relation, bit for bit — the
+//! `benchmark` package's `profile-scale` workload and the E17 experiment
+//! set up from it, and od-setbased's `columnar_differential.rs` checks
+//! partitions and products on a 20k-row cut of it.
 
 use od_core::{DataType, OrderDependency, Relation, Schema, Value};
 use rand::rngs::StdRng;
@@ -44,7 +46,7 @@ pub struct ScaleConfig {
     pub noise: i64,
 }
 
-/// The 1M-row preset used by experiment E14.
+/// The 1M-row preset.
 pub const SCALE_1M: ScaleConfig = ScaleConfig {
     rows: 1_000_000,
     seed: 0x0D5C_A1E1,
@@ -53,15 +55,9 @@ pub const SCALE_1M: ScaleConfig = ScaleConfig {
     noise: 32,
 };
 
-/// The 10M-row preset (same distributions, one order of magnitude up).
-pub const SCALE_10M: ScaleConfig = ScaleConfig {
-    rows: 10_000_000,
-    ..SCALE_1M
-};
-
 impl ScaleConfig {
-    /// The preset scaled down to `rows` rows (CI smoke runs and unit tests
-    /// shrink E14 this way rather than inventing a different distribution).
+    /// The preset scaled down to `rows` rows (smoke runs and tests shrink
+    /// the table this way rather than inventing a different distribution).
     pub fn with_rows(self, rows: usize) -> Self {
         ScaleConfig { rows, ..self }
     }
@@ -97,21 +93,10 @@ fn zipf_cumulative(domain: usize, exponent: f64) -> Vec<f64> {
 /// [`Relation::from_rows`] — including its columnar encode — can be timed
 /// separately from data generation).
 pub fn generate_scale_rows(cfg: &ScaleConfig) -> Vec<Vec<Value>> {
-    generate_scale_rows_sampled(cfg, 1)
-}
-
-/// Every `keep_every`-th row of the table [`generate_scale_rows`] would
-/// produce for `cfg`.  The single RNG stream is drawn in full — every row's
-/// values are generated — so the kept rows are bit-identical to their
-/// counterparts in the unsampled relation; only `ceil(rows / keep_every)`
-/// tuples are materialized.  CI uses this to walk the 10M-row preset's whole
-/// generation stream without holding (or refining) ten million tuples.
-pub fn generate_scale_rows_sampled(cfg: &ScaleConfig, keep_every: usize) -> Vec<Vec<Value>> {
-    assert!(keep_every >= 1, "keep_every must be at least 1");
     let mut rng = StdRng::seed_from_u64(cfg.seed);
     let cum = zipf_cumulative(cfg.zipf_domain.max(1), cfg.zipf_exponent);
     let total = *cum.last().expect("domain >= 1");
-    let mut rows = Vec::with_capacity(cfg.rows.div_ceil(keep_every));
+    let mut rows = Vec::with_capacity(cfg.rows);
     for i in 0..cfg.rows as i64 {
         // Strictly increasing: rows draw from disjoint 8-wide windows.
         let ts = i * 8 + rng.gen_range(0i64..8);
@@ -122,16 +107,14 @@ pub fn generate_scale_rows_sampled(cfg: &ScaleConfig, keep_every: usize) -> Vec<
         let zipf_band = zipf_key / 32;
         let noisy_rank = i + rng.gen_range(-cfg.noise..=cfg.noise);
         let payload = rng.gen_range(0i64..1_000_000);
-        if (i as usize).is_multiple_of(keep_every) {
-            rows.push(vec![
-                Value::Int(ts),
-                Value::Int(ts_day),
-                Value::Int(zipf_key),
-                Value::Int(zipf_band),
-                Value::Int(noisy_rank),
-                Value::Int(payload),
-            ]);
-        }
+        rows.push(vec![
+            Value::Int(ts),
+            Value::Int(ts_day),
+            Value::Int(zipf_key),
+            Value::Int(zipf_band),
+            Value::Int(noisy_rank),
+            Value::Int(payload),
+        ]);
     }
     rows
 }
@@ -139,13 +122,6 @@ pub fn generate_scale_rows_sampled(cfg: &ScaleConfig, keep_every: usize) -> Vec<
 /// Generate a scale relation (rows plus the eagerly built columnar encoding).
 pub fn scale_relation(cfg: &ScaleConfig) -> Relation {
     Relation::from_rows(scale_schema(), generate_scale_rows(cfg)).expect("schema-conformant rows")
-}
-
-/// [`scale_relation`] over [`generate_scale_rows_sampled`]: the full RNG
-/// stream, every `keep_every`-th tuple materialized and encoded.
-pub fn scale_relation_sampled(cfg: &ScaleConfig, keep_every: usize) -> Relation {
-    Relation::from_rows(scale_schema(), generate_scale_rows_sampled(cfg, keep_every))
-        .expect("schema-conformant rows")
 }
 
 /// The exact ODs the scale table satisfies by construction:
@@ -179,28 +155,6 @@ mod tests {
         assert_eq!(a, b);
         let other = generate_scale_rows(&ScaleConfig { seed: 7, ..tiny() });
         assert_ne!(a, other, "a different seed must change the data");
-    }
-
-    #[test]
-    fn sampling_keeps_the_exact_rows_of_the_full_stream() {
-        let cfg = tiny();
-        let full = generate_scale_rows(&cfg);
-        assert_eq!(generate_scale_rows_sampled(&cfg, 1), full);
-        let sampled = generate_scale_rows_sampled(&cfg, 7);
-        assert_eq!(sampled.len(), cfg.rows.div_ceil(7));
-        for (k, row) in sampled.iter().enumerate() {
-            assert_eq!(
-                row,
-                &full[k * 7],
-                "sampled row {k} must be full row {}",
-                k * 7
-            );
-        }
-        // The constructed ODs survive sampling: they hold row-wise.
-        let rel = scale_relation_sampled(&cfg, 7);
-        for od in scale_ods(rel.schema()) {
-            assert!(od_holds(&rel, &od));
-        }
     }
 
     #[test]

@@ -1,8 +1,9 @@
-//! The columnar core in one sitting: build the E14 scale table (zipfian +
+//! The columnar core in one sitting: build the scale table (zipfian +
 //! sorted-with-noise, seeded), inspect the dictionary encoding the relation
 //! carries from construction, refine partitions on the shared code columns,
-//! and run width-2 discovery — the workflow `reproduce -- e14` measures at a
-//! million rows, here at an example-friendly size.
+//! and run width-2 discovery — the path the `benchmark` package's
+//! `profile-scale` workload times at 200k rows, here at an example-friendly
+//! size.
 //!
 //! Run with `cargo run --release --example columnar_scale`.
 
