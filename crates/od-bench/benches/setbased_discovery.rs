@@ -24,13 +24,14 @@ fn config(engine: DiscoveryEngine, parallel: bool) -> DiscoveryConfig {
 
 /// Corrupt roughly one row in a hundred (deterministically) so exact ODs break
 /// and approximate discovery has real work to do.
-fn corrupt(mut rel: Relation, column: usize) -> Relation {
-    for (i, row) in rel.tuples_mut().iter_mut().enumerate() {
+fn corrupt(rel: Relation, column: usize) -> Relation {
+    let rows = rel.iter().enumerate().map(|(i, mut row)| {
         if i % 101 == 7 {
             row[column] = Value::Int(-1 - (i as i64 % 13));
         }
-    }
-    rel
+        row
+    });
+    Relation::from_rows(rel.schema().clone(), rows).unwrap()
 }
 
 fn bench(c: &mut Criterion) {

@@ -35,7 +35,7 @@ fn bench(c: &mut Criterion) {
         .sample_size(10);
 
     let rel = generate_date_dim(1998, BASE_ROWS, 2_450_000);
-    let fresh = generate_date_dim(2030, BASE_ROWS, 9_450_000);
+    let fresh = generate_date_dim(2030, BASE_ROWS, 9_450_000).tuples();
     let discovery = discover_ods(&rel, DiscoveryConfig::default());
     let stmts = monitored_statements(&discovery);
 
@@ -43,7 +43,7 @@ fn bench(c: &mut Criterion) {
     let mut round = 0usize;
     group.bench_function("monitor_delta_1pct", |b| {
         b.iter(|| {
-            let batch = churn_batch(round, DELTA_ROWS, fresh.tuples());
+            let batch = churn_batch(round, DELTA_ROWS, &fresh);
             round += 1;
             monitor.apply(&batch).expect("valid churn batch").statuses
         })

@@ -22,7 +22,7 @@ const ROUNDS: usize = 10;
 #[test]
 fn delta_maintenance_beats_full_revalidation_five_fold() {
     let rel = generate_date_dim(1998, BASE_ROWS, 2_450_000);
-    let fresh = generate_date_dim(2030, BASE_ROWS, 9_450_000);
+    let fresh = generate_date_dim(2030, BASE_ROWS, 9_450_000).tuples();
     let discovery = discover_ods(&rel, DiscoveryConfig::default());
     assert!(
         !discovery.ods.is_empty(),
@@ -36,7 +36,7 @@ fn delta_maintenance_beats_full_revalidation_five_fold() {
     // single scheduler stall on a noisy CI runner cannot invert the margin.
     const PASSES: usize = 3;
     let batches: Vec<DeltaBatch> = (0..=PASSES * ROUNDS)
-        .map(|round| churn_batch(round, DELTA_ROWS, fresh.tuples()))
+        .map(|round| churn_batch(round, DELTA_ROWS, &fresh))
         .collect();
     monitor.apply(&batches[0]).expect("warm-up batch");
 

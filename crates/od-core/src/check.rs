@@ -553,11 +553,8 @@ mod tests {
             if keep.len() <= best {
                 continue;
             }
-            let sub = Relation::from_rows(
-                rel.schema().clone(),
-                keep.iter().map(|&i| rel.tuple(i).clone()),
-            )
-            .unwrap();
+            let sub = Relation::from_rows(rel.schema().clone(), keep.iter().map(|&i| rel.tuple(i)))
+                .unwrap();
             if od_holds(&sub, od) {
                 best = keep.len();
             }
@@ -604,26 +601,15 @@ mod tests {
                 // Witnesses are genuine violations of the right kind.
                 for w in &ev.witnesses {
                     let (s, t) = w.pair();
+                    let (s, t) = (&rel.tuple(s), &rel.tuple(t));
                     match w {
                         Violation::Split { .. } => {
-                            assert_eq!(
-                                lex_cmp(rel.tuple(s), rel.tuple(t), &od.lhs),
-                                Ordering::Equal
-                            );
-                            assert_ne!(
-                                lex_cmp(rel.tuple(s), rel.tuple(t), &od.rhs),
-                                Ordering::Equal
-                            );
+                            assert_eq!(lex_cmp(s, t, &od.lhs), Ordering::Equal);
+                            assert_ne!(lex_cmp(s, t, &od.rhs), Ordering::Equal);
                         }
                         Violation::Swap { .. } => {
-                            assert_eq!(
-                                lex_cmp(rel.tuple(s), rel.tuple(t), &od.lhs),
-                                Ordering::Less
-                            );
-                            assert_eq!(
-                                lex_cmp(rel.tuple(s), rel.tuple(t), &od.rhs),
-                                Ordering::Greater
-                            );
+                            assert_eq!(lex_cmp(s, t, &od.lhs), Ordering::Less);
+                            assert_eq!(lex_cmp(s, t, &od.rhs), Ordering::Greater);
                         }
                     }
                 }

@@ -6,8 +6,8 @@
 //! distinct values, so
 //!
 //! * `codes[i] < codes[j] ⟺ value[i] < value[j]` (and equality likewise),
-//! * `dict[codes[i]] == value[i]` — the dictionary decodes a cell without
-//!   touching the row store.
+//! * `dict[codes[i]] == value[i]` — the dictionary decodes a cell; it is the
+//!   only copy of the values a relation keeps.
 //!
 //! NULL sorts before every non-null value ([`Value`]'s `NULLS FIRST` order),
 //! so when a column contains NULLs they receive the dedicated code `0` and
@@ -19,10 +19,9 @@
 //! [radix sort](crate::radix) (stable, so the resulting code assignment is
 //! bit-identical to the comparison sort it replaces); heterogeneous, string,
 //! and float columns fall back to a comparison sort on the `Value` order.
-//! Either way the resulting codes are exactly what
-//! [`Relation::rank_column`](crate::Relation::rank_column) historically
-//! computed per call — discovery layers now share one eager encoding instead
-//! of re-sorting per attribute.
+//! Either way the codes are the same, and every discovery layer shares the
+//! one encoding a [`Relation`](crate::Relation) is built with instead of
+//! re-sorting per attribute.
 
 use crate::attr::Schema;
 use crate::radix;
@@ -382,7 +381,7 @@ mod tests {
         let rel = crate::fixtures::example_5_taxes();
         let registry = std::sync::Arc::new(od_obs::Registry::new());
         od_obs::scoped(std::sync::Arc::clone(&registry), || {
-            ColumnarEncoding::build(rel.schema(), rel.tuples())
+            ColumnarEncoding::build(rel.schema(), &rel.tuples())
         });
         let snap = registry.snapshot();
         let counter = |name: &str| snap.counters[&format!("relation.encode.{name}")];

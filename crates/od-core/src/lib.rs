@@ -56,10 +56,9 @@
 //! let income = schema.add_attr("income");
 //! let bracket = schema.add_attr("bracket");
 //!
-//! let mut rel = Relation::new(schema.clone());
-//! rel.push(vec![Value::from(10_000i64), Value::from(1i64)]).unwrap();
-//! rel.push(vec![Value::from(50_000i64), Value::from(2i64)]).unwrap();
-//! rel.push(vec![Value::from(90_000i64), Value::from(3i64)]).unwrap();
+//! let rows = [(10_000i64, 1i64), (50_000, 2), (90_000, 3)]
+//!     .map(|(i, b)| vec![Value::from(i), Value::from(b)]);
+//! let rel = Relation::from_rows(schema, rows).unwrap();
 //!
 //! // [income] orders [bracket]
 //! let od = OrderDependency::new(vec![income], vec![bracket]);

@@ -1,96 +1,81 @@
 //! Tuples and relation instances.
 //!
 //! A [`Relation`] is a concrete table instance: a [`Schema`] plus a sequence of
-//! [`Tuple`]s.  The paper defines ODs over *sets* of tuples but notes that
-//! nothing changes for multisets; we keep a plain `Vec` (a multiset) which also
-//! matches the execution engine.
+//! tuples.  The paper defines ODs over *sets* of tuples but notes that nothing
+//! changes for multisets; rows keep their order and their duplicates, which
+//! also matches the execution engine.
 //!
-//! Alongside the row store every relation carries a struct-of-arrays
-//! [`ColumnarEncoding`] — per-attribute sorted dictionaries plus dense
-//! order-preserving `u32` code columns — built once at construction
-//! ([`Relation::from_rows`]) and rebuilt lazily after mutation.  The
-//! row-oriented API ([`Relation::value`], [`Relation::tuple`], iteration) is
-//! unchanged; hot paths ask for [`Relation::encoding`] or
-//! [`Relation::rank_column`] and work on integer codes only.
+//! The table is stored once, as a struct-of-arrays [`ColumnarEncoding`] —
+//! per-attribute sorted dictionaries plus dense order-preserving `u32` code
+//! columns — built by [`Relation::from_rows`] and immutable afterwards.  Hot
+//! paths ask for [`Relation::encoding`] or [`Relation::rank_column`] and work
+//! on integer codes only; the row readers ([`Relation::value`],
+//! [`Relation::tuple`], iteration) decode through the dictionaries.
+//!
+//! **A cell reads back as its dictionary entry.**  A dictionary keeps one
+//! representative per group of values that are equal under [`Value`]'s order,
+//! so cells that are equal but are different variants — `Int(2)` and
+//! `Float(2.0)`, `0.0` and `-0.0`, NaNs with different payloads — read back as
+//! one representative.  Equality, [`Relation::len`], codes and every verdict
+//! are unaffected, because [`Value`] equality already is order equality.
 
 use crate::attr::{AttrId, Schema};
-use crate::columnar::ColumnarEncoding;
+use crate::columnar::{ColumnarEncoding, EncodedColumn};
 use crate::error::{CoreError, Result};
 use crate::list::AttrList;
 use crate::value::Value;
 use std::fmt;
-use std::sync::{Arc, RwLock};
+use std::sync::Arc;
 
 /// A tuple: one value per schema attribute, positionally aligned with the schema.
 pub type Tuple = Vec<Value>;
 
-/// The lazily (re)built columnar encoding slot.
-type EncodingSlot = RwLock<Option<Arc<ColumnarEncoding>>>;
-
-/// A relation instance: a schema, a bag of tuples, and their columnar encoding.
-#[derive(Debug)]
+/// A relation instance: a schema and the columnar encoding of its rows.
+///
+/// Derived `==` means "same schema, same rows": a dictionary is the sorted set
+/// of a column's distinct values and the codes are ranks into it, so equal
+/// rows give equal encodings and equal encodings give equal rows.  `clone()`
+/// shares the encoding.
+#[derive(Debug, Clone, PartialEq)]
 pub struct Relation {
     schema: Schema,
-    tuples: Vec<Tuple>,
-    /// Interior mutability lets `&self` accessors rebuild the encoding after
-    /// a mutation invalidated it; mutation itself always has `&mut self`, so
-    /// a cached encoding can never go stale.
-    encoding: EncodingSlot,
-}
-
-impl Clone for Relation {
-    fn clone(&self) -> Self {
-        Relation {
-            schema: self.schema.clone(),
-            tuples: self.tuples.clone(),
-            // The encoding is immutable once built — share it, don't re-encode.
-            encoding: RwLock::new(self.cached_encoding()),
-        }
-    }
-}
-
-impl PartialEq for Relation {
-    fn eq(&self, other: &Self) -> bool {
-        // The encoding is derived state: logical equality is schema + tuples.
-        self.schema == other.schema && self.tuples == other.tuples
-    }
+    encoding: Arc<ColumnarEncoding>,
 }
 
 impl Relation {
     /// Create an empty relation for a schema.
     pub fn new(schema: Schema) -> Self {
-        Relation {
-            schema,
-            tuples: Vec::new(),
-            encoding: RwLock::new(None),
-        }
+        let columns = vec![EncodedColumn::from_parts(Vec::new(), Vec::new()); schema.arity()];
+        Relation::from_encoding(schema, ColumnarEncoding::from_parts(columns, 0))
     }
 
-    /// Create a relation from rows, validating arity.  The columnar encoding
-    /// is built eagerly, so the returned relation is immediately ready for
-    /// code-path scans (and metric captures around later discovery runs see
-    /// no construction-time `relation.encode` records).
+    /// Create a relation from rows, validating arity.  The rows are encoded
+    /// once and dropped; the relation keeps only their columnar encoding.
     pub fn from_rows(schema: Schema, rows: impl IntoIterator<Item = Tuple>) -> Result<Self> {
-        let mut rel = Relation::new(schema);
-        for row in rows {
-            rel.push(row)?;
-        }
-        rel.encoding();
-        Ok(rel)
+        let arity = schema.arity();
+        let rows = rows
+            .into_iter()
+            .map(|t| {
+                if t.len() == arity {
+                    Ok(t)
+                } else {
+                    Err(CoreError::ArityMismatch {
+                        expected: arity,
+                        actual: t.len(),
+                    })
+                }
+            })
+            .collect::<Result<Vec<Tuple>>>()?;
+        let encoding = ColumnarEncoding::build(&schema, &rows);
+        Ok(Relation::from_encoding(schema, encoding))
     }
 
-    /// Assemble a relation whose columnar encoding is already known (the wire
-    /// snapshot decoder) — tuples and encoding arrive together, so nothing is
-    /// re-encoded.  The caller guarantees the encoding matches the tuples.
-    pub(crate) fn from_encoded(
-        schema: Schema,
-        tuples: Vec<Tuple>,
-        encoding: ColumnarEncoding,
-    ) -> Self {
+    /// Wrap an encoding that already matches `schema` (the wire snapshot
+    /// decoder, which has validated it).
+    pub(crate) fn from_encoding(schema: Schema, encoding: ColumnarEncoding) -> Self {
         Relation {
             schema,
-            tuples,
-            encoding: RwLock::new(Some(Arc::new(encoding))),
+            encoding: Arc::new(encoding),
         }
     }
 
@@ -104,11 +89,10 @@ impl Relation {
         buf
     }
 
-    /// Decode a columnar snapshot produced by [`Self::to_bytes`], rebuilding
-    /// the row store through the dictionaries and attaching the transported
-    /// encoding as-is.  `from_bytes(to_bytes(r)) == r` holds for every
-    /// relation, including empty ones, NULL cells, and NaN floats (values
-    /// travel as IEEE-754 bit patterns); trailing bytes are an error.
+    /// Decode a columnar snapshot produced by [`Self::to_bytes`], attaching
+    /// the transported encoding as-is.  `from_bytes(to_bytes(r)) == r` holds
+    /// for every relation, including empty ones, NULL cells, and NaN floats
+    /// (values travel as IEEE-754 bit patterns); trailing bytes are an error.
     pub fn from_bytes(bytes: &[u8]) -> crate::wire::WireResult<Relation> {
         let mut r = crate::wire::Reader::new(bytes);
         let rel = crate::wire::get_relation_snapshot(&mut r)?;
@@ -121,103 +105,65 @@ impl Relation {
         &self.schema
     }
 
-    /// Number of tuples.
+    /// Number of tuples (kept by the encoding, so a zero-arity relation
+    /// still counts its rows).
     pub fn len(&self) -> usize {
-        self.tuples.len()
+        self.encoding.n_rows()
     }
 
     /// True if the relation holds no tuples.
     pub fn is_empty(&self) -> bool {
-        self.tuples.is_empty()
+        self.len() == 0
     }
 
-    /// Approximate in-memory footprint in bytes: the row store (summing
-    /// [`Value::approx_bytes`] over every cell) plus, when the columnar
-    /// encoding is materialized, its dictionaries and code columns.
-    /// Deterministic for logically equal instances on the same access history
+    /// Approximate in-memory footprint in bytes: the encoding's dictionaries
+    /// and code columns.  Deterministic for logically equal instances
     /// (lengths, never capacities), so memory-accounting metrics built on it
     /// diff clean across runs.
     pub fn approx_heap_bytes(&self) -> usize {
-        let rows: usize = self
-            .tuples
-            .iter()
-            .map(|t| t.iter().map(Value::approx_bytes).sum::<usize>())
-            .sum();
-        let encoding = self
-            .cached_encoding()
-            .map_or(0, |enc| enc.approx_heap_bytes());
-        rows + encoding
+        self.encoding.approx_heap_bytes()
     }
 
-    /// Append a tuple, validating its arity against the schema.
-    pub fn push(&mut self, tuple: Tuple) -> Result<()> {
-        if tuple.len() != self.schema.arity() {
-            return Err(CoreError::ArityMismatch {
-                expected: self.schema.arity(),
-                actual: tuple.len(),
-            });
-        }
-        self.tuples.push(tuple);
-        self.invalidate_encoding();
-        Ok(())
+    /// The tuples in row order, decoded.
+    pub fn tuples(&self) -> Vec<Tuple> {
+        self.iter().collect()
     }
 
-    /// The tuples in insertion order.
-    pub fn tuples(&self) -> &[Tuple] {
-        &self.tuples
-    }
-
-    /// Mutable access to the tuples (used by the execution engine's sort
-    /// operator).  Invalidates the columnar encoding — it is rebuilt on the
-    /// next code access.
-    pub fn tuples_mut(&mut self) -> &mut Vec<Tuple> {
-        self.invalidate_encoding();
-        &mut self.tuples
-    }
-
-    /// A single tuple by position.
-    pub fn tuple(&self, idx: usize) -> &Tuple {
-        &self.tuples[idx]
+    /// A single tuple by position, decoded.
+    pub fn tuple(&self, idx: usize) -> Tuple {
+        self.schema
+            .attr_ids()
+            .map(|a| self.value(idx, a).clone())
+            .collect()
     }
 
     /// Value of attribute `attr` in tuple `idx`.
     pub fn value(&self, idx: usize, attr: AttrId) -> &Value {
-        &self.tuples[idx][attr.index()]
+        let col = self.encoding.column(attr.index());
+        &col.dict()[col.codes()[idx] as usize]
     }
 
     /// Project a tuple onto an attribute list (the paper's `t[X]`), cloning values.
     pub fn project_tuple(&self, idx: usize, list: &AttrList) -> Vec<Value> {
-        list.iter()
-            .map(|a| self.tuples[idx][a.index()].clone())
-            .collect()
+        list.iter().map(|a| self.value(idx, a).clone()).collect()
     }
 
-    /// Iterate over the tuples.
-    pub fn iter(&self) -> impl Iterator<Item = &Tuple> {
-        self.tuples.iter()
+    /// Iterate over the tuples in row order, decoding each.
+    pub fn iter(&self) -> impl Iterator<Item = Tuple> + '_ {
+        (0..self.len()).map(move |idx| self.tuple(idx))
     }
 
     /// Iterate over one attribute's column in tuple order (the column view used
     /// by the execution engine; discovery works on [`Self::encoding`] instead).
     pub fn column(&self, attr: AttrId) -> impl Iterator<Item = &Value> + '_ {
-        self.tuples.iter().map(move |t| &t[attr.index()])
+        let col = self.encoding.column(attr.index());
+        col.codes().iter().map(|&code| &col.dict()[code as usize])
     }
 
     /// The columnar encoding: per-attribute dictionaries + dense
-    /// order-preserving code columns.  Built once ([`Self::from_rows`] does it
-    /// eagerly) and shared via `Arc`; mutation through [`Self::push`] /
-    /// [`Self::tuples_mut`] invalidates it and the next call rebuilds.
+    /// order-preserving code columns, shared via `Arc`.
     pub fn encoding(&self) -> Arc<ColumnarEncoding> {
-        if let Some(enc) = self.cached_encoding() {
-            return enc;
-        }
-        let mut slot = self.encoding.write().expect("encoding lock poisoned");
-        if let Some(enc) = slot.as_ref() {
-            return enc.clone();
-        }
-        let enc = Arc::new(ColumnarEncoding::build(&self.schema, &self.tuples));
-        *slot = Some(enc.clone());
-        enc
+        self.encoding.clone()
     }
 
     /// Dense, order-preserving integer codes for one column: the code of a cell
@@ -231,7 +177,7 @@ impl Relation {
     /// copied out of [`Self::encoding`]; callers that can hold the `Arc`
     /// should prefer `encoding().codes(attr.index())` and skip the copy.
     pub fn rank_column(&self, attr: AttrId) -> Vec<u32> {
-        self.encoding().codes(attr.index()).to_vec()
+        self.encoding.codes(attr.index()).to_vec()
     }
 
     /// Render the relation as a small ASCII table (diagnostics and examples).
@@ -245,7 +191,6 @@ impl Relation {
             .collect();
         let mut widths: Vec<usize> = names.iter().map(|n| n.len()).collect();
         let rendered: Vec<Vec<String>> = self
-            .tuples
             .iter()
             .map(|t| t.iter().map(|v| v.to_string()).collect())
             .collect();
@@ -280,25 +225,11 @@ impl Relation {
         }
         out
     }
-
-    /// The cached encoding, if one is materialized (never builds).
-    fn cached_encoding(&self) -> Option<Arc<ColumnarEncoding>> {
-        self.encoding
-            .read()
-            .expect("encoding lock poisoned")
-            .clone()
-    }
-
-    /// Drop the cached encoding after a mutation (`&mut self` guarantees no
-    /// outstanding reader holds the lock).
-    fn invalidate_encoding(&mut self) {
-        *self.encoding.get_mut().expect("encoding lock poisoned") = None;
-    }
 }
 
 impl fmt::Display for Relation {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{} ({} rows)", self.schema.name(), self.tuples.len())
+        write!(f, "{} ({} rows)", self.schema.name(), self.len())
     }
 }
 
@@ -315,13 +246,16 @@ mod tests {
     }
 
     #[test]
-    fn push_validates_arity() {
+    fn from_rows_validates_arity() {
         let (s, ..) = schema_abc();
-        let mut r = Relation::new(s);
-        assert!(r
-            .push(vec![Value::Int(1), Value::Int(2), Value::Int(3)])
-            .is_ok());
-        let err = r.push(vec![Value::Int(1)]).unwrap_err();
+        let err = Relation::from_rows(
+            s.clone(),
+            vec![
+                vec![Value::Int(1), Value::Int(2), Value::Int(3)],
+                vec![Value::Int(1)],
+            ],
+        )
+        .unwrap_err();
         assert_eq!(
             err,
             CoreError::ArityMismatch {
@@ -329,6 +263,8 @@ mod tests {
                 actual: 1
             }
         );
+        let r = Relation::from_rows(s, vec![vec![Value::Int(1), Value::Int(2), Value::Int(3)]])
+            .unwrap();
         assert_eq!(r.len(), 1);
         assert!(!r.is_empty());
     }
@@ -414,22 +350,37 @@ mod tests {
     }
 
     #[test]
-    fn mutation_invalidates_and_rebuilds_the_encoding() {
-        let (s, a, b, _) = schema_abc();
-        let mut r = Relation::from_rows(
-            s,
-            vec![
-                vec![Value::Int(5), Value::Int(1), Value::Int(0)],
-                vec![Value::Int(3), Value::Int(2), Value::Int(0)],
-            ],
-        )
-        .unwrap();
-        assert_eq!(r.rank_column(a), vec![1, 0]);
-        r.push(vec![Value::Int(4), Value::Int(0), Value::Int(0)])
-            .unwrap();
-        assert_eq!(r.rank_column(a), vec![2, 0, 1], "push re-ranks");
-        r.tuples_mut().reverse();
-        assert_eq!(r.rank_column(b), vec![0, 2, 1], "tuples_mut re-ranks");
+    fn equal_cells_read_back_as_one_representative() {
+        let mut s = Schema::new("t");
+        let x = s.add_attr("x");
+        let cells = [
+            Value::Int(2),
+            Value::Float(2.0),
+            Value::Float(0.0),
+            Value::Float(-0.0),
+        ];
+        let r = Relation::from_rows(s.clone(), cells.iter().map(|v| vec![v.clone()])).unwrap();
+        // Same rows, other variants: still the same relation.
+        let swapped = [
+            Value::Float(2.0),
+            Value::Int(2),
+            Value::Float(-0.0),
+            Value::Float(0.0),
+        ];
+        let other = Relation::from_rows(s, swapped.iter().map(|v| vec![v.clone()])).unwrap();
+        assert_eq!(r, other);
+        assert_eq!(r.rank_column(x), vec![1, 1, 0, 0]);
+        for (row, cell) in cells.iter().enumerate() {
+            assert_eq!(r.value(row, x), cell, "reads back equal");
+        }
+        // Each equal pair reads back as one variant, bit for bit.
+        let bits = |v: &Value| match v {
+            Value::Int(i) => (0, *i as u64),
+            Value::Float(f) => (1, f.to_bits()),
+            _ => unreachable!(),
+        };
+        assert_eq!(bits(r.value(0, x)), bits(r.value(1, x)));
+        assert_eq!(bits(r.value(2, x)), bits(r.value(3, x)));
     }
 
     #[test]
@@ -439,7 +390,6 @@ mod tests {
             .unwrap();
         let cloned = r.clone();
         assert_eq!(r, cloned);
-        // A clone shares the already-built encoding rather than re-encoding.
         assert!(Arc::ptr_eq(&r.encoding(), &cloned.encoding()));
         assert_eq!(cloned.rank_column(a), vec![0]);
     }
@@ -447,21 +397,19 @@ mod tests {
     #[test]
     fn approx_heap_bytes_counts_rows_dicts_and_code_columns() {
         let (s, ..) = schema_abc();
-        let mut r = Relation::new(s);
-        r.push(vec![Value::Str("abcd".into()), Value::Int(1), Value::Null])
-            .unwrap();
-        r.push(vec![Value::Str("abcd".into()), Value::Int(2), Value::Null])
-            .unwrap();
-        // No encoding materialized yet: row cells only.
-        let value_size = std::mem::size_of::<Value>();
-        let rows_only = 6 * value_size + 2 * 4;
-        assert_eq!(r.approx_heap_bytes(), rows_only);
-        // Force the encoding: dictionaries ("abcd" ×1, ints ×2, NULL ×1 =
-        // 4 entries + 4 string bytes) plus three u32 columns of two rows.
-        r.encoding();
-        let dict_bytes = 4 * value_size + 4;
+        let r = Relation::from_rows(
+            s,
+            vec![
+                vec![Value::Str("abcd".into()), Value::Int(1), Value::Null],
+                vec![Value::Str("abcd".into()), Value::Int(2), Value::Null],
+            ],
+        )
+        .unwrap();
+        // Dictionaries ("abcd" ×1, ints ×2, NULL ×1 = 4 entries + 4 string
+        // bytes) plus three u32 columns of two rows.
+        let dict_bytes = 4 * std::mem::size_of::<Value>() + 4;
         let code_bytes = 3 * 2 * std::mem::size_of::<u32>();
-        assert_eq!(r.approx_heap_bytes(), rows_only + dict_bytes + code_bytes);
+        assert_eq!(r.approx_heap_bytes(), dict_bytes + code_bytes);
     }
 
     #[test]
@@ -469,5 +417,7 @@ mod tests {
         let (s, ..) = schema_abc();
         let r = Relation::new(s);
         assert_eq!(r.to_string(), "t (0 rows)");
+        let zero_arity = Relation::from_rows(Schema::new("z"), vec![vec![], vec![]]).unwrap();
+        assert_eq!(zero_arity.to_string(), "z (2 rows)");
     }
 }

@@ -396,7 +396,7 @@ pub fn put_relation(buf: &mut Vec<u8>, rel: &Relation) {
     put_schema(buf, rel.schema());
     put_u32(buf, rel.len() as u32);
     for t in rel.iter() {
-        put_tuple(buf, t);
+        put_tuple(buf, &t);
     }
 }
 
@@ -405,22 +405,20 @@ pub fn put_relation(buf: &mut Vec<u8>, rel: &Relation) {
 pub fn get_relation(r: &mut Reader<'_>) -> WireResult<Relation> {
     let schema = get_schema(r)?;
     let rows = r.seq_len(4)?; // a row is at least its arity prefix
-    let mut rel = Relation::new(schema);
-    for _ in 0..rows {
-        let tuple = get_tuple(r)?;
-        rel.push(tuple)
-            .map_err(|_| WireError::Inconsistent("tuple arity disagrees with schema"))?;
-    }
-    Ok(rel)
+    let tuples = (0..rows)
+        .map(|_| get_tuple(r))
+        .collect::<WireResult<Vec<Tuple>>>()?;
+    Relation::from_rows(schema, tuples)
+        .map_err(|_| WireError::Inconsistent("tuple arity disagrees with schema"))
 }
 
 /// Encode a [`Relation`] as a **columnar snapshot**: schema, row count, then
 /// per attribute the sorted dictionary followed by the dense code column.
 ///
-/// This is the distributed-worker startup format: a worker reconstructs the
-/// row store *and* the order-preserving encoding from one buffer, without
-/// re-sorting any column.  Values ride as their [`put_value`] bit patterns,
-/// so float cells (NaN payloads included) round-trip bit-identically and
+/// This is the distributed-worker startup format: a worker takes the
+/// order-preserving encoding from one buffer, without re-sorting any column.
+/// Values ride as their [`put_value`] bit patterns, so float cells (NaN
+/// payloads included) round-trip bit-identically and
 /// `encode ∘ decode ∘ encode` is byte-stable.
 pub fn put_relation_snapshot(buf: &mut Vec<u8>, rel: &Relation) {
     let enc = rel.encoding();
@@ -438,24 +436,19 @@ pub fn put_relation_snapshot(buf: &mut Vec<u8>, rel: &Relation) {
     }
 }
 
-/// Decode a columnar snapshot into its `(schema, encoding)` parts without
-/// rebuilding the row store, revalidating the encoding invariants the
-/// discovery layers lean on: every dictionary must be strictly ascending in
-/// the [`Value`] order and every code must index its dictionary.
-///
-/// This is the distributed-worker fast path: partition refinement and
-/// statement scans consume only dense codes, so a worker that loads through
-/// this function skips materializing `n_rows` tuples it would never read.
-/// [`get_relation_snapshot`] layers the tuple rebuild on top for callers
-/// that need a full [`Relation`].
-pub fn get_relation_snapshot_columns(r: &mut Reader<'_>) -> WireResult<(Schema, ColumnarEncoding)> {
+/// Decode a columnar snapshot back into a [`Relation`] that carries the
+/// snapshot's encoding directly — no column is re-sorted.  The encoding
+/// invariants the discovery layers lean on are revalidated: every dictionary
+/// must be strictly ascending in the [`Value`] order and every code must
+/// index its dictionary.
+pub fn get_relation_snapshot(r: &mut Reader<'_>) -> WireResult<Relation> {
     let schema = get_schema(r)?;
     let n_rows = r.u32()? as usize;
     let arity = schema.arity();
     if arity == 0 && n_rows > MAX_FRAME_LEN {
         // Zero-arity rows occupy no payload bytes, so the usual
         // "bytes-remaining" guards cannot bound the row count; cap it
-        // explicitly instead of allocating a row store from thin air.
+        // explicitly.
         return Err(WireError::TooLarge {
             declared: n_rows,
             max: MAX_FRAME_LEN,
@@ -492,22 +485,8 @@ pub fn get_relation_snapshot_columns(r: &mut Reader<'_>) -> WireResult<(Schema, 
         }
         columns.push(EncodedColumn::from_parts(dict, codes));
     }
-    Ok((schema, ColumnarEncoding::from_parts(columns, n_rows)))
-}
-
-/// Decode a columnar snapshot back into a [`Relation`].  The decoded
-/// relation carries the snapshot's encoding directly — no column is
-/// re-sorted — and its tuples are reconstructed through the dictionaries.
-pub fn get_relation_snapshot(r: &mut Reader<'_>) -> WireResult<Relation> {
-    let (schema, enc) = get_relation_snapshot_columns(r)?;
-    let tuples: Vec<Tuple> = (0..enc.n_rows())
-        .map(|row| {
-            (0..enc.arity())
-                .map(|col| enc.dict(col)[enc.codes(col)[row] as usize].clone())
-                .collect()
-        })
-        .collect();
-    Ok(Relation::from_encoded(schema, tuples, enc))
+    let encoding = ColumnarEncoding::from_parts(columns, n_rows);
+    Ok(Relation::from_encoding(schema, encoding))
 }
 
 /// Encode an [`AttrList`] (`u32` length + `u32` ids).

@@ -35,8 +35,8 @@ proptest! {
     #[test]
     fn lex_iterative_equals_recursive(rel in relation_strategy(4, 6), list in list_strategy(4, 5)) {
         let tuples = rel.tuples();
-        for s in tuples {
-            for t in tuples {
+        for s in &tuples {
+            for t in &tuples {
                 prop_assert_eq!(lex_le(s, t, &list), lex_le_recursive(s, t, &list));
             }
         }
@@ -46,10 +46,10 @@ proptest! {
     #[test]
     fn lex_is_total_and_transitive(rel in relation_strategy(3, 6), list in list_strategy(3, 4)) {
         let tuples = rel.tuples();
-        for a in tuples {
-            for b in tuples {
+        for a in &tuples {
+            for b in &tuples {
                 prop_assert!(lex_le(a, b, &list) || lex_le(b, a, &list));
-                for c in tuples {
+                for c in &tuples {
                     if lex_le(a, b, &list) && lex_le(b, c, &list) {
                         prop_assert!(lex_le(a, c, &list));
                     }
@@ -74,7 +74,7 @@ proptest! {
             (Ok(()), Ok(())) => {}
             (Err(v), Err(_)) => {
                 let (s, t) = v.pair();
-                let (s, t) = (rel.tuple(s), rel.tuple(t));
+                let (s, t) = (&rel.tuple(s), &rel.tuple(t));
                 match v {
                     od_core::Violation::Split { .. } => {
                         prop_assert!(lex_cmp(s, t, &od.lhs) == std::cmp::Ordering::Equal);
@@ -172,7 +172,7 @@ proptest! {
     ) {
         let od = OrderDependency::new(lhs.clone(), rhs.clone());
         if od_holds(&rel, &od) {
-            let mut rows = rel.tuples().to_vec();
+            let mut rows = rel.tuples();
             rows.sort_by(|a, b| lex_cmp(a, b, &lhs));
             for w in rows.windows(2) {
                 prop_assert!(lex_le(&w[0], &w[1], &rhs));
@@ -227,11 +227,8 @@ proptest! {
         // The attached encoding must agree with an honest re-encode of the
         // reconstructed tuples: order-preserving codes are what discovery
         // trusts, so a snapshot may never smuggle in a different ranking.
-        let reencoded = Relation::from_rows(
-            back.schema().clone(),
-            back.tuples().iter().cloned(),
-        )
-        .expect("reconstructed tuples satisfy the schema");
+        let reencoded = Relation::from_rows(back.schema().clone(), back.tuples())
+            .expect("reconstructed tuples satisfy the schema");
         prop_assert_eq!(&*back.encoding(), &*reencoded.encoding());
     }
 }

@@ -84,12 +84,6 @@ pub struct DiscoveryConfig {
     /// demand-driven validation, so lowering this trades profile coverage for
     /// per-candidate work without changing the result.
     pub max_context: usize,
-    /// Worker *processes* for the lattice profile's data plane (set-based
-    /// engine only; 0 = in-process).  Passed through to
-    /// [`od_setbased::LatticeConfig::workers`]: the hosting binary must call
-    /// [`od_setbased::maybe_run_worker`] first thing in `main`.  Results are
-    /// bit-identical on every worker count.
-    pub workers: usize,
 }
 
 impl Default for DiscoveryConfig {
@@ -107,7 +101,6 @@ impl Default for DiscoveryConfig {
             parallel: false,
             epsilon: 0.0,
             max_context: 4,
-            workers: 0,
         }
     }
 }
@@ -233,7 +226,7 @@ pub fn discover_ods(rel: &Relation, config: DiscoveryConfig) -> Discovery {
                     use_decider: true,
                     threads,
                     epsilon: config.epsilon,
-                    workers: config.workers,
+                    workers: 0,
                 },
             );
             // Fallback for candidates whose statements reach beyond the

@@ -94,7 +94,7 @@ type Subscriber = Box<dyn FnMut(&MonitorReport) + Send>;
 /// assert!(monitor.statuses().iter().all(|s| s.accepted));
 ///
 /// // Corrupt the stream: a tuple violating the tax-bracket ODs arrives.
-/// let mut bad = rel.tuple(0).clone();
+/// let mut bad = rel.tuple(0);
 /// bad[1] = Value::Int(999);
 /// let report = monitor.apply(&DeltaBatch::new().insert(bad)).unwrap();
 /// assert!(report.flips().count() > 0);
@@ -109,15 +109,13 @@ pub struct Monitor {
 
 impl Monitor {
     /// Watch `ods` on a snapshot of `rel` with error threshold `epsilon`
-    /// (ε = 0 monitors exact satisfaction).  `threads > 1` shards large
-    /// initial scans and large delta patches.
+    /// (ε = 0 monitors exact satisfaction).
     pub fn watch(
         rel: &Relation,
         ods: impl IntoIterator<Item = OrderDependency>,
         epsilon: f64,
-        threads: usize,
     ) -> Self {
-        let mut stream = StreamMonitor::new(rel, threads);
+        let mut stream = StreamMonitor::new(rel);
         let mut watched = Vec::new();
         for od in ods {
             let stmts = stream.monitor_od(&od);
@@ -145,7 +143,6 @@ impl Monitor {
     /// Watch the **install set** of a discovery run — the zero-error ODs that
     /// [`Discovery::install_into`] would feed to the optimizer — so registry
     /// installs can be kept in sync with the data they were profiled from.
-    /// Serial; pass the same ODs to [`Self::watch`] for sharding.
     pub fn watch_install_set(rel: &Relation, discovery: &Discovery, epsilon: f64) -> Self {
         let ods = discovery
             .ods
@@ -153,7 +150,7 @@ impl Monitor {
             .zip(&discovery.errors)
             .filter(|(_, &err)| err == 0.0)
             .map(|(od, _)| od.clone());
-        Self::watch(rel, ods, epsilon, 1)
+        Self::watch(rel, ods, epsilon)
     }
 
     /// The error threshold the monitor accepts against.
@@ -322,7 +319,7 @@ mod tests {
 
         // A tuple agreeing with row 0 on income but with an absurd bracket
         // breaks income ↦ bracket.
-        let mut bad = rel.tuple(0).clone();
+        let mut bad = rel.tuple(0);
         bad[1] = Value::Int(999);
         let report = monitor.apply(&DeltaBatch::new().insert(bad)).unwrap();
         let flipped: Vec<_> = report.flips().collect();
@@ -352,14 +349,14 @@ mod tests {
         let od = OrderDependency::new(vec![income], vec![bracket]);
         let bad = vec![Value::Int(0), Value::Int(4)];
 
-        let mut tolerant = Monitor::watch(&rel, [od.clone()], 0.1, 1);
+        let mut tolerant = Monitor::watch(&rel, [od.clone()], 0.1);
         let report = tolerant
             .apply(&DeltaBatch::new().insert(bad.clone()))
             .unwrap();
         assert_eq!(report.flips().count(), 0);
         assert!(report.statuses[0].accepted && report.statuses[0].g3 > 0.0);
 
-        let mut strict = Monitor::watch(&rel, [od], 0.0, 1);
+        let mut strict = Monitor::watch(&rel, [od], 0.0);
         let report = strict.apply(&DeltaBatch::new().insert(bad)).unwrap();
         assert_eq!(report.flips().count(), 1);
         assert!(!report.statuses[0].accepted);
@@ -385,12 +382,12 @@ mod tests {
         monitor.subscribe(move |_| *counter.lock().unwrap() += 1);
 
         // A clean insert: callbacks fire, nothing flips.
-        let clean = rel.tuple(0).clone();
+        let clean = rel.tuple(0);
         monitor.apply(&DeltaBatch::new().insert(clean)).unwrap();
         assert_eq!(flips.lock().unwrap().as_slice(), &[0]);
 
         // A corrupting insert is pushed as a flip, no polling involved.
-        let mut bad = rel.tuple(0).clone();
+        let mut bad = rel.tuple(0);
         bad[1] = Value::Int(999);
         let report = monitor.apply(&DeltaBatch::new().insert(bad)).unwrap();
         let broken = report.flips().count();
@@ -421,7 +418,7 @@ mod tests {
         // A subscribed monitor can still move to a worker thread.
         std::thread::spawn(move || {
             monitor
-                .apply(&DeltaBatch::new().insert(rel.tuple(0).clone()))
+                .apply(&DeltaBatch::new().insert(rel.tuple(0)))
                 .unwrap();
         })
         .join()
@@ -443,7 +440,7 @@ mod tests {
         assert_eq!(monitor.sync_registry(&mut registry, &table), (0, 0));
 
         // Corrupt, re-sync: broken ODs are withdrawn from the registry.
-        let mut bad = rel.tuple(0).clone();
+        let mut bad = rel.tuple(0);
         bad[1] = Value::Int(999);
         let report = monitor.apply(&DeltaBatch::new().insert(bad)).unwrap();
         let broken = report.statuses.iter().filter(|s| !s.accepted).count();

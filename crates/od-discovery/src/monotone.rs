@@ -169,12 +169,11 @@ mod tests {
         let mut schema = Schema::new("generated");
         schema.add_attr("a");
         schema.add_attr("g");
-        let mut rel = Relation::new(schema);
-        for v in [-250i64, -3, 0, 7, 100, 99_999] {
-            let base = vec![Value::Int(v)];
-            let g = evaluate_derived(&dc, &base);
-            rel.push(vec![Value::Int(v), g]).unwrap();
-        }
+        let rows = [-250i64, -3, 0, 7, 100, 99_999].map(|v| {
+            let g = evaluate_derived(&dc, &vec![Value::Int(v)]);
+            vec![Value::Int(v), g]
+        });
+        let rel = Relation::from_rows(schema, rows).unwrap();
         assert!(od_holds(&rel, &ods[0]));
     }
 

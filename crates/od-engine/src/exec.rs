@@ -260,7 +260,7 @@ fn run(plan: &PhysicalPlan, catalog: &Catalog, m: &mut Metrics) -> Batch {
             m.rows_scanned += t.row_count() as u64;
             Batch {
                 schema: t.schema().clone(),
-                rows: t.relation.tuples().to_vec(),
+                rows: t.relation.tuples(),
             }
         }
         PhysicalPlan::IndexOrderedScan { table, index } => {
@@ -273,10 +273,7 @@ fn run(plan: &PhysicalPlan, catalog: &Catalog, m: &mut Metrics) -> Batch {
                 .find(|ix| ix.name == *index)
                 .unwrap_or_else(|| panic!("unknown index {index}"));
             m.rows_scanned += t.row_count() as u64;
-            let rows = ix
-                .ordered_row_ids()
-                .map(|i| t.relation.tuple(i).clone())
-                .collect();
+            let rows = ix.ordered_row_ids().map(|i| t.relation.tuple(i)).collect();
             Batch {
                 schema: t.schema().clone(),
                 rows,
@@ -299,10 +296,7 @@ fn run(plan: &PhysicalPlan, catalog: &Catalog, m: &mut Metrics) -> Batch {
             let ids = ix.range_row_ids(Bound::Included(lo), Bound::Included(hi));
             m.rows_scanned += ids.len() as u64;
             m.index_probes += 2;
-            let rows = ids
-                .into_iter()
-                .map(|i| t.relation.tuple(i).clone())
-                .collect();
+            let rows = ids.into_iter().map(|i| t.relation.tuple(i)).collect();
             Batch {
                 schema: t.schema().clone(),
                 rows,
@@ -322,7 +316,7 @@ fn run(plan: &PhysicalPlan, catalog: &Catalog, m: &mut Metrics) -> Batch {
             let mut rows = Vec::new();
             for p in live {
                 for &r in &p.rows {
-                    rows.push(t.relation.tuple(r).clone());
+                    rows.push(t.relation.tuple(r));
                 }
             }
             m.rows_scanned += rows.len() as u64;

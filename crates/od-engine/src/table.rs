@@ -80,7 +80,7 @@ impl Index {
         let mut min: Option<Value> = None;
         let mut max: Option<Value> = None;
         for (key, row) in &self.entries {
-            if pred.eval_bool(rel.tuple(*row)) {
+            if pred.eval_bool(&rel.tuple(*row)) {
                 let v = key.first()?.clone();
                 if min.as_ref().map(|m| v < *m).unwrap_or(true) {
                     min = Some(v.clone());
@@ -206,12 +206,12 @@ impl Table {
     /// Verify that the stored rows, read in the order of an index, are sorted by
     /// the index key (sanity check used in tests).
     pub fn index_order_is_sorted(&self, index: &Index) -> bool {
-        let rows: Vec<&Tuple> = index
+        let rows: Vec<Tuple> = index
             .ordered_row_ids()
             .map(|i| self.relation.tuple(i))
             .collect();
         rows.windows(2)
-            .all(|w| lex_cmp(w[0], w[1], &index.key) != std::cmp::Ordering::Greater)
+            .all(|w| lex_cmp(&w[0], &w[1], &index.key) != std::cmp::Ordering::Greater)
     }
 }
 

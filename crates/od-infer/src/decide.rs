@@ -25,7 +25,7 @@
 use crate::odset::OdSet;
 use od_core::{
     AttrId, AttrList, AttrSet, OrderCompatibility, OrderDependency, OrderEquivalence, Relation,
-    Schema, Value,
+    Schema, Tuple, Value,
 };
 
 /// Relationship between the two tuples' values on one attribute.
@@ -121,6 +121,12 @@ impl TwoTuplePattern {
     /// Materialize the pattern as a two-row relation over the given schema
     /// (attributes outside the pattern get equal values).  `s` is row 0, `t` row 1.
     pub fn to_relation(&self, schema: &Schema) -> Relation {
+        Relation::from_rows(schema.clone(), self.rows(schema))
+            .expect("pattern rows match schema arity")
+    }
+
+    /// The two rows of [`Self::to_relation`].
+    pub(crate) fn rows(&self, schema: &Schema) -> Vec<Tuple> {
         let mut s_row = Vec::with_capacity(schema.arity());
         let mut t_row = Vec::with_capacity(schema.arity());
         for attr in schema.attr_ids() {
@@ -133,8 +139,7 @@ impl TwoTuplePattern {
             s_row.push(Value::Int(a));
             t_row.push(Value::Int(b));
         }
-        Relation::from_rows(schema.clone(), vec![s_row, t_row])
-            .expect("pattern rows match schema arity")
+        vec![s_row, t_row]
     }
 }
 

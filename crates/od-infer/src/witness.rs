@@ -33,7 +33,7 @@ use crate::closure::{constants, fd_closure};
 use crate::decide::Decider;
 use crate::odset::OdSet;
 use od_core::{
-    AttrId, AttrList, AttrSet, OrderCompatibility, OrderDependency, Relation, Schema, Value,
+    AttrId, AttrList, AttrSet, OrderCompatibility, OrderDependency, Relation, Schema, Tuple, Value,
 };
 
 /// Append two tables over the same schema per Definition 17: normalize both to a
@@ -47,47 +47,47 @@ pub fn append(t1: &Relation, t2: &Relation) -> Relation {
         t2.schema(),
         "append requires identical schemas"
     );
-    let cell = |v: &Value| v.as_int().expect("witness tables hold integer cells");
-    let min1 = t1
-        .iter()
-        .flat_map(|r| r.iter())
-        .map(cell)
-        .min()
-        .unwrap_or(0);
-    let max1 = t1
-        .iter()
-        .flat_map(|r| r.iter())
-        .map(cell)
-        .max()
-        .unwrap_or(0)
-        - min1;
-    let min2 = t2
-        .iter()
-        .flat_map(|r| r.iter())
-        .map(cell)
-        .min()
-        .unwrap_or(0);
-    let shift2 = max1 + 1 - min2;
+    let rows = append_rows(t1.tuples(), t2.tuples());
+    Relation::from_rows(t1.schema().clone(), rows).expect("same arity")
+}
 
-    let mut out = Relation::new(t1.schema().clone());
-    for row in t1.iter() {
-        out.push(row.iter().map(|v| Value::Int(cell(v) - min1)).collect())
-            .expect("same arity");
+/// [`append`] over rows, so the constructions below fold their blocks and
+/// encode the result once.
+fn append_rows(mut t1: Vec<Tuple>, mut t2: Vec<Tuple>) -> Vec<Tuple> {
+    let int = |v: &Value| v.as_int().expect("witness tables hold integer cells");
+    let min1 = t1.iter().flatten().map(int).min().unwrap_or(0);
+    let max1 = t1.iter().flatten().map(int).max().unwrap_or(0) - min1;
+    let shift2 = max1 + 1 - t2.iter().flatten().map(int).min().unwrap_or(0);
+    for (rows, by) in [(&mut t1, -min1), (&mut t2, shift2)] {
+        for v in rows.iter_mut().flatten() {
+            *v = Value::Int(int(v) + by);
+        }
     }
-    for row in t2.iter() {
-        out.push(row.iter().map(|v| Value::Int(cell(v) + shift2)).collect())
-            .expect("same arity");
-    }
-    out
+    t1.append(&mut t2);
+    t1
+}
+
+/// Fold blocks with [`append_rows`], the first one taken as it is.
+fn append_blocks(blocks: impl IntoIterator<Item = Vec<Tuple>>) -> Vec<Tuple> {
+    blocks.into_iter().fold(Vec::new(), |acc, block| {
+        if acc.is_empty() {
+            block
+        } else {
+            append_rows(acc, block)
+        }
+    })
 }
 
 /// The `split(ℳ)` sub-table (Definition 15): for every subset `W` of the
 /// universe, a two-row block with `0` on `W⁺` and `(0, 1)` elsewhere (Figure 7),
 /// blocks combined with [`append`].
 pub fn split_table(m: &OdSet, schema: &Schema, universe: &[AttrId]) -> Relation {
-    let mut result = Relation::new(schema.clone());
+    Relation::from_rows(schema.clone(), split_rows(m, schema, universe)).expect("arity")
+}
+
+fn split_rows(m: &OdSet, schema: &Schema, universe: &[AttrId]) -> Vec<Tuple> {
     let n = universe.len();
-    for mask in 0..(1u64 << n.min(20)) {
+    append_blocks((0..(1u64 << n.min(20))).map(|mask| {
         let subset: AttrSet = universe
             .iter()
             .enumerate()
@@ -103,20 +103,18 @@ pub fn split_table(m: &OdSet, schema: &Schema, universe: &[AttrId]) -> Relation 
             }
         }
         // Attributes outside the universe (constants) stay 0 in both rows.
-        let block = Relation::from_rows(schema.clone(), vec![row0, row1]).expect("arity");
-        result = if result.is_empty() {
-            block
-        } else {
-            append(&result, &block)
-        };
-    }
-    result
+        vec![row0, row1]
+    }))
 }
 
 /// The `swap(ℳ)` sub-table (Definition 16): two-row swap blocks for every pair
 /// of non-constant attributes and every context in which a swap is admissible.
 pub fn swap_table(m: &OdSet, schema: &Schema, universe: &[AttrId]) -> Relation {
-    let mut result = Relation::new(schema.clone());
+    Relation::from_rows(schema.clone(), swap_rows(m, schema, universe)).expect("arity")
+}
+
+fn swap_rows(m: &OdSet, schema: &Schema, universe: &[AttrId]) -> Vec<Tuple> {
+    let mut blocks = Vec::new();
     let non_const: Vec<AttrId> = {
         let k = constants(m);
         universe
@@ -159,16 +157,11 @@ pub fn swap_table(m: &OdSet, schema: &Schema, universe: &[AttrId]) -> Relation {
                     .iter()
                     .find_map(|od| d.counterexample(od))
                     .expect("compatibility not implied, so one direction has a counterexample");
-                let block = pattern.to_relation(schema);
-                result = if result.is_empty() {
-                    block
-                } else {
-                    append(&result, &block)
-                };
+                blocks.push(pattern.rows(schema));
             }
         }
     }
-    result
+    append_blocks(blocks)
 }
 
 /// Build the full witness table `split(ℳ)` append `swap(ℳ)` over the attributes
@@ -183,20 +176,20 @@ pub fn witness_table(m: &OdSet, schema: &Schema) -> Relation {
             OrderDependency::new(od.lhs.project_out(&consts), od.rhs.project_out(&consts))
         }));
 
-    let split = split_table(&projected, schema, &universe);
-    let swap = swap_table(&projected, schema, &universe);
-    let mut table = if swap.is_empty() {
+    let split = split_rows(&projected, schema, &universe);
+    let swap = swap_rows(&projected, schema, &universe);
+    let mut rows = if swap.is_empty() {
         split
     } else {
-        append(&split, &swap)
+        append_rows(split, swap)
     };
     // Freeze the constant columns to a single value.
-    for row in table.tuples_mut() {
+    for row in &mut rows {
         for c in &consts {
             row[c.index()] = Value::Int(0);
         }
     }
-    table
+    Relation::from_rows(schema.clone(), rows).expect("arity")
 }
 
 /// Materialize sampled violating row pairs as a standalone witness relation:
@@ -218,17 +211,8 @@ pub fn violation_table(rel: &Relation, pairs: &[(usize, usize)]) -> Relation {
         .collect();
     let row_of =
         |t: usize| -> Vec<Value> { codes.iter().map(|col| Value::Int(col[t] as i64)).collect() };
-    let mut out = Relation::new(rel.schema().clone());
-    for &(s, t) in pairs {
-        let block =
-            Relation::from_rows(rel.schema().clone(), vec![row_of(s), row_of(t)]).expect("arity");
-        out = if out.is_empty() {
-            block
-        } else {
-            append(&out, &block)
-        };
-    }
-    out
+    let rows = append_blocks(pairs.iter().map(|&(s, t)| vec![row_of(s), row_of(t)]));
+    Relation::from_rows(rel.schema().clone(), rows).expect("arity")
 }
 
 /// Enumerate every normalized OD over `universe` with each side of length at most

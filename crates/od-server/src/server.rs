@@ -690,7 +690,7 @@ fn handle(
                 let discovery = od_discovery::discover_ods(&rel, DiscoveryConfig::default());
                 Monitor::watch_install_set(&rel, &discovery, epsilon)
             } else {
-                Monitor::watch(&rel, ods, epsilon, 1)
+                Monitor::watch(&rel, ods, epsilon)
             };
             let watched = monitor.statuses().len() as u64;
             // Lift the sync callback onto the wire: one broadcast callback

@@ -216,7 +216,7 @@ fn wire_statuses_match_in_process_monitor() {
     let (server, addr) = boot();
     let mut client = Client::connect(addr).unwrap();
     let rel = od_workload::tax::generate_taxes(INITIAL_ROWS, 42);
-    let mut local = od_discovery::Monitor::watch(&rel, watched_ods(), EPSILON, 1);
+    let mut local = od_discovery::Monitor::watch(&rel, watched_ods(), EPSILON);
     for t in 0..THREADS {
         for b in 0..BATCHES_PER_THREAD {
             apply(&mut client, t, b);

@@ -25,10 +25,9 @@
 //! The empty context is special: its partition is the pass-free full class,
 //! which every worker holds, so level-0 scans round-robin across workers
 //! instead of serializing on one.  Each worker loads the serialized
-//! columnar snapshot ([`Relation::to_bytes`]) once at startup and decodes
-//! it **tuple-free** ([`od_core::wire::get_relation_snapshot_columns`] +
-//! [`PartitionCache::from_encoding`]): refinement and scans read dense
-//! codes only, so no worker ever materializes a row store.
+//! columnar snapshot ([`Relation::to_bytes`]) once at startup with
+//! [`Relation::from_bytes`], which keeps the transported encoding as it is:
+//! no column is re-sorted.
 //!
 //! ## Frame taxonomy
 //!
@@ -837,17 +836,9 @@ pub fn run_worker(r: &mut impl Read, w: &mut impl Write) -> io::Result<()> {
             op => return Err(invalid(format!("unexpected opcode {op} before snapshot"))),
         }
     }
-    // Tuple-free load: refinement and scans read dense codes only, so the
-    // worker decodes `(schema, encoding)` and never materializes a row
-    // store — at a million rows that skips the dominant share of startup.
-    let (schema, enc) = {
-        let mut rd = Reader::new(&snapshot);
-        let parts = wire::get_relation_snapshot_columns(&mut rd).map_err(invalid)?;
-        rd.finish().map_err(invalid)?;
-        parts
-    };
+    let rel = Relation::from_bytes(&snapshot).map_err(invalid)?;
     drop(snapshot);
-    let mut cache = PartitionCache::from_encoding(std::sync::Arc::new(enc));
+    let mut cache = PartitionCache::new(&rel);
     // -- Phase 2: prewarm -------------------------------------------------
     // The single-process traversal always builds per-attribute class-code
     // columns for free from cached singleton partitions; a worker only owns
@@ -855,7 +846,7 @@ pub fn run_worker(r: &mut impl Read, w: &mut impl Write) -> io::Result<()> {
     // `Π_∅`, every shard's refinement root).  Singleton partitions are
     // evicted again so the level-1 refinements run — and count radix passes
     // — exactly like the single-process batch.
-    let attrs: Vec<AttrId> = schema.attr_ids().collect();
+    let attrs: Vec<AttrId> = rel.schema().attr_ids().collect();
     for &a in &attrs {
         cache.partition(&AttrSet::singleton(a));
         cache.attr_class_codes(a);

@@ -237,7 +237,7 @@ impl<'r> SetBasedEngine<'r> {
     /// and performs one exact scan per monitored statement's context; that
     /// one-time cost buys re-scan-free maintenance from then on.
     pub fn into_monitor(self) -> StreamMonitor {
-        let mut monitor = StreamMonitor::new(self.cache.relation(), self.threads);
+        let mut monitor = StreamMonitor::new(self.cache.relation());
         let mut stmts: Vec<SetOd> = self.verdicts.into_keys().collect();
         stmts.sort();
         for stmt in &stmts {
@@ -433,7 +433,7 @@ mod tests {
         // Everything the engine memoized is now a live ledger.
         assert_eq!(monitor.od_removal(&od), Some(0));
         // A swap insert flips the live verdict without any engine rebuild.
-        let mut bad = rel.tuple(0).clone();
+        let mut bad = rel.tuple(0);
         bad[income.index()] = od_core::Value::Int(9_999_999);
         bad[bracket.index()] = od_core::Value::Int(-1);
         monitor

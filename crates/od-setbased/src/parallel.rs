@@ -422,39 +422,6 @@ pub fn refine_batch(
     (out, passes, product_passes)
 }
 
-/// Run `patch` over every ledger, sharded over up to `threads` threads.
-///
-/// This is the streaming counterpart of [`scan_classes`]: where a snapshot
-/// scan shards the *classes* of one partition, a delta patch shards the
-/// *ledgers* — each [`crate::stream::VerdictLedger`] owns its per-class state
-/// and reads only shared immutable structures (partitions, column codes), so
-/// ledgers are embarrassingly parallel.  Serial when `threads ≤ 1` or there
-/// is at most one ledger.
-pub fn for_each_ledger<T, F>(ledgers: &mut [T], threads: usize, patch: F)
-where
-    T: Send,
-    F: Fn(&mut T) + Sync,
-{
-    let threads = threads.clamp(1, ledgers.len().max(1));
-    if threads <= 1 || ledgers.len() < 2 {
-        for ledger in ledgers {
-            patch(ledger);
-        }
-        return;
-    }
-    let chunk_size = ledgers.len().div_ceil(threads);
-    std::thread::scope(|scope| {
-        for chunk in ledgers.chunks_mut(chunk_size) {
-            let patch = &patch;
-            scope.spawn(move || {
-                for ledger in chunk {
-                    patch(ledger);
-                }
-            });
-        }
-    });
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -571,19 +538,5 @@ mod tests {
         assert_eq!(serial[0].removal_count, 17 * 4);
         assert!(serial[1].holds() && serial[2].holds());
         assert!(validate_statement_batch(&[], 8, 0).is_empty());
-    }
-
-    #[test]
-    fn for_each_ledger_visits_every_item_on_any_thread_count() {
-        for threads in [1, 2, 5, 16] {
-            let mut items: Vec<usize> = (0..23).collect();
-            for_each_ledger(&mut items, threads, |item| *item += 100);
-            assert!(
-                items.iter().enumerate().all(|(i, &v)| v == i + 100),
-                "threads = {threads}"
-            );
-        }
-        let mut empty: Vec<usize> = Vec::new();
-        for_each_ledger(&mut empty, 4, |_| unreachable!());
     }
 }

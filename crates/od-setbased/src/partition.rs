@@ -456,7 +456,7 @@ impl StrippedPartition {
 
 /// Memoizing builder of stripped partitions per attribute set, plus the
 /// per-attribute code columns all validators work on (served as [`ColCodes`]
-/// views into the relation's eagerly built [`ColumnarEncoding`]).
+/// views into the relation's [`ColumnarEncoding`]).
 ///
 /// `Π_X` is computed once per distinct `X`, by composing the partition of a
 /// maximal cached subset (in practice `X` minus its last attribute, which the
@@ -467,13 +467,7 @@ impl StrippedPartition {
 /// [`Self::evict_sets_of_size`] — eviction drops whole-partition CSR arrays,
 /// not the dense columns products keep re-reading.
 pub struct PartitionCache<'r> {
-    /// The backing row store, absent for caches built straight from a
-    /// columnar encoding ([`Self::from_encoding`]) — every partition and
-    /// scan path reads dense codes only, so distributed workers never pay
-    /// for tuple materialization.
-    rel: Option<&'r Relation>,
-    n_rows: usize,
-    enc: Arc<ColumnarEncoding>,
+    rel: &'r Relation,
     /// Memoized partitions, keyed directly by the attribute-set bit mask —
     /// hashing a context costs one `u64` hash, not a `Vec<AttrId>` walk.
     partitions: HashMap<AttrSet, Rc<StrippedPartition>>,
@@ -488,31 +482,10 @@ pub struct PartitionCache<'r> {
 }
 
 impl<'r> PartitionCache<'r> {
-    /// A cache over one relation instance (grabs the shared columnar
-    /// encoding, building it if the relation was mutated since construction).
+    /// A cache over one relation instance and its columnar encoding.
     pub fn new(rel: &'r Relation) -> Self {
         PartitionCache {
-            rel: Some(rel),
-            n_rows: rel.len(),
-            enc: rel.encoding(),
-            partitions: HashMap::new(),
-            attr_codes: HashMap::new(),
-            attr_orders: HashMap::new(),
-            scratch: RefineScratch::default(),
-        }
-    }
-
-    /// A cache over a columnar encoding alone, with no backing row store.
-    /// Partition products, class codes, and statement scans all read dense
-    /// codes, so this cache serves the full refinement/validation surface;
-    /// only [`Self::relation`] is off-limits.  Distributed workers use this
-    /// to skip rebuilding `n_rows` tuples from a snapshot they would never
-    /// row-access.
-    pub fn from_encoding(enc: Arc<ColumnarEncoding>) -> PartitionCache<'static> {
-        PartitionCache {
-            rel: None,
-            n_rows: enc.n_rows(),
-            enc,
+            rel,
             partitions: HashMap::new(),
             attr_codes: HashMap::new(),
             attr_orders: HashMap::new(),
@@ -521,20 +494,14 @@ impl<'r> PartitionCache<'r> {
     }
 
     /// The relation the cache serves.
-    ///
-    /// # Panics
-    ///
-    /// If the cache was built by [`Self::from_encoding`], which carries no
-    /// row store.
     pub fn relation(&self) -> &'r Relation {
         self.rel
-            .expect("PartitionCache::from_encoding carries no row store")
     }
 
     /// Order-preserving dense codes of one column — an O(1) view into the
     /// shared encoding (historically this memoized per-attribute sorts).
     pub fn codes(&self, attr: AttrId) -> ColCodes {
-        ColCodes::new(self.enc.clone(), attr.index())
+        ColCodes::new(self.rel.encoding(), attr.index())
     }
 
     /// Radix counting passes spent bucketing u32 refinement keys so far
@@ -577,7 +544,8 @@ impl<'r> PartitionCache<'r> {
         if let Some(order) = self.attr_orders.get(&attr) {
             return order.clone();
         }
-        let col = self.enc.column(attr.index());
+        let enc = self.rel.encoding();
+        let col = enc.column(attr.index());
         let order = Rc::new(rows_by_code(col.codes(), col.distinct_count()));
         self.attr_orders.insert(attr, order.clone());
         order
@@ -589,7 +557,7 @@ impl<'r> PartitionCache<'r> {
             return p.clone();
         }
         let part = match set.last() {
-            None => StrippedPartition::full(self.n_rows),
+            None => StrippedPartition::full(self.rel.len()),
             Some(last) => {
                 // Compose from the partition of X minus its last attribute —
                 // under level-wise traversal that subset is already cached,

@@ -46,11 +46,8 @@ fn brute_force_statement_removal(rel: &Relation, stmt: &SetOd) -> usize {
         if keep.len() <= best {
             continue;
         }
-        let sub = Relation::from_rows(
-            rel.schema().clone(),
-            keep.iter().map(|&i| rel.tuple(i).clone()),
-        )
-        .expect("same schema");
+        let sub = Relation::from_rows(rel.schema().clone(), keep.iter().map(|&i| rel.tuple(i)))
+            .expect("same schema");
         if ods.iter().all(|od| od_holds(&sub, od)) {
             best = keep.len();
         }

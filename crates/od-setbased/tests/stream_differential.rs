@@ -159,7 +159,7 @@ proptest! {
         let rel = Relation::from_rows(schema(), initial.into_iter().map(to_row))
             .expect("fixed arity");
         let stmts = all_statements(2);
-        let mut monitor = StreamMonitor::new(&rel, 1);
+        let mut monitor = StreamMonitor::new(&rel);
         for stmt in &stmts {
             monitor.monitor_statement(stmt);
         }
@@ -222,7 +222,7 @@ proptest! {
         let initial: Vec<Vec<Value>> = initial.into_iter().map(mixed_row).collect();
         let rel = Relation::from_rows(schema(), initial.clone()).expect("fixed arity");
         let stmts = all_statements(2);
-        let mut monitor = StreamMonitor::new(&rel, 1);
+        let mut monitor = StreamMonitor::new(&rel);
         for stmt in &stmts {
             monitor.monitor_statement(stmt);
         }
@@ -253,9 +253,9 @@ proptest! {
 
             let decoded = monitor.to_relation();
             prop_assert_eq!(decoded.len(), mirror.len());
-            for (row, (id, expected)) in decoded.tuples().iter().zip(&mirror) {
+            for (row, (id, expected)) in decoded.iter().zip(&mirror) {
                 prop_assert!(monitor.is_alive(*id), "mirror id {} is dead", id);
-                prop_assert_eq!(row, expected);
+                prop_assert_eq!(&row, expected);
             }
             let oracle_input =
                 Relation::from_rows(schema(), mirror.iter().map(|(_, row)| row.clone()))
@@ -279,8 +279,8 @@ proptest! {
         let empty = Relation::from_rows(schema(), std::iter::empty()).expect("empty");
         let stmts = all_statements(2);
 
-        let mut bulk = StreamMonitor::new(&empty, 1);
-        let mut one_by_one = StreamMonitor::new(&empty, 1);
+        let mut bulk = StreamMonitor::new(&empty);
+        let mut one_by_one = StreamMonitor::new(&empty);
         for stmt in &stmts {
             bulk.monitor_statement(stmt);
             one_by_one.monitor_statement(stmt);
@@ -319,7 +319,7 @@ proptest! {
         let rel = Relation::from_rows(schema(), initial.into_iter().map(to_row))
             .expect("fixed arity");
         let stmts = all_statements(2);
-        let mut monitor = StreamMonitor::new(&rel, 1);
+        let mut monitor = StreamMonitor::new(&rel);
         for stmt in &stmts {
             monitor.monitor_statement(stmt);
         }

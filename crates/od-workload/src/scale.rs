@@ -119,7 +119,7 @@ pub fn generate_scale_rows(cfg: &ScaleConfig) -> Vec<Vec<Value>> {
     rows
 }
 
-/// Generate a scale relation (rows plus the eagerly built columnar encoding).
+/// Generate a scale relation, encoded once by [`Relation::from_rows`].
 pub fn scale_relation(cfg: &ScaleConfig) -> Relation {
     Relation::from_rows(scale_schema(), generate_scale_rows(cfg)).expect("schema-conformant rows")
 }

@@ -13,7 +13,7 @@
 //!
 //! Run with `cargo run --release --example discovery_setbased`.
 
-use od_core::Value;
+use od_core::{Relation, Value};
 use od_discovery::{discover_ods, discover_ods_naive, DiscoveryConfig};
 use od_optimizer::{names_to_list, OdRegistry};
 use od_setbased::{discover_statements, LatticeConfig};
@@ -74,13 +74,14 @@ fn main() {
     // --- Approximate discovery on dirty data -------------------------------
     // Corrupt ~1% of the d_year column: exact discovery drops every OD that
     // leans on it, a 2% g3 threshold keeps them, each tagged with its error.
-    let mut dirty = rel.clone();
     let year_idx = schema.attr_by_name("d_year").unwrap().index();
-    for (i, row) in dirty.tuples_mut().iter_mut().enumerate() {
+    let dirty_rows = rel.iter().enumerate().map(|(i, mut row)| {
         if i % 101 == 7 {
             row[year_idx] = Value::Int(-1);
         }
-    }
+        row
+    });
+    let dirty = Relation::from_rows(schema.clone(), dirty_rows).unwrap();
     let exact_on_dirty = discover_ods(&dirty, config);
     let approx = discover_ods(
         &dirty,

@@ -43,7 +43,7 @@ fn main() {
     let fresh = generate_date_dim(2030, 400, 9_450_000);
     let mut batch = DeltaBatch::new();
     for i in 0..200 {
-        batch = batch.delete(i as u32).insert(fresh.tuple(i).clone());
+        batch = batch.delete(i as u32).insert(fresh.tuple(i));
     }
     let start = Instant::now();
     let report = monitor.apply(&batch).expect("clean churn");
@@ -58,7 +58,7 @@ fn main() {
     let year_idx = schema.attr_by_name("d_year").unwrap().index();
     let mut dirty = DeltaBatch::new();
     for i in 200..208 {
-        let mut row = fresh.tuple(i).clone();
+        let mut row = fresh.tuple(i);
         row[year_idx] = Value::Int(1900 - i as i64); // sk increases, year crashes
         dirty = dirty.insert(row);
     }

@@ -100,7 +100,7 @@ proptest! {
         registry.add_od("t", declared);
         let reduced = od_optimizer::reduce_order_by_od(&order, "t", &mut registry);
         // Sorting by the reduced list must yield a stream ordered by the original.
-        let mut rows = rel.tuples().to_vec();
+        let mut rows = rel.tuples();
         rows.sort_by(|a, b| od_core::lex_cmp(a, b, &reduced));
         for w in rows.windows(2) {
             prop_assert!(od_core::lex_le(&w[0], &w[1], &order));
