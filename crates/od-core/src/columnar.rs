@@ -13,15 +13,18 @@
 //! so when a column contains NULLs they receive the dedicated code `0` and
 //! `dict[0] == Value::Null`.
 //!
-//! The encoder never compares `Value`s on its hot path when it can avoid it:
-//! a column whose non-null values are all integers, all dates, or all
-//! booleans is mapped to order-preserving `u64` keys and sorted with the LSB
-//! [radix sort](crate::radix) (stable, so the resulting code assignment is
-//! bit-identical to the comparison sort it replaces); heterogeneous, string,
-//! and float columns fall back to a comparison sort on the `Value` order.
-//! Either way the codes are the same, and every discovery layer shares the
-//! one encoding a [`Relation`](crate::Relation) is built with instead of
-//! re-sorting per attribute.
+//! The encoder reads the rows once.  One row-major pass classifies every
+//! column and collects the order-preserving `u64` key of each cell of a
+//! column whose non-null values are all integers, all dates, or all booleans.
+//! Such a column is sorted as `(key, row)` pairs with the stable LSB
+//! [radix sort](crate::radix), which leaves key-ordered input (a presorted
+//! column) as it is at no pass, and its dictionary entries are decoded from
+//! the sorted keys, so the rows are not read again.  Heterogeneous, string,
+//! and float columns go back to the rows for one comparison sort on the
+//! `Value` order.  Either way the codes and dictionaries are the same, and
+//! every discovery layer shares the one encoding a
+//! [`Relation`](crate::Relation) is built with instead of re-sorting per
+//! attribute.
 
 use crate::attr::Schema;
 use crate::radix;
@@ -84,22 +87,44 @@ impl ColumnarEncoding {
     pub fn build(schema: &Schema, tuples: &[Tuple]) -> Self {
         let _span = od_obs::span("relation.encode");
         let arity = schema.arity();
-        let mut columns = Vec::with_capacity(arity);
+        let n_rows = tuples.len();
         let mut pairs: Vec<(u64, u32)> = Vec::new();
         let mut scratch: Vec<(u64, u32)> = Vec::new();
         let mut radix_passes = 0u64;
-        for col in 0..arity {
-            let encoded = encode_column(tuples, col, &mut pairs, &mut scratch, &mut radix_passes);
+        let mut columns = Vec::with_capacity(arity);
+        for (col, scan) in scan_columns(tuples, arity).into_iter().enumerate() {
+            let encoded = match scan {
+                ColumnScan::Keys {
+                    class: Some(class),
+                    keys,
+                    nulls,
+                } => encode_radix(
+                    class,
+                    keys,
+                    &nulls,
+                    n_rows,
+                    &mut pairs,
+                    &mut scratch,
+                    &mut radix_passes,
+                ),
+                // All-NULL (or empty) column: one dictionary entry at most.
+                ColumnScan::Keys { nulls, .. } => EncodedColumn {
+                    dict: if nulls.is_empty() {
+                        Vec::new()
+                    } else {
+                        vec![Value::Null]
+                    },
+                    codes: vec![0u32; n_rows],
+                },
+                ColumnScan::Comparison => encode_by_comparison(tuples, col),
+            };
             od_obs::record("relation.encode.dict_entries", encoded.dict.len() as u64);
             columns.push(encoded);
         }
         od_obs::add("relation.encode.columns", arity as u64);
-        od_obs::add("relation.encode.rows", tuples.len() as u64);
+        od_obs::add("relation.encode.rows", n_rows as u64);
         od_obs::add("relation.encode.radix_passes", radix_passes);
-        ColumnarEncoding {
-            columns,
-            n_rows: tuples.len(),
-        }
+        ColumnarEncoding { columns, n_rows }
     }
 
     /// Reassemble an encoding from decoded columns (the wire snapshot
@@ -150,100 +175,110 @@ enum KeyClass {
     Bool,
 }
 
-/// Order-preserving `u64` key for a non-null value of the given class
-/// (`i64`/`i32` order maps onto `u64` order by flipping the sign bit).
-#[inline]
-fn radix_key(value: &Value, class: KeyClass) -> u64 {
-    match (class, value) {
-        (KeyClass::Int, Value::Int(v)) => (*v as u64) ^ (1u64 << 63),
-        (KeyClass::Date, Value::Date(d)) => (*d as i64 as u64) ^ (1u64 << 63),
-        (KeyClass::Bool, Value::Bool(b)) => *b as u64,
-        _ => unreachable!("key class established by a full column scan"),
-    }
-}
+/// Flipping it maps `i64` order (and `i32` order, sign-extended) onto `u64`
+/// order.
+const SIGN: u64 = 1 << 63;
 
-/// The key class of a single non-null value, if it has one.
-fn key_class(value: &Value) -> Option<KeyClass> {
-    match value {
-        Value::Int(_) => Some(KeyClass::Int),
-        Value::Date(_) => Some(KeyClass::Date),
-        Value::Bool(_) => Some(KeyClass::Bool),
+/// The key class and order-preserving `u64` key of a value that has one.
+#[inline]
+fn radix_key(value: &Value) -> Option<(KeyClass, u64)> {
+    match *value {
+        Value::Int(v) => Some((KeyClass::Int, v as u64 ^ SIGN)),
+        Value::Date(d) => Some((KeyClass::Date, i64::from(d) as u64 ^ SIGN)),
+        Value::Bool(b) => Some((KeyClass::Bool, u64::from(b))),
         _ => None,
     }
 }
 
-fn encode_column(
-    tuples: &[Tuple],
-    col: usize,
-    pairs: &mut Vec<(u64, u32)>,
-    scratch: &mut Vec<(u64, u32)>,
-    radix_passes: &mut u64,
-) -> EncodedColumn {
-    // A column qualifies for the radix path when every non-null value shares
-    // one key class — cross-class `u64` keys cannot reproduce the mixed-type
-    // `Value` order, and Float/Str stay on the comparison path.
-    let mut class: Option<KeyClass> = None;
-    let mut has_null = false;
-    let mut radixable = true;
-    for t in tuples {
-        match &t[col] {
-            Value::Null => has_null = true,
-            v => match (key_class(v), class) {
-                (Some(k), None) => class = Some(k),
-                (Some(k), Some(c)) if k == c => {}
-                _ => {
-                    radixable = false;
-                    break;
-                }
-            },
-        }
-    }
+/// The inverse of [`radix_key`]: the value of `class` whose key is `key`.
+#[inline]
+fn key_value(class: KeyClass, key: u64) -> Value {
     match class {
-        Some(class) if radixable => {
-            encode_radix(tuples, col, class, has_null, pairs, scratch, radix_passes)
-        }
-        None if radixable => {
-            // All-NULL (or empty) column: one dictionary entry at most.
-            let dict = if has_null {
-                vec![Value::Null]
-            } else {
-                Vec::new()
-            };
-            EncodedColumn {
-                dict,
-                codes: vec![0u32; tuples.len()],
-            }
-        }
-        _ => encode_by_comparison(tuples, col),
+        KeyClass::Int => Value::Int((key ^ SIGN) as i64),
+        KeyClass::Date => Value::Date((key ^ SIGN) as i64 as i32),
+        KeyClass::Bool => Value::Bool(key != 0),
     }
 }
 
+/// What the row pass learns about one column.
+enum ColumnScan {
+    /// Every non-null cell so far has a radix key of one class (`None` until
+    /// the first such cell).  `keys` holds one key per non-null cell and
+    /// `nulls` the NULL rows, both in row order.
+    Keys {
+        class: Option<KeyClass>,
+        keys: Vec<u64>,
+        nulls: Vec<u32>,
+    },
+    /// A float or string cell, or a second key class: cross-class `u64` keys
+    /// cannot reproduce the mixed-type `Value` order, so the column takes
+    /// the comparison path.
+    Comparison,
+}
+
+impl ColumnScan {
+    #[inline]
+    fn push(&mut self, row: usize, value: &Value) {
+        let ColumnScan::Keys { class, keys, nulls } = self else {
+            return;
+        };
+        match (value, radix_key(value)) {
+            (Value::Null, _) => nulls.push(row as u32),
+            // The first key class seen is the column's.
+            (_, Some((k, key))) if *class.get_or_insert(k) == k => keys.push(key),
+            _ => *self = ColumnScan::Comparison,
+        }
+    }
+}
+
+/// Classify every column and collect its radix keys in one row-major pass.
+fn scan_columns(tuples: &[Tuple], arity: usize) -> Vec<ColumnScan> {
+    let mut scans: Vec<ColumnScan> = (0..arity)
+        .map(|_| ColumnScan::Keys {
+            class: None,
+            keys: Vec::with_capacity(tuples.len()),
+            nulls: Vec::new(),
+        })
+        .collect();
+    for (row, t) in tuples.iter().enumerate() {
+        for (scan, value) in scans.iter_mut().zip(&t[..arity]) {
+            scan.push(row, value);
+        }
+    }
+    scans
+}
+
 /// Radix path: NULL rows keep code 0, non-null rows are sorted as
-/// `(u64 key, row)` pairs and runs of equal keys share a code.
+/// `(u64 key, row)` pairs, runs of equal keys share a code, and each
+/// dictionary entry is decoded from its run's key.
 fn encode_radix(
-    tuples: &[Tuple],
-    col: usize,
     class: KeyClass,
-    has_null: bool,
+    keys: Vec<u64>,
+    nulls: &[u32],
+    n_rows: usize,
     pairs: &mut Vec<(u64, u32)>,
     scratch: &mut Vec<(u64, u32)>,
     radix_passes: &mut u64,
 ) -> EncodedColumn {
+    let mut null_rows = nulls.iter().copied().peekable();
     pairs.clear();
-    pairs.extend(tuples.iter().enumerate().filter_map(|(row, t)| {
-        let v = &t[col];
-        (!v.is_null()).then(|| (radix_key(v, class), row as u32))
-    }));
+    pairs.extend(
+        (0..n_rows as u32)
+            .filter(|&row| null_rows.next_if_eq(&row).is_none())
+            .zip(keys)
+            .map(|(row, key)| (key, row)),
+    );
     *radix_passes += u64::from(radix::sort_pairs(pairs, scratch));
-    let mut codes = vec![0u32; tuples.len()];
-    let mut dict = Vec::new();
-    if has_null {
+    let runs = pairs.windows(2).filter(|w| w[0].0 != w[1].0).count() + 1;
+    let mut dict = Vec::with_capacity(runs + usize::from(!nulls.is_empty()));
+    if !nulls.is_empty() {
         dict.push(Value::Null);
     }
+    let mut codes = vec![0u32; n_rows];
     let mut prev_key: Option<u64> = None;
     for &(key, row) in pairs.iter() {
         if prev_key != Some(key) {
-            dict.push(tuples[row as usize][col].clone());
+            dict.push(key_value(class, key));
             prev_key = Some(key);
         }
         codes[row as usize] = (dict.len() - 1) as u32;
@@ -344,9 +379,95 @@ mod tests {
         ];
         let enc = ColumnarEncoding::build(&schema(3), &tuples);
         assert_valid_encoding(&tuples, &enc);
+        assert!(scan_columns(&tuples, 3)
+            .iter()
+            .all(|scan| matches!(scan, ColumnScan::Comparison)));
         // NULL still smallest on the comparison path; NaN sorts last.
         assert_eq!(enc.codes(0), &[2, 1, 0, 1]);
         assert_eq!(enc.codes(1), &[2, 1, 3, 0]);
+    }
+
+    /// Every key class, shape and NULL placement of a radix column, checked
+    /// against its input rows and against the comparison path.  At 300 rows
+    /// the `Int` and `Date` codes span two radix bytes, and their extreme
+    /// values catch a dictionary entry decoded with the wrong sign.
+    #[test]
+    fn radix_columns_match_their_rows_and_the_comparison_path() {
+        const N: usize = 300;
+        let int = |r: usize| {
+            Value::Int(match r {
+                0 => i64::MIN,
+                r if r == N - 1 => i64::MAX,
+                r => (r as i64 - 150) * 1_000_003,
+            })
+        };
+        let date = |r: usize| {
+            Value::Date(match r {
+                0 => i32::MIN,
+                r if r == N - 1 => i32::MAX,
+                r => (r as i32 - 200) * 97,
+            })
+        };
+        let boolean = |r: usize| Value::Bool(r >= N / 2);
+        let classes: [&dyn Fn(usize) -> Value; 3] = [&int, &date, &boolean];
+        let shapes: [fn(usize) -> usize; 5] = [
+            |i| i,                              // ascending
+            |i| N - 1 - i,                      // descending
+            |_| N / 3,                          // constant
+            |i| i * 7919 % N,                   // shuffled
+            |i| if i == N - 1 { 0 } else { i }, // one descent, in the last pair
+        ];
+        let mut columns: Vec<Vec<Value>> = Vec::new();
+        for class in classes {
+            for shape in shapes {
+                for null_row in [None, Some(0), Some(N / 2), Some(N - 1)] {
+                    columns.push(
+                        (0..N)
+                            .map(|i| match null_row {
+                                Some(r) if r == i => Value::Null,
+                                _ => class(shape(i)),
+                            })
+                            .collect(),
+                    );
+                }
+            }
+        }
+        let radix_columns = columns.len();
+        // Two key classes, or a class and a float: the comparison path.
+        columns.push(
+            (0..N)
+                .map(|i| match i % 2 {
+                    0 => int(i * 7919 % N),
+                    _ => date(i * 7919 % N),
+                })
+                .collect(),
+        );
+        columns.push(
+            (0..N)
+                .map(|i| match i % 3 {
+                    0 => Value::Float(i as f64 + 0.5),
+                    _ => Value::Int(i as i64 * 7919 % N as i64),
+                })
+                .collect(),
+        );
+        let tuples: Vec<Tuple> = (0..N)
+            .map(|i| columns.iter().map(|c| c[i].clone()).collect())
+            .collect();
+        let enc = ColumnarEncoding::build(&schema(columns.len()), &tuples);
+        assert_valid_encoding(&tuples, &enc);
+        for (col, scan) in scan_columns(&tuples, columns.len()).iter().enumerate() {
+            if col < radix_columns {
+                assert!(matches!(scan, ColumnScan::Keys { class: Some(_), .. }));
+                // Debug output tells variants apart, which `==` does not.
+                assert_eq!(
+                    format!("{:?}", enc.column(col)),
+                    format!("{:?}", encode_by_comparison(&tuples, col)),
+                    "column {col}"
+                );
+            } else {
+                assert!(matches!(scan, ColumnScan::Comparison), "column {col}");
+            }
+        }
     }
 
     #[test]
@@ -378,20 +499,32 @@ mod tests {
     /// hook would silently zero them.
     #[test]
     fn encode_metrics_are_pinned() {
+        let metrics = |schema: &Schema, tuples: &[Tuple]| {
+            let registry = std::sync::Arc::new(od_obs::Registry::new());
+            od_obs::scoped(std::sync::Arc::clone(&registry), || {
+                ColumnarEncoding::build(schema, tuples)
+            });
+            registry.snapshot()
+        };
+        // The taxes table is sorted on all three columns: no radix pass.
         let rel = crate::fixtures::example_5_taxes();
-        let registry = std::sync::Arc::new(od_obs::Registry::new());
-        od_obs::scoped(std::sync::Arc::clone(&registry), || {
-            ColumnarEncoding::build(rel.schema(), &rel.tuples())
-        });
-        let snap = registry.snapshot();
+        let snap = metrics(rel.schema(), &rel.tuples());
         let counter = |name: &str| snap.counters[&format!("relation.encode.{name}")];
         assert_eq!(
             [counter("columns"), counter("rows"), counter("radix_passes")],
-            [3, 6, 6]
+            [3, 6, 0]
         );
         let dict = &snap.histograms["relation.encode.dict_entries"];
         assert_eq!((dict.count, dict.sum), (3, 16));
         let spans: Vec<&str> = snap.durations.keys().map(String::as_str).collect();
         assert_eq!(spans, ["relation.encode"]);
+        // One unsorted column beside a sorted one costs one pass, so a hook
+        // that stopped counting would show here.
+        let tuples: Vec<Tuple> = [(3, 1), (1, 2), (2, 3)]
+            .iter()
+            .map(|&(a, b)| vec![Value::Int(a), Value::Int(b)])
+            .collect();
+        let snap = metrics(&schema(2), &tuples);
+        assert_eq!(snap.counters["relation.encode.radix_passes"], 1);
     }
 }

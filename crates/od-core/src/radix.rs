@@ -11,11 +11,13 @@
 //!   to `sort_unstable()` on the `(key, payload)` tuples — payloads are
 //!   distinct row ids, so `(key, payload)` lexicographic order and
 //!   stable-by-key order coincide.
-//! * **Pass skipping.**  Histograms for all digit positions are computed in
-//!   one pre-pass, and any digit on which every key agrees is skipped.  Dense
+//! * **Pass skipping.**  Key-ordered input costs 0 passes: a stable sort of
+//!   it is the identity, and one scan that stops at the first descent finds
+//!   it.  Otherwise histograms for all digit positions are computed in one
+//!   pre-pass, and any digit on which every key agrees is skipped.  Dense
 //!   rank codes over `n` rows fit in `⌈log₂ n / 8⌉` bytes, so a 10k-row
-//!   relation pays two passes and a 1M-row relation three, regardless of the
-//!   key type's width.
+//!   relation pays at most two passes and a 1M-row relation three,
+//!   regardless of the key type's width.
 //!
 //! The functions return the number of counting passes actually performed so
 //! the discovery layer can surface a `radix_passes` counter.
@@ -55,14 +57,17 @@ impl RadixKey for u64 {
 }
 
 /// Stable sort of `pairs` by key via LSB radix passes, using `scratch` as the
-/// ping-pong buffer.  Returns the number of counting passes performed; the
+/// ping-pong buffer.  Returns the number of counting passes performed, 0 when
+/// the keys are already non-decreasing (then `pairs` is left untouched); the
 /// sorted data always ends up back in `pairs` (the buffers are swapped, never
 /// copied).  Both vectors may be reused across calls to amortize allocation.
 pub fn sort_pairs<K: RadixKey>(pairs: &mut Vec<(K, u32)>, scratch: &mut Vec<(K, u32)>) -> u32 {
-    let n = pairs.len();
-    if n < 2 {
+    // A stable sort of key-ordered input is the identity: one scan, which
+    // stops at the first descent, spares it every histogram and pass.
+    if pairs.is_sorted_by_key(|&(key, _)| key) {
         return 0;
     }
+    let n = pairs.len();
     // A cheap OR-fold finds the digits where any key has a bit set.  Keys are
     // unsigned, so an all-zero digit (the high bytes of dense codes, or the
     // padding between two packed codes) is constant and never needs a
@@ -72,9 +77,6 @@ pub fn sort_pairs<K: RadixKey>(pairs: &mut Vec<(K, u32)>, scratch: &mut Vec<(K, 
         folded = folded.fold_or(key);
     }
     let live: Vec<usize> = (0..K::DIGITS).filter(|&d| folded.digit(d) != 0).collect();
-    if live.is_empty() {
-        return 0; // every key is zero — already sorted
-    }
     // One pre-pass builds the histogram of every live digit, so digits that
     // turn out constant-but-nonzero still cost nothing beyond this scan.
     // Counts fit u32: row payloads cap the pair count well below 2^32.
@@ -168,6 +170,13 @@ mod tests {
         // Constant keys: nothing to do at all.
         let constant: Vec<(u32, u32)> = (0..100u32).map(|row| (42, row)).collect();
         assert_eq!(check_against_sort_unstable(constant), 0);
+        // Ascending keys over two live digits: ordered input costs no pass.
+        let ascending: Vec<(u32, u32)> = (0..500u32).map(|row| (row * 3, row)).collect();
+        assert_eq!(check_against_sort_unstable(ascending), 0);
+        // The same keys with one descent in the last pair are sorted.
+        let mut late: Vec<(u32, u32)> = (0..500u32).map(|row| (row * 3, row)).collect();
+        late[499].0 = 1;
+        assert!(check_against_sort_unstable(late) >= 1);
     }
 
     #[test]
@@ -184,8 +193,18 @@ mod tests {
             .collect();
         let mut expected = wide.clone();
         expected.sort_unstable();
-        sort_pairs(&mut wide, &mut scratch);
+        assert!(sort_pairs(&mut wide, &mut scratch) >= 1);
         assert_eq!(wide, expected);
+        // Sorted again, the same pairs cost no pass and stay as they are.
+        assert_eq!(sort_pairs(&mut wide, &mut scratch), 0);
+        assert_eq!(wide, expected);
+        // A descent between the last two of many ordered keys is still found.
+        let mut late: Vec<(u64, u32)> = (0..300u64).map(|row| (row << 40, row as u32)).collect();
+        late.swap(298, 299);
+        let mut expected = late.clone();
+        expected.sort_unstable();
+        assert!(sort_pairs(&mut late, &mut scratch) >= 1);
+        assert_eq!(late, expected);
     }
 
     #[test]
@@ -197,5 +216,11 @@ mod tests {
         let mut scratch = Vec::new();
         sort_pairs(&mut input, &mut scratch);
         assert_eq!(input, vec![(1, 7), (1, 2), (5, 9), (5, 4), (5, 1)]);
+        // Key-ordered input is returned bit-identical at 0 passes, descending
+        // payloads inside its equal-key groups included.
+        let ordered: Vec<(u32, u32)> = vec![(1, 7), (1, 2), (300, 9), (300, 4), (300, 1)];
+        let mut input = ordered.clone();
+        assert_eq!(sort_pairs(&mut input, &mut scratch), 0);
+        assert_eq!(input, ordered);
     }
 }
