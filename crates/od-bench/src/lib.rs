@@ -787,8 +787,8 @@ fn run_e17(rows: usize, workers: usize, launcher: &WorkerLauncher) -> (String, D
     .unwrap();
 
     // The distributed run, timed end-to-end: worker spawn, snapshot
-    // streaming, prewarm, the sharded traversal, and shutdown/reap all
-    // count — a fair bar for "spin up processes and still win".
+    // streaming, the sharded traversal, and shutdown/reap all count — a
+    // fair bar for "spin up processes and still win".
     let dist_config = LatticeConfig { workers, ..config };
     let (dist_result, dist_time) = timing::best_of_with(2, "bench.e17.dist", || {
         discover_statements_dist(&rel, &dist_config, launcher)

@@ -13,18 +13,20 @@
 //! so when a column contains NULLs they receive the dedicated code `0` and
 //! `dict[0] == Value::Null`.
 //!
-//! The encoder reads the rows once.  One row-major pass classifies every
-//! column and collects the order-preserving `u64` key of each cell of a
-//! column whose non-null values are all integers, all dates, or all booleans.
-//! Such a column is sorted as `(key, row)` pairs with the stable LSB
+//! The encoder reads the rows once, and frees each row in that pass as soon
+//! as it has read it.  The row-major pass classifies every column and
+//! collects the order-preserving `u64` key of each cell of a column whose
+//! non-null values are all integers, all dates, or all booleans.  Such a
+//! column is sorted as `(key, row)` pairs with the stable LSB
 //! [radix sort](crate::radix), which leaves key-ordered input (a presorted
 //! column) as it is at no pass, and its dictionary entries are decoded from
-//! the sorted keys, so the rows are not read again.  Heterogeneous, string,
-//! and float columns go back to the rows for one comparison sort on the
-//! `Value` order.  Either way the codes and dictionaries are the same, and
-//! every discovery layer shares the one encoding a
-//! [`Relation`](crate::Relation) is built with instead of re-sorting per
-//! attribute.
+//! the sorted keys.  Heterogeneous, string, and float columns move their
+//! cells into a per-column vector, which one comparison sort on the `Value`
+//! order encodes; a key column that meets such a cell late rebuilds its
+//! earlier cells from their keys and continues as one of them.  Either way
+//! the codes and dictionaries are the same, and every discovery layer shares
+//! the one encoding a [`Relation`](crate::Relation) is built with instead of
+//! re-sorting per attribute.
 
 use crate::attr::Schema;
 use crate::radix;
@@ -78,13 +80,14 @@ pub struct ColumnarEncoding {
 }
 
 impl ColumnarEncoding {
-    /// Encode every column of `tuples` (positionally aligned with `schema`).
+    /// Encode every column of `tuples` (each of exactly `schema`'s arity),
+    /// dropping each row as soon as it has been read.
     ///
     /// Emits `relation.encode` span metrics: per-column dictionary sizes into
     /// the `relation.encode.dict_entries` histogram, row/column totals, and
     /// the number of radix passes spent building code columns — all
     /// deterministic functions of the data.
-    pub fn build(schema: &Schema, tuples: &[Tuple]) -> Self {
+    pub(crate) fn build(schema: &Schema, tuples: Vec<Tuple>) -> Self {
         let _span = od_obs::span("relation.encode");
         let arity = schema.arity();
         let n_rows = tuples.len();
@@ -92,7 +95,7 @@ impl ColumnarEncoding {
         let mut scratch: Vec<(u64, u32)> = Vec::new();
         let mut radix_passes = 0u64;
         let mut columns = Vec::with_capacity(arity);
-        for (col, scan) in scan_columns(tuples, arity).into_iter().enumerate() {
+        for scan in scan_columns(tuples, arity) {
             let encoded = match scan {
                 ColumnScan::Keys {
                     class: Some(class),
@@ -116,7 +119,7 @@ impl ColumnarEncoding {
                     },
                     codes: vec![0u32; n_rows],
                 },
-                ColumnScan::Comparison => encode_by_comparison(tuples, col),
+                ColumnScan::Comparison(cells) => encode_by_comparison(cells),
             };
             od_obs::record("relation.encode.dict_entries", encoded.dict.len() as u64);
             columns.push(encoded);
@@ -211,38 +214,71 @@ enum ColumnScan {
         nulls: Vec<u32>,
     },
     /// A float or string cell, or a second key class: cross-class `u64` keys
-    /// cannot reproduce the mixed-type `Value` order, so the column takes
-    /// the comparison path.
-    Comparison,
+    /// cannot reproduce the mixed-type `Value` order, so the column keeps
+    /// its cells, in row order, for the comparison path.
+    Comparison(Vec<Value>),
 }
 
 impl ColumnScan {
+    /// Take row `row`'s cell of a column of `n_rows` rows.
     #[inline]
-    fn push(&mut self, row: usize, value: &Value) {
-        let ColumnScan::Keys { class, keys, nulls } = self else {
-            return;
-        };
-        match (value, radix_key(value)) {
-            (Value::Null, _) => nulls.push(row as u32),
-            // The first key class seen is the column's.
-            (_, Some((k, key))) if *class.get_or_insert(k) == k => keys.push(key),
-            _ => *self = ColumnScan::Comparison,
+    fn push(&mut self, row: usize, value: Value, n_rows: usize) {
+        match self {
+            ColumnScan::Comparison(cells) => cells.push(value),
+            ColumnScan::Keys { class, keys, nulls } => match (&value, radix_key(&value)) {
+                (Value::Null, _) => nulls.push(row as u32),
+                // The first key class seen is the column's.
+                (_, Some((k, key))) if *class.get_or_insert(k) == k => keys.push(key),
+                _ => {
+                    let mut cells = key_cells(*class, keys, nulls, row, n_rows);
+                    cells.push(value);
+                    *self = ColumnScan::Comparison(cells);
+                }
+            },
         }
     }
 }
 
-/// Classify every column and collect its radix keys in one row-major pass.
-fn scan_columns(tuples: &[Tuple], arity: usize) -> Vec<ColumnScan> {
+/// The rows below `n_rows` that are not in `nulls` (ascending), in order.
+fn non_null_rows(nulls: &[u32], n_rows: usize) -> impl Iterator<Item = u32> + '_ {
+    let mut null_rows = nulls.iter().copied().peekable();
+    (0..n_rows as u32).filter(move |&row| null_rows.next_if_eq(&row).is_none())
+}
+
+/// The first `rows` cells of a key column, rebuilt from its keys and NULL
+/// rows, with room reserved for all `capacity` cells of the column.
+fn key_cells(
+    class: Option<KeyClass>,
+    keys: &[u64],
+    nulls: &[u32],
+    rows: usize,
+    capacity: usize,
+) -> Vec<Value> {
+    let mut cells = Vec::with_capacity(capacity);
+    cells.resize(rows, Value::Null);
+    // Without a class the column has no key yet: every cell so far is NULL.
+    if let Some(class) = class {
+        for (row, &key) in non_null_rows(nulls, rows).zip(keys) {
+            cells[row as usize] = key_value(class, key);
+        }
+    }
+    cells
+}
+
+/// Classify every column and collect its radix keys or cells in one
+/// row-major pass, which frees each row once it has been read.
+fn scan_columns(tuples: Vec<Tuple>, arity: usize) -> Vec<ColumnScan> {
+    let n_rows = tuples.len();
     let mut scans: Vec<ColumnScan> = (0..arity)
         .map(|_| ColumnScan::Keys {
             class: None,
-            keys: Vec::with_capacity(tuples.len()),
+            keys: Vec::with_capacity(n_rows),
             nulls: Vec::new(),
         })
         .collect();
-    for (row, t) in tuples.iter().enumerate() {
-        for (scan, value) in scans.iter_mut().zip(&t[..arity]) {
-            scan.push(row, value);
+    for (row, t) in tuples.into_iter().enumerate() {
+        for (scan, value) in scans.iter_mut().zip(t) {
+            scan.push(row, value, n_rows);
         }
     }
     scans
@@ -260,11 +296,9 @@ fn encode_radix(
     scratch: &mut Vec<(u64, u32)>,
     radix_passes: &mut u64,
 ) -> EncodedColumn {
-    let mut null_rows = nulls.iter().copied().peekable();
     pairs.clear();
     pairs.extend(
-        (0..n_rows as u32)
-            .filter(|&row| null_rows.next_if_eq(&row).is_none())
+        non_null_rows(nulls, n_rows)
             .zip(keys)
             .map(|(row, key)| (key, row)),
     );
@@ -287,17 +321,19 @@ fn encode_radix(
 }
 
 /// Comparison path for heterogeneous, string, and float columns: sort row
-/// indices by the `Value` order (NULLs sort first on their own), then assign
-/// dense ranks run by run.
-fn encode_by_comparison(tuples: &[Tuple], col: usize) -> EncodedColumn {
-    let mut order: Vec<u32> = (0..tuples.len() as u32).collect();
-    order.sort_unstable_by(|&a, &b| tuples[a as usize][col].cmp(&tuples[b as usize][col]));
-    let mut codes = vec![0u32; tuples.len()];
-    let mut dict = Vec::new();
-    for (w, &row) in order.iter().enumerate() {
-        let value = &tuples[row as usize][col];
-        if w == 0 || *value != tuples[order[w - 1] as usize][col] {
-            dict.push(value.clone());
+/// indices by the `Value` order of the column's cells (NULLs sort first on
+/// their own), then assign dense ranks run by run, moving each run's first
+/// cell into the dictionary.
+fn encode_by_comparison(mut cells: Vec<Value>) -> EncodedColumn {
+    let mut order: Vec<u32> = (0..cells.len() as u32).collect();
+    order.sort_unstable_by(|&a, &b| cells[a as usize].cmp(&cells[b as usize]));
+    let mut codes = vec![0u32; cells.len()];
+    let mut dict: Vec<Value> = Vec::new();
+    for &row in &order {
+        let cell = &mut cells[row as usize];
+        // Cells of one run are all equal to its first, the last entry.
+        if dict.last() != Some(cell) {
+            dict.push(std::mem::replace(cell, Value::Null));
         }
         codes[row as usize] = (dict.len() - 1) as u32;
     }
@@ -315,6 +351,11 @@ mod tests {
             s.add_attr(format!("c{i}"));
         }
         s
+    }
+
+    /// Column `col` of `tuples`, cloned.
+    fn cells(tuples: &[Tuple], col: usize) -> Vec<Value> {
+        tuples.iter().map(|t| t[col].clone()).collect()
     }
 
     /// The invariants every encoding must satisfy, checked cell by cell.
@@ -348,7 +389,7 @@ mod tests {
             vec![Value::Int(-5)],
             vec![Value::Int(10)],
         ];
-        let enc = ColumnarEncoding::build(&schema(1), &tuples);
+        let enc = ColumnarEncoding::build(&schema(1), tuples.clone());
         assert_eq!(enc.codes(0), &[3, 2, 0, 1, 2]);
         assert_eq!(enc.dict(0)[0], Value::Null);
         assert_eq!(enc.column(0).distinct_count(), 4);
@@ -362,7 +403,7 @@ mod tests {
             vec![Value::Int(i64::MAX), Value::Date(7), Value::Bool(false)],
             vec![Value::Int(0), Value::Null, Value::Bool(true)],
         ];
-        let enc = ColumnarEncoding::build(&schema(3), &tuples);
+        let enc = ColumnarEncoding::build(&schema(3), tuples.clone());
         assert_eq!(enc.codes(0), &[0, 2, 1]);
         assert_eq!(enc.codes(1), &[1, 2, 0]);
         assert_eq!(enc.codes(2), &[1, 0, 1]);
@@ -377,11 +418,11 @@ mod tests {
             vec![Value::Null, Value::Float(f64::NAN), Value::Str("x".into())],
             vec![Value::Str("feb".into()), Value::Null, Value::Null],
         ];
-        let enc = ColumnarEncoding::build(&schema(3), &tuples);
+        let enc = ColumnarEncoding::build(&schema(3), tuples.clone());
         assert_valid_encoding(&tuples, &enc);
-        assert!(scan_columns(&tuples, 3)
+        assert!(scan_columns(tuples.clone(), 3)
             .iter()
-            .all(|scan| matches!(scan, ColumnScan::Comparison)));
+            .all(|scan| matches!(scan, ColumnScan::Comparison(_))));
         // NULL still smallest on the comparison path; NaN sorts last.
         assert_eq!(enc.codes(0), &[2, 1, 0, 1]);
         assert_eq!(enc.codes(1), &[2, 1, 3, 0]);
@@ -453,30 +494,92 @@ mod tests {
         let tuples: Vec<Tuple> = (0..N)
             .map(|i| columns.iter().map(|c| c[i].clone()).collect())
             .collect();
-        let enc = ColumnarEncoding::build(&schema(columns.len()), &tuples);
+        let enc = ColumnarEncoding::build(&schema(columns.len()), tuples.clone());
         assert_valid_encoding(&tuples, &enc);
-        for (col, scan) in scan_columns(&tuples, columns.len()).iter().enumerate() {
+        let scans = scan_columns(tuples.clone(), columns.len());
+        for (col, scan) in scans.iter().enumerate() {
             if col < radix_columns {
                 assert!(matches!(scan, ColumnScan::Keys { class: Some(_), .. }));
                 // Debug output tells variants apart, which `==` does not.
                 assert_eq!(
                     format!("{:?}", enc.column(col)),
-                    format!("{:?}", encode_by_comparison(&tuples, col)),
+                    format!("{:?}", encode_by_comparison(cells(&tuples, col))),
                     "column {col}"
                 );
             } else {
-                assert!(matches!(scan, ColumnScan::Comparison), "column {col}");
+                assert!(matches!(scan, ColumnScan::Comparison(_)), "column {col}");
             }
+        }
+    }
+
+    /// A key column that meets a float, a string or a second key class late
+    /// rebuilds its earlier cells from their keys.  Every key class turns
+    /// at row 1, after 256 key cells and at the last row, with and without
+    /// NULLs before and after the turn (a NULL at row 0 leaves a turn at row
+    /// 1 with no key yet); each column must encode as the comparison path
+    /// does over its original cells.
+    #[test]
+    fn key_columns_turning_late_rebuild_their_cells() {
+        const N: usize = 300;
+        let int = |r: usize| Value::Int((r as i64 * 7919 % N as i64 - 150) * 1_000_003);
+        let date = |r: usize| Value::Date((r as i32 * 7919 % N as i32 - 200) * 97);
+        let boolean = |r: usize| Value::Bool(r * 7919 % N >= N / 2);
+        let classes: [&dyn Fn(usize) -> Value; 3] = [&int, &date, &boolean];
+        let mut columns: Vec<Vec<Value>> = Vec::new();
+        for (c, class) in classes.iter().enumerate() {
+            let turns: [Value; 3] = [
+                Value::Float(0.5),
+                Value::Str("turn".into()),
+                // A key of another class: dates for ints, ints otherwise.
+                if c == 0 { date(7) } else { int(7) },
+            ];
+            for turn_row in [1, 256, N - 1] {
+                for turn in &turns {
+                    for nulls in [vec![], vec![turn_row / 2, turn_row + 1]] {
+                        columns.push(
+                            (0..N)
+                                .map(|r| match r {
+                                    r if nulls.contains(&r) => Value::Null,
+                                    r if r == turn_row => turn.clone(),
+                                    r => class(r),
+                                })
+                                .collect(),
+                        );
+                    }
+                }
+            }
+        }
+        let tuples: Vec<Tuple> = (0..N)
+            .map(|i| columns.iter().map(|c| c[i].clone()).collect())
+            .collect();
+        let enc = ColumnarEncoding::build(&schema(columns.len()), tuples.clone());
+        assert_valid_encoding(&tuples, &enc);
+        let scans = scan_columns(tuples, columns.len());
+        for (col, scan) in scans.into_iter().enumerate() {
+            let ColumnScan::Comparison(rebuilt) = scan else {
+                panic!("column {col} must turn comparison");
+            };
+            // Debug output tells variants apart, which `==` does not.
+            assert_eq!(
+                format!("{rebuilt:?}"),
+                format!("{:?}", columns[col]),
+                "column {col}"
+            );
+            assert_eq!(
+                format!("{:?}", enc.column(col)),
+                format!("{:?}", encode_by_comparison(columns[col].clone())),
+                "column {col}"
+            );
         }
     }
 
     #[test]
     fn all_null_and_empty_columns() {
         let tuples: Vec<Tuple> = vec![vec![Value::Null], vec![Value::Null]];
-        let enc = ColumnarEncoding::build(&schema(1), &tuples);
+        let enc = ColumnarEncoding::build(&schema(1), tuples);
         assert_eq!(enc.codes(0), &[0, 0]);
         assert_eq!(enc.dict(0), &[Value::Null]);
-        let empty = ColumnarEncoding::build(&schema(1), &[]);
+        let empty = ColumnarEncoding::build(&schema(1), Vec::new());
         assert_eq!(empty.n_rows(), 0);
         assert!(empty.dict(0).is_empty());
     }
@@ -487,7 +590,7 @@ mod tests {
             vec![Value::Str("abcd".into())],
             vec![Value::Str("abcd".into())],
         ];
-        let enc = ColumnarEncoding::build(&schema(1), &tuples);
+        let enc = ColumnarEncoding::build(&schema(1), tuples);
         // One dict entry (enum + 4 string bytes) + two u32 codes.
         assert_eq!(
             enc.approx_heap_bytes(),
@@ -499,7 +602,7 @@ mod tests {
     /// hook would silently zero them.
     #[test]
     fn encode_metrics_are_pinned() {
-        let metrics = |schema: &Schema, tuples: &[Tuple]| {
+        let metrics = |schema: &Schema, tuples: Vec<Tuple>| {
             let registry = std::sync::Arc::new(od_obs::Registry::new());
             od_obs::scoped(std::sync::Arc::clone(&registry), || {
                 ColumnarEncoding::build(schema, tuples)
@@ -508,7 +611,7 @@ mod tests {
         };
         // The taxes table is sorted on all three columns: no radix pass.
         let rel = crate::fixtures::example_5_taxes();
-        let snap = metrics(rel.schema(), &rel.tuples());
+        let snap = metrics(rel.schema(), rel.tuples());
         let counter = |name: &str| snap.counters[&format!("relation.encode.{name}")];
         assert_eq!(
             [counter("columns"), counter("rows"), counter("radix_passes")],
@@ -524,7 +627,7 @@ mod tests {
             .iter()
             .map(|&(a, b)| vec![Value::Int(a), Value::Int(b)])
             .collect();
-        let snap = metrics(&schema(2), &tuples);
+        let snap = metrics(&schema(2), tuples);
         assert_eq!(snap.counters["relation.encode.radix_passes"], 1);
     }
 }

@@ -1,9 +1,10 @@
 //! Least-significant-byte radix sort over `(key, payload)` pairs.
 //!
-//! The columnar encoder ([`crate::columnar`]) and the partition refinement in
-//! `od-setbased` sort millions of small integer pairs; a stable LSB counting
-//! sort turns those `O(n log n)` comparison sorts into a handful of
-//! branch-predictable linear passes.  Two properties matter to callers:
+//! The columnar encoder ([`crate::columnar`]) sorts a column's `(key, row)`
+//! pairs, and the statement validators in `od-setbased` sort the code pairs
+//! of large partition classes; a stable LSB counting sort turns those
+//! `O(n log n)` comparison sorts into a handful of branch-predictable linear
+//! passes.  Two properties matter to callers:
 //!
 //! * **Stability.**  Each digit pass is a counting sort, so pairs with equal
 //!   keys keep their input order.  Every caller feeds pairs in ascending
@@ -19,8 +20,8 @@
 //!   relation pays at most two passes and a 1M-row relation three,
 //!   regardless of the key type's width.
 //!
-//! The functions return the number of counting passes actually performed so
-//! the discovery layer can surface a `radix_passes` counter.
+//! [`sort_pairs`] returns the number of counting passes it performed, which
+//! the encoder reports as its `relation.encode.radix_passes` counter.
 
 /// An unsigned integer key a radix pass can decompose into bytes.
 pub trait RadixKey: Copy + Ord {
@@ -112,34 +113,9 @@ pub fn sort_pairs<K: RadixKey>(pairs: &mut Vec<(K, u32)>, scratch: &mut Vec<(K, 
     passes
 }
 
-/// Number of bits needed to represent every value in `0..=max` (`0` when `max`
-/// is `0`).  Callers packing two dense code spaces into one radix key use this
-/// to pick the shift that keeps the packing injective while leaving the high
-/// bytes zero for the OR-fold to skip.
-pub fn bits_for(max: u32) -> u32 {
-    32 - max.leading_zeros()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn bits_for_covers_the_value_range() {
-        assert_eq!(bits_for(0), 0);
-        assert_eq!(bits_for(1), 1);
-        assert_eq!(bits_for(2), 2);
-        assert_eq!(bits_for(3), 2);
-        assert_eq!(bits_for(255), 8);
-        assert_eq!(bits_for(256), 9);
-        assert_eq!(bits_for(u32::MAX), 32);
-        for max in [0u32, 1, 5, 100, 4096] {
-            let bits = bits_for(max);
-            if bits < 32 {
-                assert!(u64::from(max) < 1u64 << bits || max == 0);
-            }
-        }
-    }
 
     fn check_against_sort_unstable(mut input: Vec<(u32, u32)>) -> u32 {
         let mut expected = input.clone();

@@ -49,8 +49,9 @@ impl Relation {
         Relation::from_encoding(schema, ColumnarEncoding::from_parts(columns, 0))
     }
 
-    /// Create a relation from rows, validating arity.  The rows are encoded
-    /// once and dropped; the relation keeps only their columnar encoding.
+    /// Create a relation from rows, validating arity.  The encoder reads the
+    /// rows once and drops each one as soon as it has read it; the relation
+    /// keeps only their columnar encoding.
     pub fn from_rows(schema: Schema, rows: impl IntoIterator<Item = Tuple>) -> Result<Self> {
         let arity = schema.arity();
         let rows = rows
@@ -66,7 +67,7 @@ impl Relation {
                 }
             })
             .collect::<Result<Vec<Tuple>>>()?;
-        let encoding = ColumnarEncoding::build(&schema, &rows);
+        let encoding = ColumnarEncoding::build(&schema, rows);
         Ok(Relation::from_encoding(schema, encoding))
     }
 

@@ -22,9 +22,9 @@
 //! contexts whose minimum is `j` — and the heaviest minima go to the least
 //! loaded workers first.  (A plain `min mod N` would hand worker 0 nearly
 //! half the lattice: contexts with minimum 0 are the largest group by far.)
-//! The empty context is special: its partition is the pass-free full class,
-//! which every worker holds, so level-0 scans round-robin across workers
-//! instead of serializing on one.  Each worker loads the serialized
+//! The empty context is special: its partition is the full class, which
+//! every worker builds for itself without a pass over any column, so level-0
+//! scans round-robin across workers instead of serializing on one.  Each worker loads the serialized
 //! columnar snapshot ([`Relation::to_bytes`]) once at startup with
 //! [`Relation::from_bytes`], which keeps the transported encoding as it is:
 //! no column is re-sorted.
@@ -34,8 +34,8 @@
 //! | frame (op) | direction | payload |
 //! |---|---|---|
 //! | `SnapshotChunk` | C→W | one slice of the columnar relation snapshot |
-//! | `SnapshotDone`  | C→W | `g3` error budget; worker decodes + prewarms, replies `Ready` |
-//! | `Refine`        | C→W | owned context masks → `RefineDone` (per-context class count + heap bytes, radix-pass deltas) |
+//! | `SnapshotDone`  | C→W | `g3` error budget; worker decodes, replies `Ready` |
+//! | `Refine`        | C→W | owned context masks → `RefineDone` (per-context class count + heap bytes) |
 //! | `ScanConsts`    | C→W | `(context, attr)` constancy scans → `Verdicts` |
 //! | `ScanPairs`     | C→W | `(context, a, b)` compatibility scans → `Verdicts` |
 //! | `ScanOne`       | C→W | one replay-fallback statement → `Verdicts` (length 1) |
@@ -56,12 +56,11 @@
 //! * Scans are sharded whole (each verdict is produced by one serial scan),
 //!   exactly like the thread pool, and scattered back to their canonical
 //!   slots before the replay consumes them.
-//! * Refinements are pure functions of (base partition, attribute codes);
-//!   each is performed exactly once by exactly one worker, so summed
-//!   radix-pass deltas equal the single-process totals.  Workers prewarm
-//!   every attribute's class-code column at startup (reported deltas start
-//!   *after* the prewarm) because the single-process cache always builds
-//!   those columns for free from cached singleton partitions.
+//! * Refinements are pure functions of (base partition, attribute codes),
+//!   each performed exactly once by exactly one worker.  A worker builds a
+//!   context from the cheapest base *it* holds, which may differ from the
+//!   single-process choice when a base lives on another shard; the product
+//!   is the same partition from every base.
 //! * Cache accounting (hits/misses/products/evictions, cached-set counts,
 //!   `csr_bytes`) is not kept by either plane: the control loop derives it
 //!   from the level schedule, for the in-process and the distributed plane
@@ -418,7 +417,7 @@ fn owners_by_min_attr(arity: usize, workers: usize, max_context: usize) -> Vec<u
 
 impl DistPlane {
     /// Launch `workers` workers, stream them the relation snapshot, and wait
-    /// until every one has prewarmed its partition cache.
+    /// until every one has loaded it.
     pub(crate) fn spawn(
         rel: &Relation,
         workers: usize,
@@ -519,8 +518,7 @@ impl DistPlane {
     }
 
     /// Refine one level's partitions across the shards, merging the owners'
-    /// per-context metadata back into context order and summing their
-    /// radix-pass deltas.
+    /// per-context metadata back into context order.
     pub(crate) fn refine_level(
         &mut self,
         contexts: &[AttrSet],
@@ -545,8 +543,6 @@ impl DistPlane {
         }
         let mut refined = LevelRefinement {
             parts: vec![(0, 0); contexts.len()],
-            radix_passes: 0,
-            product_radix_passes: 0,
         };
         for (w, group) in groups.iter().enumerate() {
             if group.is_empty() {
@@ -557,7 +553,7 @@ impl DistPlane {
                 self.recv(w)?
             };
             let mut r = Reader::new(&payload);
-            let mut parse = || -> Result<(u64, u64), String> {
+            let mut parse = || -> Result<(), String> {
                 if r.u8().map_err(|e| e.to_string())? != RESP_REFINE_DONE {
                     return Err("expected RefineDone".into());
                 }
@@ -573,13 +569,9 @@ impl DistPlane {
                     let bytes = r.u64().map_err(|e| e.to_string())?;
                     refined.parts[i] = (classes, bytes);
                 }
-                let rp = r.u64().map_err(|e| e.to_string())?;
-                let pp = r.u64().map_err(|e| e.to_string())?;
-                Ok((rp, pp))
+                Ok(())
             };
-            let (rp, pp) = parse().map_err(|detail| DistError::Protocol { worker: w, detail })?;
-            refined.radix_passes += rp;
-            refined.product_radix_passes += pp;
+            parse().map_err(|detail| DistError::Protocol { worker: w, detail })?;
         }
         Ok(refined)
     }
@@ -812,10 +804,8 @@ fn invalid(e: impl std::fmt::Display) -> io::Error {
 }
 
 /// Serve one worker conversation over any framed transport: receive the
-/// relation snapshot, prewarm the partition cache (singleton partitions
-/// discarded, class-code memo and `Π_∅` retained — so later pass-count
-/// deltas match the single-process traversal), then answer refine/scan/evict
-/// requests until `Shutdown` or EOF.
+/// relation snapshot, then answer refine/scan/evict requests until
+/// `Shutdown` or EOF.
 pub fn run_worker(r: &mut impl Read, w: &mut impl Write) -> io::Result<()> {
     // -- Phase 1: snapshot assembly --------------------------------------
     let mut snapshot: Vec<u8> = Vec::new();
@@ -839,26 +829,11 @@ pub fn run_worker(r: &mut impl Read, w: &mut impl Write) -> io::Result<()> {
     let rel = Relation::from_bytes(&snapshot).map_err(invalid)?;
     drop(snapshot);
     let mut cache = PartitionCache::new(&rel);
-    // -- Phase 2: prewarm -------------------------------------------------
-    // The single-process traversal always builds per-attribute class-code
-    // columns for free from cached singleton partitions; a worker only owns
-    // a context shard, so it prewarms *all* attributes up front (and keeps
-    // `Π_∅`, every shard's refinement root).  Singleton partitions are
-    // evicted again so the level-1 refinements run — and count radix passes
-    // — exactly like the single-process batch.
-    let attrs: Vec<AttrId> = rel.schema().attr_ids().collect();
-    for &a in &attrs {
-        cache.partition(&AttrSet::singleton(a));
-        cache.attr_class_codes(a);
-    }
-    cache.evict_sets_of_size(1);
-    let mut last_radix = cache.radix_passes();
-    let mut last_product = cache.product_radix_passes();
     let mut ready = Vec::new();
     wire::put_u8(&mut ready, RESP_READY);
     write_frame(w, &ready)?;
     w.flush()?;
-    // -- Phase 3: serve ---------------------------------------------------
+    // -- Phase 2: serve ---------------------------------------------------
     while let Some(payload) = read_frame_opt(r, MAX_FRAME_LEN)? {
         let mut rd = Reader::new(&payload);
         match rd.u8().map_err(invalid)? {
@@ -870,19 +845,13 @@ pub fn run_worker(r: &mut impl Read, w: &mut impl Write) -> io::Result<()> {
                 }
                 rd.finish().map_err(invalid)?;
                 let parts = cache.partitions_batch(&sets, 1);
-                let radix = cache.radix_passes();
-                let product = cache.product_radix_passes();
-                let mut reply = Vec::with_capacity(25 + parts.len() * 16);
+                let mut reply = Vec::with_capacity(5 + parts.len() * 16);
                 wire::put_u8(&mut reply, RESP_REFINE_DONE);
                 wire::put_u32(&mut reply, parts.len() as u32);
                 for part in &parts {
                     wire::put_u64(&mut reply, part.num_classes() as u64);
                     wire::put_u64(&mut reply, part.approx_heap_bytes() as u64);
                 }
-                wire::put_u64(&mut reply, radix - last_radix);
-                wire::put_u64(&mut reply, product - last_product);
-                last_radix = radix;
-                last_product = product;
                 write_frame(w, &reply)?;
                 w.flush()?;
             }

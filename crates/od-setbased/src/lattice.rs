@@ -34,10 +34,10 @@
 //!    ever generated.
 //! 2. **Context-sharded level expansion** — a level's partitions are
 //!    materialized in one pass sharded *by context*
-//!    ([`PartitionCache::partitions_batch`]): every context's refinement is a
-//!    pure function of its parent partition and one attribute's rank codes,
-//!    so the products are computed on worker threads and are bit-identical on
-//!    every thread count.
+//!    ([`PartitionCache::partitions_batch`]): every context's partition is
+//!    its cheapest cached parent partition split by the dropped attribute's
+//!    codes, the parent chosen serially, so the products are computed on
+//!    worker threads and are bit-identical on every thread count.
 //! 3. **Batched per-level validation** — all of a level's surviving candidates
 //!    are scanned in one sharded pass
 //!    ([`parallel::validate_statement_batch`]), statements claimed from an
@@ -154,9 +154,9 @@ pub struct LatticeStats {
     pub cache_hits: usize,
     /// Partition-cache memo misses (materializations) across the traversal.
     pub cache_misses: usize,
-    /// Radix counting passes spent sorting packed u64 product keys (level ≥ 2
-    /// partition products).  A per-class property of the work done, so it is
-    /// bit-identical across thread counts.
+    /// Always 0: partition products are built by a counting kernel that
+    /// sorts nothing, so they spend no radix pass.  The field stays because
+    /// the benchmark's per-layer report still reads it.
     pub product_radix_passes: u64,
     /// Partitions evicted by the per-level eviction policy.
     pub cache_evictions: usize,
@@ -592,10 +592,6 @@ pub(crate) struct LevelRefinement {
     /// Each context's `(class count, CSR heap bytes)`, in context order
     /// (`0` classes ⇔ the context is a superkey).
     pub(crate) parts: Vec<(u64, u64)>,
-    /// Radix counting passes spent on u32 refinement keys.
-    pub(crate) radix_passes: u64,
-    /// Radix counting passes spent on packed u64 product keys.
-    pub(crate) product_radix_passes: u64,
 }
 
 /// The in-process data plane: the partition cache plus the current level's
@@ -630,8 +626,6 @@ impl Plane<'_> {
     fn refine_level(&mut self, contexts: &[AttrSet]) -> Result<LevelRefinement, DistError> {
         match self {
             Plane::Local(p) => {
-                let radix = p.cache.radix_passes();
-                let product = p.cache.product_radix_passes();
                 p.parts = p.cache.partitions_batch(contexts, p.threads);
                 Ok(LevelRefinement {
                     parts: p
@@ -639,8 +633,6 @@ impl Plane<'_> {
                         .iter()
                         .map(|pt| (pt.num_classes() as u64, pt.approx_heap_bytes() as u64))
                         .collect(),
-                    radix_passes: p.cache.radix_passes() - radix,
-                    product_radix_passes: p.cache.product_radix_passes() - product,
                 })
             }
             Plane::Dist(p) => p.refine_level(contexts),
@@ -760,7 +752,9 @@ pub fn discover_statements(rel: &Relation, config: &LatticeConfig) -> SetBasedDi
 /// partition is built once from a level-`k−1` partition (one miss, and one
 /// product for `k ≥ 1`); once level `k` is materialized the cache holds
 /// exactly levels `k−1` and `k`, plus one memoized class-code column
-/// (`n_rows × 4` bytes) per attribute that ended a level-≥2 context; level
+/// (`n_rows × 4` bytes) per attribute of any level-≥2 context (the cache
+/// memoizes every attribute of a context it builds from level 2 on, so the
+/// set does not depend on which base each product started from); level
 /// `k−1` is evicted after level `k`'s replay; and every replay-fallback scan
 /// is one hit on the current level.
 pub(crate) fn discover_with_plane(
@@ -794,7 +788,7 @@ pub(crate) fn discover_with_plane(
     let class_code_bytes = rel.len() as u64 * 4;
     let mut code_memo_attrs = AttrSet::new();
     let (mut prev_parts, mut prev_bytes) = (0usize, 0u64);
-    let (mut products, mut radix_passes) = (0usize, 0u64);
+    let mut products = 0usize;
 
     let mut prev = LevelStore::default();
     for level in 0..=config.max_context.min(universe.len()) {
@@ -819,22 +813,22 @@ pub(crate) fn discover_with_plane(
         let contexts: Vec<AttrSet> = nodes.iter().map(|n| n.context).collect();
         let refined = {
             let _s = od_obs::span("refine");
-            // Level ≥ 2 batches are entirely packed-u64 products; the nested
-            // span separates product cost from level-1 code bucketing.
+            // Level ≥ 2 batches are entirely class-id products; the nested
+            // span separates product cost from level-1 rank-code splits.
             let _p = (level >= 2).then(|| od_obs::span("product"));
             plane.refine_level(&contexts)?
         };
         for &(c, _) in &refined.parts {
             od_obs::record("discovery.partition_classes", c);
         }
-        radix_passes += refined.radix_passes;
-        result.stats.product_radix_passes += refined.product_radix_passes;
         result.stats.cache_misses += contexts.len();
         if level >= 1 {
             products += contexts.len();
         }
         if level >= 2 {
-            code_memo_attrs.extend(contexts.iter().filter_map(|c| c.last()));
+            for &c in &contexts {
+                code_memo_attrs = code_memo_attrs.union(c);
+            }
         }
         let level_bytes: u64 = refined.parts.iter().map(|&(_, b)| b).sum();
         od_obs::gauge_max(
@@ -1081,11 +1075,6 @@ pub(crate) fn discover_with_plane(
         result.stats.cache_evictions as u64,
     );
     od_obs::add("discovery.partition_products", products as u64);
-    od_obs::add("discovery.radix_passes", radix_passes);
-    od_obs::add(
-        "discovery.product_radix_passes",
-        result.stats.product_radix_passes,
-    );
     od_obs::gauge_max(
         "discovery.partition_cache.peak",
         result.stats.peak_cached_partitions as u64,

@@ -330,35 +330,16 @@ pub fn validate_statement_batch(
         .collect()
 }
 
-/// One context's partition composition for a sharded level expansion: either a
-/// level-1 bucketing of the full relation on an attribute's raw code column,
-/// or a level ≥ 2 packed-u64 product against the last attribute's class-code
-/// column.  Both are pure functions of their inputs.
+/// One context's partition composition for a sharded level expansion: the
+/// base partition split by one dense code column — the dropped attribute's
+/// rank codes at level 1, its class ids ([`ClassCodes`]) from level 2 on.
+/// A pure function of its inputs.
 #[derive(Clone, Copy)]
-pub enum RefineJob<'a> {
-    /// Bucket `base` (the full-relation partition) on a raw code column.
-    Codes {
-        /// Partition of the context minus its last attribute.
-        base: &'a StrippedPartition,
-        /// The last attribute's order-preserving rank codes.
-        codes: &'a [u32],
-    },
-    /// Product of `base` with the last attribute's class-code column.
-    Product {
-        /// Partition of the context minus its last attribute.
-        base: &'a StrippedPartition,
-        /// The last attribute's dense class ids ([`ClassCodes`]).
-        other: &'a ClassCodes,
-    },
-}
-
-impl RefineJob<'_> {
-    fn run(&self, scratch: &mut RefineScratch) -> StrippedPartition {
-        match self {
-            RefineJob::Codes { base, codes } => base.refine_by_with(codes, scratch),
-            RefineJob::Product { base, other } => base.product_with(other, scratch),
-        }
-    }
+pub struct RefineJob<'a> {
+    /// The cached partition of the context minus one attribute.
+    pub base: &'a StrippedPartition,
+    /// The dropped attribute's code column.
+    pub codes: &'a [u32],
 }
 
 /// Shard a level's partition products **by context** across threads.
@@ -371,55 +352,37 @@ impl RefineJob<'_> {
 /// the crate — classes within a scan ([`scan_classes`]), statements within a
 /// level ([`validate_statement_batch`]), and now contexts within a level
 /// expansion.
-///
-/// The second and third return values are the total radix counting passes the
-/// workers spent on u32 refinement keys and packed u64 product keys — each a
-/// deterministic function of the jobs (a per-class property, independent of
-/// how jobs were sharded), summed here so the orchestrating thread can fold
-/// them into its own metrics; the workers themselves never touch od-obs.
 pub fn refine_batch(
     jobs: &[Option<RefineJob<'_>>],
     threads: usize,
-) -> (Vec<Option<StrippedPartition>>, u64, u64) {
+) -> Vec<Option<StrippedPartition>> {
+    let run = |job: &Option<RefineJob<'_>>, scratch: &mut RefineScratch| {
+        job.map(|j| j.base.refine_by_with(j.codes, scratch))
+    };
     let live = jobs.iter().filter(|j| j.is_some()).count();
     let threads = threads.clamp(1, live.max(1));
     if threads <= 1 || live < 2 {
         let mut scratch = RefineScratch::default();
-        let out = jobs
-            .iter()
-            .map(|job| job.map(|j| j.run(&mut scratch)))
-            .collect();
-        return (out, scratch.radix_passes(), scratch.product_radix_passes());
+        return jobs.iter().map(|job| run(job, &mut scratch)).collect();
     }
     let chunk_size = jobs.len().div_ceil(threads);
     let mut out: Vec<Option<StrippedPartition>> = Vec::with_capacity(jobs.len());
-    let mut passes = 0u64;
-    let mut product_passes = 0u64;
     std::thread::scope(|scope| {
         let mut handles = Vec::new();
         for chunk in jobs.chunks(chunk_size) {
             handles.push(scope.spawn(move || {
                 let mut scratch = RefineScratch::default();
-                let fresh = chunk
+                chunk
                     .iter()
-                    .map(|job| job.map(|j| j.run(&mut scratch)))
-                    .collect::<Vec<_>>();
-                (
-                    fresh,
-                    scratch.radix_passes(),
-                    scratch.product_radix_passes(),
-                )
+                    .map(|job| run(job, &mut scratch))
+                    .collect::<Vec<_>>()
             }));
         }
         for handle in handles {
-            let (fresh, worker_passes, worker_product) =
-                handle.join().expect("refinement worker panicked");
-            out.extend(fresh);
-            passes += worker_passes;
-            product_passes += worker_product;
+            out.extend(handle.join().expect("refinement worker panicked"));
         }
     });
-    (out, passes, product_passes)
+    out
 }
 
 #[cfg(test)]

@@ -12,41 +12,34 @@
 //! members ascending — two cache-friendly arrays instead of a `Vec` of `Vec`s,
 //! with class `i` a plain slice `rows[offsets[i]..offsets[i + 1]]`.
 //!
-//! Partitions compose two ways, both through the same run-emission machinery:
+//! Every partition is built by one **counting kernel**, which splits each
+//! class of a base partition by a dense code per row: an attribute's
+//! order-preserving rank code (see [`od_core::ColumnarEncoding`]) for
+//! `Π_{{A}}`, or another partition's class id ([`ClassCodes`], singletons =
+//! [`CLASS_SENTINEL`], whose rows are dropped) for a product.  Per class, one
+//! pass counts each code's rows and records the codes in first-appearance
+//! order, every code with at least two rows gets consecutive slots, and a
+//! second pass places the rows.  Rows enter ascending, so each new class
+//! comes out ascending, and the classes split from one base class come out in
+//! first-row order; the run descriptors are sorted by first row only when
+//! classes of different base classes interleave.  Nothing is sorted by key,
+//! no key is packed and no [`od_core::Value`] is compared.
 //!
-//! * **Refinement** builds `Π_{{A}}` (or `Π_X · Π_{{A}}` restricted to `Π_X`'s
-//!   tuples) by bucketing rows on `A`'s order-preserving code column (see
-//!   [`od_core::ColumnarEncoding`]) — a linear pass, *not* an `O(n log n)`
-//!   re-sort.
-//! * **Products** (`Π_X · Π_Y` for non-trivial `Y`) go through dense
-//!   [`ClassCodes`] columns (`row → class id`, singletons =
-//!   [`CLASS_SENTINEL`]): each surviving row contributes one packed
-//!   `(class_of_X, class_of_Y)` `u64` key and one global sort of the
-//!   `(key, row)` pairs emits the product's classes.  No hashing, no
-//!   [`od_core::Value`] comparisons.
-//!
-//! Both paths sort pairs with the stable LSB [radix sort](od_core::radix) when
-//! large (dense codes over `n` rows need at most `⌈log₂ n / 8⌉` counting
-//! passes) and `sort_unstable` when small — row payloads are distinct and
-//! enter in ascending order, so both produce the identical lexicographic
-//! order and the resulting classes are bit-identical either way.
 //! [`PartitionCache`] memoizes partitions per attribute set so the lattice
-//! visits each set once, hands out code columns as cheap [`ColCodes`] views
-//! into the relation's shared columnar encoding, and keeps per-attribute
-//! [`ClassCodes`] alive across level evictions so deep-lattice products never
-//! rebuild them.  It also memoizes each attribute's **sorted order** τ_A (the
-//! rows in order of `A`'s code, [`PartitionCache::attr_order`]), which the
-//! compatibility scan walks when a context has a large class (see
+//! visits each set once, builds each one from the **cheapest cached base** (the
+//! cached subset one attribute smaller that covers the fewest rows), hands
+//! out code columns as cheap [`ColCodes`] views into the relation's shared
+//! columnar encoding, and keeps per-attribute [`ClassCodes`] alive across
+//! level evictions so deep-lattice products never rebuild them.  It also
+//! memoizes each attribute's **sorted order** τ_A (the rows in order of
+//! `A`'s code, [`PartitionCache::attr_order`]), which the compatibility scan
+//! walks when a context has a large class (see
 //! [`crate::validate::tau_compatibility_verdict`]).
 
-use od_core::{radix, AttrId, AttrSet, ColumnarEncoding, Relation};
+use od_core::{AttrId, AttrSet, ColumnarEncoding, Relation};
 use std::collections::HashMap;
 use std::rc::Rc;
 use std::sync::Arc;
-
-/// Pair count from which class bucketing switches from `sort_unstable` to the
-/// radix sort (below it, the radix histogram pre-pass dominates).
-const RADIX_MIN_PAIRS: usize = 256;
 
 /// The rows of a dense code column in code order, rows ascending within
 /// equal codes — a stable sort of `0..codes.len()` by code, done as one
@@ -110,9 +103,9 @@ impl std::fmt::Debug for ColCodes {
 /// (in first-row class order) of the class containing `row`, or
 /// [`CLASS_SENTINEL`] for stripped-out singletons.
 ///
-/// This is the right-hand operand of a partition product: packing a base
-/// partition's class index with `codes[row]` into one `u64` key turns the
-/// product into a single radix sort over the base's surviving rows.
+/// This is the right-hand operand of a partition product: splitting each
+/// class of a base partition by `codes[row]` is the product, and the codes
+/// stay below [`Self::num_classes`], so the kernel's slot array stays small.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ClassCodes {
     codes: Vec<u32>,
@@ -130,136 +123,110 @@ impl ClassCodes {
         self.classes
     }
 
-    /// Bits needed to hold any valid class id of this column (`0` when at
-    /// most one class exists) — the shift a product packs the other operand's
-    /// class index above.
-    pub fn id_bits(&self) -> u32 {
-        if self.classes <= 1 {
-            0
-        } else {
-            radix::bits_for(self.classes - 1)
-        }
-    }
-
     /// Heap bytes held by the code column.
     pub fn approx_heap_bytes(&self) -> usize {
         self.codes.capacity() * std::mem::size_of::<u32>()
     }
 }
 
-/// Reusable scratch buffers for partition construction, held per
-/// [`PartitionCache`] so the thousands of refinement and product calls of a
-/// lattice traversal stop re-allocating their working set (the only
-/// allocations left are the surviving CSR arrays themselves).  Also
-/// accumulates radix counting passes, surfaced as the
-/// `discovery.radix_passes` (refinement) and `discovery.product_radix_passes`
-/// (u64 product keys) counters.
+/// Reusable working memory of the counting kernel, held per
+/// [`PartitionCache`] (and per worker thread of a sharded level) so the
+/// thousands of refinements and products of a lattice traversal stop
+/// re-allocating their working set: the only allocations left are the
+/// surviving CSR arrays themselves.
 #[derive(Debug, Default)]
 pub struct RefineScratch {
-    /// `(code, row)` pairs of the class currently being bucketed.
-    pairs: Vec<(u32, u32)>,
-    /// Radix ping-pong buffer for `pairs`.
-    radix: Vec<(u32, u32)>,
-    /// Packed `(class_a, class_b)` product keys with their rows.
-    pairs64: Vec<(u64, u32)>,
-    /// Radix ping-pong buffer for `pairs64`.
-    radix64: Vec<(u64, u32)>,
-    /// Emitted run descriptors: (first row, start in `rows_acc`, length).
-    runs: Vec<(u32, u32, u32)>,
-    /// Row ids of emitted runs, in run order.
-    rows_acc: Vec<u32>,
-    /// Radix counting passes performed on u32 refinement keys.
-    passes: u64,
-    /// Radix counting passes performed on u64 product keys.
-    product_passes: u64,
+    /// One entry per code: during a class, its row count, then its next slot
+    /// in `rows` plus one (0 for a code of one row).  Grown to the largest
+    /// code seen and all zero between classes.
+    slots: Vec<u32>,
+    /// The current class's codes, in first-appearance order.
+    seen: Vec<u32>,
+    /// Emitted runs: (start in `rows`, length).
+    runs: Vec<(u32, u32)>,
+    /// Row ids of emitted runs, in emission order.
+    rows: Vec<u32>,
 }
 
 impl RefineScratch {
-    /// Total radix counting passes performed on refinement (u32 code) keys
-    /// through this scratch so far.
-    pub fn radix_passes(&self) -> u64 {
-        self.passes
-    }
-
-    /// Total radix counting passes performed on packed u64 product keys
-    /// through this scratch so far.
-    pub fn product_radix_passes(&self) -> u64 {
-        self.product_passes
-    }
-
-    /// Fold another scratch's refinement pass count into this one (used when
-    /// sharded workers refine with their own scratches).
-    pub fn absorb_passes(&mut self, passes: u64) {
-        self.passes += passes;
-    }
-
-    /// Fold another scratch's product pass count into this one.
-    pub fn absorb_product_passes(&mut self, passes: u64) {
-        self.product_passes += passes;
-    }
-
-    /// Sort `pairs` by `(code, row)` and append every run of ≥ 2 equal codes
-    /// as a run descriptor (rows come out ascending because the pairs enter
-    /// in ascending row order: the radix path is stable and the comparison
-    /// path tie-breaks on `row`, so both yield the same lexicographic order).
-    fn emit_u32_runs(&mut self) {
-        if self.pairs.len() >= RADIX_MIN_PAIRS {
-            self.passes += u64::from(radix::sort_pairs(&mut self.pairs, &mut self.radix));
-        } else {
-            self.pairs.sort_unstable();
+    /// Split one class (rows ascending) by `codes`: every code held by at
+    /// least two of its rows becomes a run of those rows, ascending, and the
+    /// runs come out in first-row order; rows whose code is
+    /// [`CLASS_SENTINEL`] are dropped.
+    fn split(&mut self, class: impl Iterator<Item = u32> + Clone, codes: &[u32]) {
+        let RefineScratch {
+            slots,
+            seen,
+            runs,
+            rows,
+        } = self;
+        for row in class.clone() {
+            let code = codes[row as usize];
+            if code == CLASS_SENTINEL {
+                continue;
+            }
+            let code = code as usize;
+            if code >= slots.len() {
+                slots.resize(code + 1, 0);
+            }
+            if slots[code] == 0 {
+                seen.push(code as u32);
+            }
+            slots[code] += 1;
         }
-        let pairs = &self.pairs;
-        let mut start = 0usize;
-        for i in 1..=pairs.len() {
-            if i == pairs.len() || pairs[i].0 != pairs[start].0 {
-                if i - start >= 2 {
-                    let at = self.rows_acc.len() as u32;
-                    self.rows_acc
-                        .extend(pairs[start..i].iter().map(|&(_, row)| row));
-                    self.runs.push((pairs[start].1, at, (i - start) as u32));
-                }
-                start = i;
+        let start = rows.len();
+        let mut end = start as u32;
+        for &code in seen.iter() {
+            let slot = &mut slots[code as usize];
+            let count = *slot;
+            if count >= 2 {
+                runs.push((end, count));
+                *slot = end + 1;
+                end += count;
+            } else {
+                *slot = 0;
             }
         }
-    }
-
-    /// [`Self::emit_u32_runs`] over the packed u64 product keys.
-    fn emit_u64_runs(&mut self) {
-        if self.pairs64.len() >= RADIX_MIN_PAIRS {
-            self.product_passes +=
-                u64::from(radix::sort_pairs(&mut self.pairs64, &mut self.radix64));
-        } else {
-            self.pairs64.sort_unstable();
-        }
-        let pairs = &self.pairs64;
-        let mut start = 0usize;
-        for i in 1..=pairs.len() {
-            if i == pairs.len() || pairs[i].0 != pairs[start].0 {
-                if i - start >= 2 {
-                    let at = self.rows_acc.len() as u32;
-                    self.rows_acc
-                        .extend(pairs[start..i].iter().map(|&(_, row)| row));
-                    self.runs.push((pairs[start].1, at, (i - start) as u32));
+        if end as usize > start {
+            rows.resize(end as usize, 0);
+            for row in class {
+                let code = codes[row as usize];
+                if code == CLASS_SENTINEL {
+                    continue;
                 }
-                start = i;
+                let slot = &mut slots[code as usize];
+                if *slot != 0 {
+                    rows[*slot as usize - 1] = row;
+                    *slot += 1;
+                }
             }
         }
+        for &code in seen.iter() {
+            slots[code as usize] = 0;
+        }
+        seen.clear();
     }
 
-    /// Materialize the accumulated run descriptors into a CSR partition:
-    /// runs sorted by first row (first rows are distinct across runs, so the
-    /// order is total and deterministic), rows copied out in that order.
+    /// Materialize the emitted runs into a CSR partition: runs in first-row
+    /// order (first rows are distinct across runs, so the order is total and
+    /// deterministic), rows copied out in that order.
     fn finish(&mut self, n_rows: usize) -> StrippedPartition {
-        self.runs.sort_unstable_by_key(|&(first, _, _)| first);
-        let mut rows = Vec::with_capacity(self.rows_acc.len());
-        let mut offsets = Vec::with_capacity(self.runs.len() + 1);
+        let RefineScratch {
+            runs, rows: acc, ..
+        } = self;
+        let first_row = |&(at, _): &(u32, u32)| acc[at as usize];
+        if !runs.is_sorted_by_key(first_row) {
+            runs.sort_unstable_by_key(first_row);
+        }
+        let mut rows = Vec::with_capacity(acc.len());
+        let mut offsets = Vec::with_capacity(runs.len() + 1);
         offsets.push(0u32);
-        for &(_, at, len) in &self.runs {
-            rows.extend_from_slice(&self.rows_acc[at as usize..(at + len) as usize]);
+        for &(at, len) in runs.iter() {
+            rows.extend_from_slice(&acc[at as usize..(at + len) as usize]);
             offsets.push(rows.len() as u32);
         }
-        self.runs.clear();
-        self.rows_acc.clear();
+        runs.clear();
+        acc.clear();
         StrippedPartition {
             rows,
             offsets,
@@ -317,32 +284,21 @@ impl StrippedPartition {
         }
     }
 
-    /// Build `Π_{{A}}` from an attribute's code column, bucketing through
-    /// caller-provided scratch buffers.
+    /// Build `Π_{{A}}` from an attribute's code column: the whole relation
+    /// split by the counting kernel, through caller-provided scratch.
     pub fn by_codes_with(codes: &[u32], scratch: &mut RefineScratch) -> Self {
-        scratch.pairs.clear();
-        scratch
-            .pairs
-            .extend(codes.iter().enumerate().map(|(row, &c)| (c, row as u32)));
-        scratch.emit_u32_runs();
+        scratch.split(0..codes.len() as u32, codes);
         scratch.finish(codes.len())
     }
 
-    /// Refine by one more attribute's code column: `Π_X · Π_{{A}}` restricted
-    /// to the tuples `Π_X` still tracks.  Linear in [`Self::covered_rows`] up
-    /// to the per-class sort on `(code, row)` pairs: each class is
-    /// bucketed by sorting its `(code, row)` pairs in a reused buffer —
-    /// radix passes for large classes, `sort_unstable` for small ones — and
-    /// emitting the runs of equal codes, instead of hashing into freshly
-    /// allocated per-bucket vectors.  Output is identical on either sort path
-    /// (classes in first-member order, members in ascending row order).
+    /// Refine by a dense code column: every class split by `codes`, which
+    /// may be an attribute's rank codes (`Π_X · Π_{{A}}` restricted to the
+    /// tuples `Π_X` still tracks) or another partition's class ids (see
+    /// [`Self::product_with`]).  Linear in [`Self::covered_rows`]: two
+    /// counting passes per class, no sort.
     pub fn refine_by_with(&self, codes: &[u32], scratch: &mut RefineScratch) -> Self {
         for class in self.classes() {
-            scratch.pairs.clear();
-            scratch
-                .pairs
-                .extend(class.iter().map(|&row| (codes[row as usize], row)));
-            scratch.emit_u32_runs();
+            scratch.split(class.iter().copied(), codes);
         }
         scratch.finish(self.n_rows)
     }
@@ -362,35 +318,11 @@ impl StrippedPartition {
         }
     }
 
-    /// The partition product `self · other` over packed `(class_a, class_b)`
-    /// u64 keys: one pass over `self`'s surviving rows collects
-    /// `(key, row)` pairs (rows that are singletons in `other` are dropped up
-    /// front — they are singletons in the product too), one global stable
-    /// radix sort groups them, and runs of ≥ 2 become the product's classes.
-    /// No hashing, no `Value` comparisons; radix passes land in
-    /// `scratch.product_radix_passes()`.
+    /// The partition product `self · other`: every class of `self` split by
+    /// `other`'s class ids, rows that are singletons in `other` dropped up
+    /// front (they are singletons in the product too).
     pub fn product_with(&self, other: &ClassCodes, scratch: &mut RefineScratch) -> Self {
-        self.product_keys(other, scratch);
-        scratch.emit_u64_runs();
-        scratch.finish(self.n_rows)
-    }
-
-    /// Collect the packed product keys of `self · other` into
-    /// `scratch.pairs64`.
-    fn product_keys(&self, other: &ClassCodes, scratch: &mut RefineScratch) {
-        let shift = other.id_bits();
-        let ocodes = other.codes();
-        scratch.pairs64.clear();
-        for (ci, class) in self.classes().enumerate() {
-            let hi = (ci as u64) << shift;
-            for &row in class {
-                let oc = ocodes[row as usize];
-                if oc == CLASS_SENTINEL {
-                    continue;
-                }
-                scratch.pairs64.push((hi | u64::from(oc), row));
-            }
-        }
+        self.refine_by_with(other.codes(), scratch)
     }
 
     /// The equivalence classes (each of size ≥ 2), as CSR slices in first-row
@@ -454,18 +386,40 @@ impl StrippedPartition {
     }
 }
 
+/// What a context's partition is split by: the dropped attribute's rank
+/// codes at level 1, its class ids from level 2 on.  Holding the column
+/// here keeps it alive while a sharded level's workers read it.
+enum Operand {
+    Codes(ColCodes),
+    Classes(Rc<ClassCodes>),
+}
+
+impl Operand {
+    fn codes(&self) -> &[u32] {
+        match self {
+            Operand::Codes(codes) => codes,
+            Operand::Classes(classes) => classes.codes(),
+        }
+    }
+}
+
 /// Memoizing builder of stripped partitions per attribute set, plus the
 /// per-attribute code columns all validators work on (served as [`ColCodes`]
 /// views into the relation's [`ColumnarEncoding`]).
 ///
-/// `Π_X` is computed once per distinct `X`, by composing the partition of a
-/// maximal cached subset (in practice `X` minus its last attribute, which the
-/// level-wise lattice has always already visited) — the *incremental partition
-/// product* of FASTOD.  Level-1 partitions bucket directly on the attribute's
-/// raw code column; deeper levels run the packed-u64 product against the last
-/// attribute's [`ClassCodes`], which are memoized per attribute and survive
-/// [`Self::evict_sets_of_size`] — eviction drops whole-partition CSR arrays,
-/// not the dense columns products keep re-reading.
+/// `Π_X` is computed once per distinct `X`, as the *incremental partition
+/// product* of FASTOD: the cached subset `X ∖ {A}` that covers the fewest
+/// rows, split by `A` (on a tie, `A` is the highest id).  Under level-wise
+/// traversal every such subset is cached, and the product is the same
+/// partition whichever base it starts from; the smallest one is the least
+/// work.  Level-1 partitions split the full relation by the attribute's raw
+/// code column; deeper levels split by the dropped attribute's
+/// [`ClassCodes`].  From level 2 on, every attribute of a context the cache
+/// builds keeps its class codes, memoized per attribute, so which columns
+/// the cache holds depends on the contexts alone, not on which base the data
+/// made cheapest.  They survive [`Self::evict_sets_of_size`] — eviction drops
+/// whole-partition CSR arrays, not the dense columns products keep
+/// re-reading.
 pub struct PartitionCache<'r> {
     rel: &'r Relation,
     /// Memoized partitions, keyed directly by the attribute-set bit mask —
@@ -504,17 +458,6 @@ impl<'r> PartitionCache<'r> {
         ColCodes::new(self.rel.encoding(), attr.index())
     }
 
-    /// Radix counting passes spent bucketing u32 refinement keys so far
-    /// (serial and sharded refinements both accumulate here).
-    pub fn radix_passes(&self) -> u64 {
-        self.scratch.radix_passes()
-    }
-
-    /// Radix counting passes spent sorting packed u64 product keys so far.
-    pub fn product_radix_passes(&self) -> u64 {
-        self.scratch.product_radix_passes()
-    }
-
     /// The class-id column of `Π_{{attr}}`, memoized per attribute and immune
     /// to [`Self::evict_sets_of_size`].  Served from the cached singleton
     /// partition when present; otherwise built from the attribute's raw code
@@ -551,6 +494,43 @@ impl<'r> PartitionCache<'r> {
         order
     }
 
+    /// The cached subset of `set` one attribute smaller that covers the
+    /// fewest rows, with the attribute it drops; on a tie, the one dropping
+    /// the highest id.  `None` when `set` is empty or no such subset is
+    /// cached.
+    fn cheapest_base(&self, set: &AttrSet) -> Option<(AttrId, Rc<StrippedPartition>)> {
+        let mut best: Option<(AttrId, &Rc<StrippedPartition>)> = None;
+        for attr in set.iter() {
+            if let Some(base) = self.partitions.get(&set.without(attr)) {
+                if best.is_none_or(|(_, b)| base.covered_rows() <= b.covered_rows()) {
+                    best = Some((attr, base));
+                }
+            }
+        }
+        best.map(|(attr, base)| (attr, base.clone()))
+    }
+
+    /// The operand that builds non-empty `set` from the base without
+    /// `dropped`.  From level 2 on, every attribute of `set` gets its class
+    /// codes memoized, not only `dropped`.
+    fn operand(&mut self, set: &AttrSet, dropped: AttrId) -> Operand {
+        if set.len() == 1 {
+            return Operand::Codes(self.codes(dropped));
+        }
+        for attr in set.iter() {
+            self.attr_class_codes(attr);
+        }
+        Operand::Classes(self.attr_class_codes(dropped))
+    }
+
+    /// How `set`'s partition is built from a cached base (the choice both
+    /// [`Self::partition`] and [`Self::partitions_batch`] make); `None` when
+    /// no base is cached.
+    fn plan(&mut self, set: &AttrSet) -> Option<(Rc<StrippedPartition>, Operand)> {
+        let (dropped, base) = self.cheapest_base(set)?;
+        Some((base, self.operand(set, dropped)))
+    }
+
     /// The stripped partition `Π_X` (memoized).
     pub fn partition(&mut self, set: &AttrSet) -> Rc<StrippedPartition> {
         if let Some(p) = self.partitions.get(set) {
@@ -559,21 +539,12 @@ impl<'r> PartitionCache<'r> {
         let part = match set.last() {
             None => StrippedPartition::full(self.rel.len()),
             Some(last) => {
-                // Compose from the partition of X minus its last attribute —
-                // under level-wise traversal that subset is already cached,
-                // making every product incremental.
-                let base = set.without(last);
-                let base_part = self.partition(&base);
-                if base.is_empty() {
-                    // Level 1: bucket the full relation on the raw codes.
-                    let codes = self.codes(last);
-                    base_part.refine_by_with(&codes, &mut self.scratch)
-                } else {
-                    // Level ≥ 2: packed-u64 product against the attribute's
-                    // class-code column.
-                    let other = self.attr_class_codes(last);
-                    base_part.product_with(&other, &mut self.scratch)
-                }
+                let (base, operand) = match self.plan(set) {
+                    Some(plan) => plan,
+                    // No base cached: build `X` minus its last attribute.
+                    None => (self.partition(&set.without(last)), self.operand(set, last)),
+                };
+                base.refine_by_with(operand.codes(), &mut self.scratch)
             }
         };
         let rc = Rc::new(part);
@@ -584,66 +555,45 @@ impl<'r> PartitionCache<'r> {
     /// Materialize a whole level's partitions in one pass, sharding the
     /// product work **by context** across up to `threads` threads.
     ///
-    /// Each set's base (the set minus its last attribute) is resolved serially
-    /// — under level-wise traversal it is already cached, and the `Rc`-handing
-    /// cache cannot be touched from workers — then the per-context products
-    /// run sharded ([`crate::parallel::refine_batch`]): a product is a pure
-    /// function of the base partition and the last attribute's code (or
-    /// class-code) column, so the results are bit-identical on every thread
-    /// count (and so are the total radix pass counts the workers hand back).
-    /// Sets whose base is not cached (possible only outside the lattice's
-    /// level discipline) fall back to the serial recursive path.
+    /// Each set's base and operand are chosen serially — under level-wise
+    /// traversal every candidate base is cached, and the `Rc`-handing cache
+    /// cannot be touched from workers — so the choice does not depend on the
+    /// thread count.  The per-context splits then run sharded
+    /// ([`crate::parallel::refine_batch`]): each is a pure function of its
+    /// base partition and code column, so the results are bit-identical on
+    /// every thread count.  Sets with no cached base (possible only outside
+    /// the lattice's level discipline) fall back to the serial recursive
+    /// path.
     pub fn partitions_batch(
         &mut self,
         sets: &[AttrSet],
         threads: usize,
     ) -> Vec<Rc<StrippedPartition>> {
-        use crate::parallel::RefineJob;
-        // Keep the base `Rc`s alive on this thread; workers see plain `&`s.
-        enum Aux {
-            Codes(ColCodes),
-            Product(Rc<ClassCodes>),
-        }
-        let mut bases: Vec<Option<(Rc<StrippedPartition>, Aux)>> = Vec::with_capacity(sets.len());
+        let mut plans = Vec::with_capacity(sets.len());
         for set in sets {
-            if self.partitions.contains_key(set) {
-                bases.push(None);
-                continue;
-            }
-            let base = match set.last() {
-                Some(last) if self.partitions.contains_key(&set.without(last)) => {
-                    let base_set = set.without(last);
-                    let base_part = self.partitions[&base_set].clone();
-                    let aux = if base_set.is_empty() {
-                        Aux::Codes(self.codes(last))
-                    } else {
-                        Aux::Product(self.attr_class_codes(last))
-                    };
-                    Some((base_part, aux))
+            let plan = if self.partitions.contains_key(set) {
+                None
+            } else {
+                let plan = self.plan(set);
+                if plan.is_none() {
+                    // Serial fallback (also materializes the base for siblings).
+                    self.partition(set);
                 }
-                _ => None, // cached already handled; uncached base → serial fallback
+                plan
             };
-            if base.is_none() {
-                // Serial fallback (also materializes the base for siblings).
-                self.partition(set);
-            }
-            bases.push(base);
+            plans.push(plan);
         }
-        let jobs: Vec<Option<RefineJob<'_>>> = bases
+        let jobs: Vec<Option<crate::parallel::RefineJob<'_>>> = plans
             .iter()
-            .map(|o| {
-                o.as_ref().map(|(b, aux)| match aux {
-                    Aux::Codes(c) => RefineJob::Codes {
-                        base: b,
-                        codes: &c[..],
-                    },
-                    Aux::Product(cc) => RefineJob::Product { base: b, other: cc },
-                })
+            .map(|plan| {
+                plan.as_ref()
+                    .map(|(base, operand)| crate::parallel::RefineJob {
+                        base,
+                        codes: operand.codes(),
+                    })
             })
             .collect();
-        let (fresh, refine_passes, product_passes) = crate::parallel::refine_batch(&jobs, threads);
-        self.scratch.absorb_passes(refine_passes);
-        self.scratch.absorb_product_passes(product_passes);
+        let fresh = crate::parallel::refine_batch(&jobs, threads);
         for (set, part) in sets.iter().zip(fresh) {
             if let Some(part) = part {
                 self.partitions.insert(*set, Rc::new(part));
@@ -735,20 +685,15 @@ mod tests {
 
     #[test]
     fn radix_and_comparison_bucketing_agree() {
-        // Enough rows to clear RADIX_MIN_PAIRS, few enough distinct values
-        // that classes stay large: the full-relation bucketing takes the
-        // radix path while tiny per-class refinements take sort_unstable,
-        // and both must produce identical partitions.
+        // Few distinct values over 600 rows, so classes stay large: the
+        // counting kernel must produce the partition a comparison sort of
+        // the `(code, row)` pairs does.
         let rows: Vec<Vec<i64>> = (0..600i64).map(|i| vec![i % 7, i % 3]).collect();
         let rows: Vec<&[i64]> = rows.iter().map(|r| r.as_slice()).collect();
         let rel = rel_from(&rows);
         let codes = rel.rank_column(AttrId(0));
         let mut scratch = RefineScratch::default();
         let via_radix = StrippedPartition::by_codes_with(&codes, &mut scratch);
-        assert!(
-            scratch.radix_passes() > 0,
-            "600 pairs must take the radix path"
-        );
         // Reference: comparison-sorted bucketing of the same pairs.
         let mut pairs: Vec<(u32, u32)> = codes
             .iter()
@@ -798,12 +743,11 @@ mod tests {
         let cc = p.class_codes();
         assert_eq!(cc.num_classes(), 2);
         assert_eq!(cc.codes(), &[0, 1, 0, CLASS_SENTINEL, 1]);
-        assert_eq!(cc.id_bits(), 1);
-        // Degenerate columns: one class → zero bits, key → zero classes.
+        // Degenerate columns: one class, and a key with no class at all.
         let full = StrippedPartition::full(4).class_codes();
-        assert_eq!((full.num_classes(), full.id_bits()), (1, 0));
+        assert_eq!((full.num_classes(), full.codes()), (1, &[0; 4][..]));
         let key = StrippedPartition::full(1).class_codes();
-        assert_eq!((key.num_classes(), key.id_bits()), (0, 0));
+        assert_eq!((key.num_classes(), key.codes()), (0, &[CLASS_SENTINEL][..]));
     }
 
     #[test]
@@ -817,18 +761,14 @@ mod tests {
         let pc = StrippedPartition::by_codes_with(&rel.rank_column(AttrId(2)), &mut scratch);
         for (base, other) in [(&pa, &pb), (&pb, &pa), (&pa, &pc), (&pc, &pb)] {
             let cc = other.class_codes();
-            let radix = base.product_with(&cc, &mut scratch);
+            let product = base.product_with(&cc, &mut scratch);
             // All columns here are duplicate-heavy (no singletons), so the
             // class-code column is total and refinement by the other
             // partition's class ids equals the product.
             let refined = base.refine_by_with(cc.codes(), &mut scratch);
             assert!(cc.codes().iter().all(|&c| c != CLASS_SENTINEL));
-            assert_eq!(radix, refined);
+            assert_eq!(product, refined);
         }
-        assert!(
-            scratch.product_radix_passes() > 0,
-            "700-row products must take the radix path"
-        );
     }
 
     #[test]
@@ -863,10 +803,82 @@ mod tests {
             oracle = oracle.refine_by_with(&rel.rank_column(AttrId(a)), &mut scratch);
         }
         assert_eq!(*deep, oracle);
-        assert!(
-            cache.product_radix_passes() > 0 || cache.radix_passes() > 0,
-            "large partitions must exercise a radix path"
+    }
+
+    #[test]
+    fn split_classes_interleave_and_come_out_in_first_row_order() {
+        // Base classes {0,3,5,7} and {1,2,4,6}, split by codes that pair
+        // {0,5},{3,7} and {1,4},{2,6}: the runs are emitted out of first-row
+        // order and must be put back in it.  Row 8 is a singleton in the
+        // base, so it never enters; row 9's sentinel code drops it.
+        let base = StrippedPartition::from_classes(vec![vec![0, 3, 5, 7, 9], vec![1, 2, 4, 6]], 10);
+        let codes = [0, 1, 2, 1, 1, 0, 2, 1, 0, CLASS_SENTINEL];
+        let mut scratch = RefineScratch::default();
+        let split = base.refine_by_with(&codes, &mut scratch);
+        assert_eq!(
+            split.class_vecs(),
+            vec![vec![0, 5], vec![1, 4], vec![2, 6], vec![3, 7]]
         );
+        // The scratch is left clean: the same call again gives the same
+        // partition, and a large code grows the slot array on demand.
+        assert_eq!(base.refine_by_with(&codes, &mut scratch), split);
+        assert!(scratch.slots.iter().all(|&s| s == 0) && scratch.seen.is_empty());
+        let wide = [70_000, 5, 70_000];
+        let p = StrippedPartition::by_codes_with(&wide, &mut scratch);
+        assert_eq!(p.class_vecs(), vec![vec![0, 2]]);
+    }
+
+    #[test]
+    fn cheapest_base_covers_fewest_rows_and_drops_the_highest_id_on_ties() {
+        // c0 has one 4-row class, c1 two 2-row classes and c2 is a key, so
+        // Π{0,1} covers 4 rows, Π{0,2} and Π{1,2} none.
+        let rel = rel_from(&[&[1, 1, 1], &[1, 1, 2], &[1, 2, 3], &[1, 2, 4]]);
+        let mut cache = PartitionCache::new(&rel);
+        cache.partitions_batch(&[set(&[])], 1);
+        cache.partitions_batch(&[set(&[0]), set(&[1]), set(&[2])], 1);
+        cache.partitions_batch(&[set(&[0, 1]), set(&[0, 2]), set(&[1, 2])], 1);
+        let covered: Vec<usize> = [[0, 1], [0, 2], [1, 2]]
+            .iter()
+            .map(|ids| cache.partitions[&set(ids)].covered_rows())
+            .collect();
+        assert_eq!(covered, [4, 0, 0]);
+        // Level 1: the only base is Π∅, dropping the attribute itself.
+        let (dropped, base) = cache.cheapest_base(&set(&[1])).unwrap();
+        assert_eq!((dropped, base.covered_rows()), (AttrId(1), 4));
+        // Π{0} covers 4 rows and Π{1} 4 too: a tie drops the highest id.
+        let (dropped, _) = cache.cheapest_base(&set(&[0, 1])).unwrap();
+        assert_eq!(dropped, AttrId(1));
+        // Π{0,2} and Π{1,2} tie at 0 rows below Π{0,1}'s 4: drop 0 or 1,
+        // the highest of them being 1.
+        let (dropped, base) = cache.cheapest_base(&set(&[0, 1, 2])).unwrap();
+        assert_eq!((dropped, base.covered_rows()), (AttrId(1), 0));
+        // Only cached subsets count: with Π{0,2} and Π{1,2} gone, Π{0,1}
+        // is the one base left.
+        cache.partitions.remove(&set(&[0, 2]));
+        cache.partitions.remove(&set(&[1, 2]));
+        let (dropped, base) = cache.cheapest_base(&set(&[0, 1, 2])).unwrap();
+        assert_eq!((dropped, base.covered_rows()), (AttrId(2), 4));
+        cache.partitions.remove(&set(&[0, 1]));
+        assert!(cache.cheapest_base(&set(&[0, 1, 2])).is_none());
+        assert!(cache.cheapest_base(&set(&[])).is_none());
+    }
+
+    #[test]
+    fn level_two_contexts_memoize_every_attribute_they_hold() {
+        // Π{0} covers 4 rows and Π{2} none, so Π{0,2} starts from Π{2} and
+        // reads c0's class codes; c2's are memoized all the same.
+        let rel = rel_from(&[&[1, 1, 1], &[1, 1, 2], &[1, 2, 3], &[1, 2, 4]]);
+        let mut cache = PartitionCache::new(&rel);
+        cache.partitions_batch(&[set(&[])], 1);
+        cache.partitions_batch(&[set(&[0]), set(&[1]), set(&[2])], 1);
+        assert!(cache.attr_codes.is_empty(), "level 1 reads rank codes");
+        cache.partitions_batch(&[set(&[0, 2])], 1);
+        let mut memo: Vec<u32> = cache.attr_codes.keys().map(|a| a.0).collect();
+        memo.sort_unstable();
+        assert_eq!(memo, [0, 2]);
+        // The serial path follows the same rule.
+        cache.partition(&set(&[1, 2]));
+        assert_eq!(cache.attr_codes.len(), 3);
     }
 
     #[test]

@@ -82,9 +82,8 @@ pub(crate) const TAU_PASS_DIVISOR: usize = 8;
 /// **Precondition** shared by both sorts: callers push class rows in
 /// ascending row order, which lets the stable radix path stand in for a full
 /// lexicographic `sort_unstable` (equal keys keep ascending rows either way).
-/// These per-class sorts run inside worker threads, so unlike partition
-/// refinement they record no `radix_passes` metrics — the scoped od-obs
-/// registry is thread-local to the orchestrator.
+/// These per-class sorts run inside worker threads, so they record no
+/// metrics — the scoped od-obs registry is thread-local to the orchestrator.
 pub trait ClassCode: Copy + Ord + Send + Sync {
     /// Sort `(code, row)` pairs by code, rows ascending within equal codes.
     fn sort_group_pairs(pairs: &mut Vec<(Self, u32)>) {

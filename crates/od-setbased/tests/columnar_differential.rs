@@ -1,14 +1,16 @@
 //! Differential proptests for the columnar code path.  The dictionary codes
-//! built at relation construction, the radix-bucketed partition refinement,
-//! and the code-based statement verdicts must be bit-for-bit interchangeable
-//! with their Value-comparison oracles — on relations with NULLs, heavy
-//! duplicates, mixed value types, and single-value columns, both below and
-//! above the radix thresholds (`RADIX_MIN_PAIRS` and `CLASS_RADIX_MIN` are
-//! both 256, so the "large" cases genuinely take the counting-sort paths).
-//! The two compatibility kernels — the τ pass and the per-class scan — are
-//! also pinned against each other, called directly whatever the class sizes.
-//! One fixed test runs the partition and product oracles on the scale table,
-//! whose classes outnumber anything the random relations produce.
+//! built at relation construction, the counting-kernel partition refinement
+//! and products, and the code-based statement verdicts must be bit-for-bit
+//! interchangeable with their Value-comparison oracles — on relations with
+//! NULLs, heavy duplicates, mixed value types, and single-value columns, both
+//! below and above the validators' radix threshold (`CLASS_RADIX_MIN` is 256,
+//! so the "large" cases genuinely take the validators' counting-sort paths).
+//! Every three-attribute partition is built from each of its three pair
+//! bases, which must agree.  The two compatibility kernels — the τ pass and
+//! the per-class scan — are also pinned against each other, called directly
+//! whatever the class sizes.  One fixed test runs the partition and product
+//! oracles on the scale table, whose classes outnumber anything the random
+//! relations produce.
 
 use od_core::check::od_removal_count;
 use od_core::{AttrId, AttrSet, Relation, Schema, Value};
@@ -35,10 +37,9 @@ fn value_strategy() -> impl Strategy<Value = Value> {
 }
 
 /// A relation with `cols` generated columns plus two appended degenerate
-/// columns: a single-value column (every row `Int(42)` — one full class,
-/// zero radix passes) and a unique column (`Int(row)` — every class a
-/// singleton, so its stripped partition is empty and its class codes are all
-/// sentinel).  Together they pin both extremes of the product kernel.
+/// columns: a single-value column (every row `Int(42)` — one full class) and
+/// a unique column (`Int(row)` — every class a singleton, so its stripped
+/// partition is empty and its class codes are all sentinel).  Together they pin both extremes of the product kernel.
 fn relation_strategy(cols: usize, rows: std::ops::Range<usize>) -> impl Strategy<Value = Relation> {
     prop::collection::vec(prop::collection::vec(value_strategy(), cols), rows).prop_map(
         move |rows| {
@@ -194,7 +195,7 @@ fn all_statements(cols: u32, max_context: usize) -> Vec<SetOd> {
 
 /// Shared body: dictionary codes, stripped partitions and all width-2
 /// refinements against the Value-comparison oracles, bit for bit.
-fn assert_partitions_match_value_oracle(rel: &Relation) -> Result<u64, TestCaseError> {
+fn assert_partitions_match_value_oracle(rel: &Relation) -> Result<(), TestCaseError> {
     let all_rows: Vec<u32> = (0..rel.len() as u32).collect();
     let attrs: Vec<AttrId> = rel.schema().attr_ids().collect();
     let enc = rel.encoding();
@@ -219,7 +220,7 @@ fn assert_partitions_match_value_oracle(rel: &Relation) -> Result<u64, TestCaseE
             prop_assert_eq!(refined.class_vecs(), oracle, "Π_{{{:?},{:?}}}", a, b);
         }
     }
-    Ok(scratch.radix_passes())
+    Ok(())
 }
 
 /// Shared body: exact (`ε = 0`, unbounded budget) removal counts and budgeted
@@ -311,31 +312,38 @@ fn assert_tau_pass_matches_per_class_scan(rel: &Relation) -> Result<(), TestCase
     Ok(())
 }
 
-/// Shared body: every ordered-pair product Π_A · Π_B from the radix kernel,
-/// bit for bit against two oracles: the raw-code refinement (`Π_A` refined
-/// by B's dictionary codes — the level-1 path, which never sees the packed
-/// keys) and [`product_by_hash`].  The product paths drop rows singleton in
-/// either operand; refinement strips them afterwards, so all three land on
-/// the identical CSR partition.  Also pins self-product idempotence
-/// (Π · Π = Π).
-fn assert_products_match_oracles(rel: &Relation) -> Result<u64, TestCaseError> {
-    let attrs: Vec<AttrId> = rel.schema().attr_ids().collect();
+/// Shared body: every ordered-pair product Π_A · Π_B, bit for bit against
+/// two oracles: the raw-code refinement (`Π_A` refined by B's dictionary
+/// codes — the level-1 path, which never reads class ids) and
+/// [`product_by_hash`].  The product paths drop rows singleton in either
+/// operand; refinement strips them afterwards, so all three land on the
+/// identical CSR partition.  Also pins self-product idempotence
+/// (Π · Π = Π), and builds every three-attribute partition `Π_{i,j,k}` from
+/// each of its three pair bases — `Π_{i,j}·Π_k`, `Π_{i,k}·Π_j` and
+/// `Π_{j,k}·Π_i`, the choice the cache makes by covered rows — which must
+/// all equal the raw-code refinement chain and [`product_by_hash`].
+fn assert_products_match_oracles(rel: &Relation) -> Result<(), TestCaseError> {
+    let n = rel.schema().arity();
     let enc = rel.encoding();
     let mut scratch = RefineScratch::default();
-    let parts: Vec<StrippedPartition> = (0..attrs.len())
+    let parts: Vec<StrippedPartition> = (0..n)
         .map(|i| StrippedPartition::by_codes_with(enc.codes(i), &mut scratch))
         .collect();
     let codes: Vec<ClassCodes> = parts.iter().map(StrippedPartition::class_codes).collect();
+    let mut pairs: HashMap<(usize, usize), StrippedPartition> = HashMap::new();
     for (i, p) in parts.iter().enumerate() {
         for (j, c) in codes.iter().enumerate() {
             if i == j {
                 continue;
             }
-            let radix = p.product_with(c, &mut scratch);
+            let product = p.product_with(c, &mut scratch);
             let oracle = p.refine_by_with(enc.codes(j), &mut scratch);
-            prop_assert_eq!(&radix, &oracle, "product vs refinement {:?}x{:?}", i, j);
+            prop_assert_eq!(&product, &oracle, "product vs refinement {:?}x{:?}", i, j);
             let hash = product_by_hash(p, c);
-            prop_assert_eq!(&radix, &hash, "product vs hash oracle {:?}x{:?}", i, j);
+            prop_assert_eq!(&product, &hash, "product vs hash oracle {:?}x{:?}", i, j);
+            if i < j {
+                pairs.insert((i, j), product);
+            }
         }
         let self_product = p.product_with(&codes[i], &mut scratch);
         prop_assert_eq!(
@@ -345,26 +353,44 @@ fn assert_products_match_oracles(rel: &Relation) -> Result<u64, TestCaseError> {
             i
         );
     }
-    Ok(scratch.product_radix_passes())
+    for i in 0..n {
+        for j in i + 1..n {
+            for k in j + 1..n {
+                let chain = [i, j, k]
+                    .iter()
+                    .fold(StrippedPartition::full(rel.len()), |p, &a| {
+                        p.refine_by_with(enc.codes(a), &mut scratch)
+                    });
+                for (base, other) in [((i, j), k), ((i, k), j), ((j, k), i)] {
+                    let base = &pairs[&base];
+                    let product = base.product_with(&codes[other], &mut scratch);
+                    prop_assert_eq!(&product, &chain, "Π{{{},{},{}}} by {}", i, j, k, other);
+                    let hash = product_by_hash(base, &codes[other]);
+                    prop_assert_eq!(&product, &hash, "Π{{{},{},{}}} by {}", i, j, k, other);
+                }
+            }
+        }
+    }
+    Ok(())
 }
 
 /// The scale table at 20k rows: its `zipf_key` and `noisy_rank` partitions
-/// hold 848 and 5,330 classes, so products pack class indices wider than a
-/// byte, and both refinement and products take their radix paths.
+/// hold 848 and 5,330 classes, so class ids span thousands of slots, and
+/// its pair partitions cover anything from a few thousand rows to all of
+/// them, so the three bases of one triple differ widely in size.
 #[test]
 fn scale_table_partitions_and_products_match_oracles() {
     let rel = scale_relation(&SCALE_1M.with_rows(20_000));
-    let passes = assert_partitions_match_value_oracle(&rel).unwrap_or_else(|e| panic!("{e}"));
-    assert!(passes > 0, "refinement must take the radix path");
-    let product_passes = assert_products_match_oracles(&rel).unwrap_or_else(|e| panic!("{e}"));
-    assert!(product_passes > 0, "products must take the radix path");
+    assert_partitions_match_value_oracle(&rel).unwrap_or_else(|e| panic!("{e}"));
+    assert_products_match_oracles(&rel).unwrap_or_else(|e| panic!("{e}"));
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
     /// Small relations: exhaustive shape coverage (empty, all-NULL columns,
-    /// every class below the radix thresholds → comparison fallback paths).
+    /// every class below the validators' radix threshold → comparison
+    /// fallback paths).
     #[test]
     fn small_relations_partition_and_verdict_parity(
         rel in relation_strategy(2, 0usize..14),
@@ -389,21 +415,16 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
     /// Large relations: few distinct values over hundreds of rows, so
-    /// partition classes and refinement pair sets clear `RADIX_MIN_PAIRS` /
-    /// `CLASS_RADIX_MIN` — this is the differential pin on the radix and
-    /// counting-sort code paths (plus the single-value column, whose
-    /// constant key must cost zero radix passes yet one full class).
+    /// partition classes clear `CLASS_RADIX_MIN` — this is the differential
+    /// pin on the validators' counting-sort paths and on the partition
+    /// kernel over classes of hundreds of rows (plus the single-value
+    /// column, one full class).
     #[test]
     fn large_relations_take_radix_paths_and_agree(
         rel in relation_strategy(2, 400usize..520),
     ) {
-        let passes = assert_partitions_match_value_oracle(&rel)?;
-        prop_assert!(passes > 0, "expected radix passes above the threshold");
-        let product_passes = assert_products_match_oracles(&rel)?;
-        prop_assert!(
-            product_passes > 0,
-            "expected product radix passes above the threshold"
-        );
+        assert_partitions_match_value_oracle(&rel)?;
+        assert_products_match_oracles(&rel)?;
         assert_verdicts_match_value_oracle(&rel)?;
         assert_tau_pass_matches_per_class_scan(&rel)?;
     }
@@ -412,10 +433,9 @@ proptest! {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
-    /// `LatticeStats::product_radix_passes` (the counter behind
-    /// `discovery.product_radix_passes`) is a pure function of the input:
-    /// sharding the lattice's product jobs across worker threads must not
-    /// change it, nor the discovered statements.
+    /// Sharding the lattice's product jobs across worker threads changes
+    /// nothing a traversal returns: the minimal statements, the verdicts,
+    /// `LatticeStats` and the per-level stats are those of one thread.
     #[test]
     fn product_pass_counts_are_thread_invariant(
         rel in relation_strategy(3, 0usize..40),
@@ -428,13 +448,10 @@ proptest! {
         let reference = discover_statements(&rel, &config(1));
         for threads in [4usize, 8] {
             let d = discover_statements(&rel, &config(threads));
-            prop_assert_eq!(
-                d.stats.product_radix_passes,
-                reference.stats.product_radix_passes,
-                "product pass count drifted at {} threads",
-                threads
-            );
+            prop_assert_eq!(d.stats, reference.stats, "stats drifted at {} threads", threads);
+            prop_assert_eq!(d.level_stats(), reference.level_stats());
             prop_assert_eq!(d.minimal_statements(), reference.minimal_statements());
+            prop_assert_eq!(d.verdicts(), reference.verdicts());
         }
     }
 }

@@ -108,7 +108,7 @@ fn single_attribute_relation_is_worker_invariant() {
     ];
     let rel = Relation::from_rows(schema, rows).unwrap();
     // More workers than attributes: the extra shards stay idle but the
-    // protocol (snapshot, prewarm, empty refine groups) must still converge.
+    // protocol (snapshot, empty refine groups) must still converge.
     for workers in [1, 4] {
         assert_worker_invariant(&rel, 0.0, workers);
     }
@@ -144,8 +144,7 @@ const TAXES_METRICS: &str = "{\"deterministic\":{\"counters\":{\
     \"discovery.inherited\":0,\"discovery.nodes_created\":4,\
     \"discovery.nodes_deleted\":2,\"discovery.partition_cache.evictions\":1,\
     \"discovery.partition_cache.hits\":0,\"discovery.partition_cache.misses\":4,\
-    \"discovery.partition_products\":3,\"discovery.product_radix_passes\":0,\
-    \"discovery.propagated_away\":6,\"discovery.radix_passes\":0,\
+    \"discovery.partition_products\":3,\"discovery.propagated_away\":6,\
     \"discovery.validated\":11},\
     \"gauges\":{\"discovery.partition_cache.peak\":4,\"partition.csr_bytes\":68},\
     \"histograms\":{\"discovery.partition_classes\":\
@@ -187,12 +186,12 @@ fn cache_accounting_is_pinned_on_every_plane() {
         (
             "figure_1",
             od_core::fixtures::figure_1_relation(),
-            [11, 0, 10, 9, 10, 124],
+            [11, 0, 10, 9, 10, 132],
         ),
         (
             "date_dim",
             od_workload::generate_date_dim(1998, 1_000, 2_450_000),
-            [80, 0, 61, 51, 79, 249_216],
+            [80, 0, 61, 51, 79, 253_216],
         ),
     ];
     let config = LatticeConfig {
@@ -203,9 +202,8 @@ fn cache_accounting_is_pinned_on_every_plane() {
         let (local, snap) = captured(|| discover_statements(&rel, &config));
         assert_eq!(accounting(&local, &snap), expected, "{name}: local plane");
         if name == "date_dim" {
-            // Key-ordered pairs cost no radix pass (`radix::sort_pairs`).
-            assert_eq!(local.stats.product_radix_passes, 59);
-            assert_eq!(snap.counters["discovery.radix_passes"], 7);
+            // Products are built by a counting kernel, which sorts nothing.
+            assert_eq!(local.stats.product_radix_passes, 0);
             let cached: Vec<usize> = local
                 .level_stats()
                 .iter()

@@ -40,18 +40,16 @@ fn main() {
         rel.approx_heap_bytes() / 1024
     );
 
-    // Partition refinement runs on the code columns through a reused radix
-    // scratch buffer — no Value comparisons on the hot path.
+    // Partition refinement counts rows per code on the code columns through
+    // a reused scratch buffer — no sort and no Value comparison.
     let mut scratch = RefineScratch::default();
     let start = Instant::now();
     let by_day = StrippedPartition::by_codes_with(enc.codes(1), &mut scratch);
     let refined = by_day.refine_by_with(enc.codes(3), &mut scratch);
     println!(
-        "\nΠ_{{ts_day}} has {} classes; refined by zipf_band: {} classes \
-         ({} radix passes, {:?})",
+        "\nΠ_{{ts_day}} has {} classes; refined by zipf_band: {} classes ({:?})",
         by_day.num_classes(),
         refined.num_classes(),
-        scratch.radix_passes(),
         start.elapsed()
     );
 
