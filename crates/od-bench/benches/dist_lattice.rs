@@ -1,5 +1,5 @@
 //! E17 bench — the distributed traversal's moving parts at bench-friendly
-//! row counts: the threaded engine as the baseline, the full coordinator +
+//! row counts: the in-process engine as the baseline, the full coordinator +
 //! worker-pool discovery at 1/2/4 in-process workers (every frame codec
 //! and shard merge runs; process spawn is excluded so the
 //! numbers isolate protocol + merge overhead), and the columnar snapshot
@@ -27,7 +27,7 @@ fn bench(c: &mut Criterion) {
             ..Default::default()
         };
 
-        group.bench_with_input(BenchmarkId::new("threaded", rows), &rows, |b, _| {
+        group.bench_with_input(BenchmarkId::new("in_process", rows), &rows, |b, _| {
             b.iter(|| {
                 discover_statements(&rel, &config)
                     .minimal_statements()

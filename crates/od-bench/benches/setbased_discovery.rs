@@ -14,10 +14,9 @@ use od_discovery::{discover_ods, DiscoveryConfig, DiscoveryEngine};
 use od_workload::{generate_date_dim, tax};
 use std::time::Duration;
 
-fn config(engine: DiscoveryEngine, parallel: bool) -> DiscoveryConfig {
+fn config(engine: DiscoveryEngine) -> DiscoveryConfig {
     DiscoveryConfig {
         engine,
-        parallel,
         ..Default::default()
     }
 }
@@ -45,29 +44,18 @@ fn bench(c: &mut Criterion) {
         let taxes = tax::generate_taxes(rows, 7);
         group.bench_with_input(BenchmarkId::new("taxes_naive", rows), &rows, |b, _| {
             b.iter(|| {
-                discover_ods(&taxes, config(DiscoveryEngine::Naive, false))
+                discover_ods(&taxes, config(DiscoveryEngine::Naive))
                     .ods
                     .len()
             })
         });
         group.bench_with_input(BenchmarkId::new("taxes_setbased", rows), &rows, |b, _| {
             b.iter(|| {
-                discover_ods(&taxes, config(DiscoveryEngine::SetBased, false))
+                discover_ods(&taxes, config(DiscoveryEngine::SetBased))
                     .ods
                     .len()
             })
         });
-        group.bench_with_input(
-            BenchmarkId::new("taxes_setbased_parallel", rows),
-            &rows,
-            |b, _| {
-                b.iter(|| {
-                    discover_ods(&taxes, config(DiscoveryEngine::SetBased, true))
-                        .ods
-                        .len()
-                })
-            },
-        );
     }
 
     // Approximate discovery on dirtied taxes: ε = 2% against ~1% corrupted
@@ -79,7 +67,7 @@ fn bench(c: &mut Criterion) {
         &10_000,
         |b, _| {
             b.iter(|| {
-                discover_ods(&dirty, config(DiscoveryEngine::SetBased, false))
+                discover_ods(&dirty, config(DiscoveryEngine::SetBased))
                     .ods
                     .len()
             })
@@ -94,7 +82,7 @@ fn bench(c: &mut Criterion) {
                     &dirty,
                     DiscoveryConfig {
                         epsilon: 0.02,
-                        ..config(DiscoveryEngine::SetBased, false)
+                        ..config(DiscoveryEngine::SetBased)
                     },
                 )
                 .ods
@@ -109,14 +97,14 @@ fn bench(c: &mut Criterion) {
     let dates_small = generate_date_dim(1998, 400, 2_450_000);
     group.bench_with_input(BenchmarkId::new("date_dim_naive", 400), &400, |b, _| {
         b.iter(|| {
-            discover_ods(&dates_small, config(DiscoveryEngine::Naive, false))
+            discover_ods(&dates_small, config(DiscoveryEngine::Naive))
                 .ods
                 .len()
         })
     });
     group.bench_with_input(BenchmarkId::new("date_dim_setbased", 400), &400, |b, _| {
         b.iter(|| {
-            discover_ods(&dates_small, config(DiscoveryEngine::SetBased, false))
+            discover_ods(&dates_small, config(DiscoveryEngine::SetBased))
                 .ods
                 .len()
         })
@@ -127,7 +115,7 @@ fn bench(c: &mut Criterion) {
         &10_000,
         |b, _| {
             b.iter(|| {
-                discover_ods(&dates_large, config(DiscoveryEngine::SetBased, false))
+                discover_ods(&dates_large, config(DiscoveryEngine::SetBased))
                     .ods
                     .len()
             })

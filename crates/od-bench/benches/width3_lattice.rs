@@ -13,10 +13,9 @@ use od_setbased::{discover_statements, LatticeConfig};
 use od_workload::{generate_date_dim, tax};
 use std::time::Duration;
 
-fn config(max_context: usize, threads: usize) -> LatticeConfig {
+fn config(max_context: usize) -> LatticeConfig {
     LatticeConfig {
         max_context,
-        threads,
         ..Default::default()
     }
 }
@@ -34,23 +33,12 @@ fn bench(c: &mut Criterion) {
         for width in [2usize, 3] {
             group.bench_with_input(BenchmarkId::new(name, width), &width, |b, &w| {
                 b.iter(|| {
-                    discover_statements(rel, &config(w, 1))
+                    discover_statements(rel, &config(w))
                         .minimal_statements()
                         .len()
                 })
             });
         }
-        group.bench_with_input(
-            BenchmarkId::new(format!("{name}_threaded"), 3),
-            &3,
-            |b, &w| {
-                b.iter(|| {
-                    discover_statements(rel, &config(w, od_setbased::parallel::available_threads()))
-                        .minimal_statements()
-                        .len()
-                })
-            },
-        );
     }
     group.finish();
 }

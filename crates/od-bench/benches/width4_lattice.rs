@@ -3,9 +3,10 @@
 //!
 //! What makes width 4 affordable is representation plus batching: contexts,
 //! candidate sets and partition keys are `u64` masks (propagation is a `&`,
-//! subsumption a compare-and-mask, cache keys hash one word), level expansion
-//! shards partition refinement by context, and decider implication runs as
-//! one batched round-trip per level with counterexample reuse.  The bench
+//! subsumption a compare-and-mask, cache keys hash one word), each level's
+//! partitions are built from the cheapest cached base, and decider
+//! implication runs as one batched round-trip per level with counterexample
+//! reuse.  The bench
 //! measures the residual cost — partition products for the surviving level-4
 //! nodes plus their batched scans.
 
@@ -14,10 +15,9 @@ use od_setbased::{discover_statements, LatticeConfig};
 use od_workload::{generate_date_dim, tax};
 use std::time::Duration;
 
-fn config(max_context: usize, threads: usize) -> LatticeConfig {
+fn config(max_context: usize) -> LatticeConfig {
     LatticeConfig {
         max_context,
-        threads,
         ..Default::default()
     }
 }
@@ -35,23 +35,12 @@ fn bench(c: &mut Criterion) {
         for width in [3usize, 4] {
             group.bench_with_input(BenchmarkId::new(name, width), &width, |b, &w| {
                 b.iter(|| {
-                    discover_statements(rel, &config(w, 1))
+                    discover_statements(rel, &config(w))
                         .minimal_statements()
                         .len()
                 })
             });
         }
-        group.bench_with_input(
-            BenchmarkId::new(format!("{name}_threaded"), 4),
-            &4,
-            |b, &w| {
-                b.iter(|| {
-                    discover_statements(rel, &config(w, od_setbased::parallel::available_threads()))
-                        .minimal_statements()
-                        .len()
-                })
-            },
-        );
     }
     group.finish();
 }

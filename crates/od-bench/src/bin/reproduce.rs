@@ -13,7 +13,7 @@
 //! cargo run --release -p od-bench --bin reproduce -- e17 --workers 2 --rows 250000
 //! #                       multi-process width-4 discovery: N worker processes
 //! #                       (this binary re-exec'd with --od-worker) shard the data
-//! #                       plane over pipes, bit-identical to the threaded engine;
+//! #                       plane over pipes, bit-identical to the in-process engine;
 //! #                       --rows sizes its scale table (default 1M; --tiny 20k)
 //! ```
 //!

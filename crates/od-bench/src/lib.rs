@@ -648,9 +648,9 @@ pub fn exp_e12_width3(scale: ExperimentScale) -> String {
 }
 
 /// E13 — width-4 lattice discovery on bitset attribute sets: `u64`-mask
-/// contexts, candidate sets and partition keys, context-sharded level
-/// expansion, and decider implication batched into one round-trip per level
-/// make the fourth context level (the new default) interactive.
+/// contexts, candidate sets and partition keys, partition products from the
+/// cheapest cached base, and decider implication batched into one round-trip
+/// per level make the fourth context level (the new default) interactive.
 pub fn exp_e13_width4(scale: ExperimentScale, max_context: usize) -> String {
     use od_setbased::{discover_statements, LatticeConfig};
     let mut out = String::new();
@@ -714,11 +714,11 @@ pub fn exp_e13_width4_with_metrics(
     metrics::capture("e13", || exp_e13_width4(scale, max_context))
 }
 
-/// E17 — multi-process lattice traversal: the same width-4 discovery as E16,
-/// with the data plane (partition refinement + statement scans) sharded
-/// across `workers` worker *processes* connected over length-prefixed pipe
-/// frames.  The distributed run's minimal statements, verdicts, and stats
-/// are asserted bit-identical to the threaded engine **in-run**, and at
+/// E17 — multi-process lattice traversal: the default width-4 `LatticeConfig`
+/// on the `SCALE_1M` table at `rows` rows, with the data plane (partition
+/// refinement + statement scans) sharded across `workers` worker *processes*
+/// over length-prefixed pipe frames.  Minimal statements, verdicts, and stats
+/// are asserted bit-identical to the in-process engine **in-run**, and at
 /// scale the wall-clock must clear a 1.3× bar against it.  Workers are the
 /// current binary re-executed with `--od-worker` (`reproduce` installs the
 /// hook), each loading its relation copy once from a columnar snapshot.
@@ -769,8 +769,8 @@ fn run_e17(rows: usize, workers: usize, launcher: &WorkerLauncher) -> (String, D
     )
     .unwrap();
 
-    // The threaded path at its E16 headline configuration (serial scans):
-    // the wall-clock baseline *and* the bit-identity oracle.
+    // The in-process engine: the wall-clock baseline *and* the bit-identity
+    // oracle (its timing keeps the name `BENCH_e17.json` has always used).
     let config = LatticeConfig {
         max_context: 4,
         ..Default::default()
@@ -780,7 +780,7 @@ fn run_e17(rows: usize, workers: usize, launcher: &WorkerLauncher) -> (String, D
     });
     writeln!(
         out,
-        "threaded engine (threads=1): {} minimal statements in {local_time:?} ({} rows/sec)",
+        "in-process engine:           {} minimal statements in {local_time:?} ({} rows/sec)",
         local.minimal_statements().len(),
         rows_per_sec(rel.len(), local_time)
     )
@@ -804,7 +804,7 @@ fn run_e17(rows: usize, workers: usize, launcher: &WorkerLauncher) -> (String, D
     writeln!(
         out,
         "dist engine ({} workers):     {} minimal statements in {dist_time:?} \
-         ({} rows/sec, {speedup:.2}x vs threaded; {} frames, {} wire bytes)",
+         ({} rows/sec, {speedup:.2}x vs in-process; {} frames, {} wire bytes)",
         stats.workers,
         dist.minimal_statements().len(),
         rows_per_sec(rel.len(), dist_time),
@@ -826,7 +826,7 @@ fn run_e17(rows: usize, workers: usize, launcher: &WorkerLauncher) -> (String, D
     if !identical {
         writeln!(
             out,
-            "  UNEXPECTED: the distributed engine diverged from the threaded engine"
+            "  UNEXPECTED: the distributed engine diverged from the in-process engine"
         )
         .unwrap();
     }
@@ -838,7 +838,7 @@ fn run_e17(rows: usize, workers: usize, launcher: &WorkerLauncher) -> (String, D
     if rows >= 250_000 && workers >= 2 && cores >= 2 && speedup < 1.3 {
         writeln!(
             out,
-            "  UNEXPECTED: {workers}-worker traversal below the 1.3x bar vs the threaded path"
+            "  UNEXPECTED: {workers}-worker traversal below the 1.3x bar vs the in-process engine"
         )
         .unwrap();
     }
@@ -853,7 +853,7 @@ fn run_e17(rows: usize, workers: usize, launcher: &WorkerLauncher) -> (String, D
     write!(out, "{}", dist.summary()).unwrap();
     writeln!(
         out,
-        "claim: context-sharded worker processes beat the threaded width-4 traversal \
+        "claim: context-sharded worker processes beat the in-process width-4 traversal \
          end-to-end (spawn + snapshot + merge included), bit-identically  |  measured: \
          {speedup:.2}x with {workers} workers on {} rows ({cores}-core host)",
         rel.len()

@@ -1,5 +1,5 @@
 //! CI guard for the E17 distributed traversal: the report must be free of
-//! `UNEXPECTED` markers (bit-identity with the threaded engine, and — on
+//! `UNEXPECTED` markers (bit-identity with the in-process engine, and — on
 //! hosts with ≥2 CPUs — the ≥1.3x wall-clock bar at scale), with real
 //! `reproduce`-binary worker processes wherever a process can be spawned.
 //!

@@ -1,7 +1,7 @@
 //! Determinism guard for the canonical metrics artifacts: the deterministic
 //! section of a `BENCH_<experiment>.json` must be **byte-identical** across
-//! repeated runs and across worker thread counts — that is the property that
-//! makes the artifacts diffable in CI.  Wall-clock durations and RSS live in
+//! repeated runs — that is the property that makes the artifacts diffable in
+//! CI.  Wall-clock durations and RSS live in
 //! the non-deterministic section and are deliberately not compared.
 
 use od_bench::{exp_e12_width3_with_metrics, exp_e13_width4_with_metrics, ExperimentScale};
@@ -12,18 +12,12 @@ use proptest::prelude::*;
 
 /// One discovery run on `rel` under a scoped registry; returns the
 /// deterministic section's canonical bytes.
-fn deterministic_bytes(
-    experiment: &str,
-    rel: &Relation,
-    max_context: usize,
-    threads: usize,
-) -> String {
+fn deterministic_bytes(experiment: &str, rel: &Relation, max_context: usize) -> String {
     let (_, report) = od_bench::metrics::capture(experiment, || {
         discover_statements(
             rel,
             &LatticeConfig {
                 max_context,
-                threads,
                 ..Default::default()
             },
         )
@@ -32,43 +26,39 @@ fn deterministic_bytes(
 }
 
 #[test]
-fn e12_deterministic_section_is_byte_identical_across_runs_and_threads() {
+fn e12_deterministic_section_is_byte_identical_across_runs() {
     let rel = generate_date_dim(1998, 1_000, 2_450_000);
-    let reference = deterministic_bytes("e12", &rel, 3, 1);
+    let reference = deterministic_bytes("e12", &rel, 3);
     assert!(reference.contains("discovery.candidates"));
     assert!(reference.contains("discovery.partition_classes"));
-    for threads in [1, 4, 8] {
-        for run in 0..2 {
-            assert_eq!(
-                deterministic_bytes("e12", &rel, 3, threads),
-                reference,
-                "e12 deterministic section drifted (threads={threads}, run={run})"
-            );
-        }
+    for run in 0..2 {
+        assert_eq!(
+            deterministic_bytes("e12", &rel, 3),
+            reference,
+            "e12 deterministic section drifted (run={run})"
+        );
     }
 }
 
 #[test]
-fn e13_deterministic_section_is_byte_identical_across_runs_and_threads() {
+fn e13_deterministic_section_is_byte_identical_across_runs() {
     let rel = generate_date_dim(1998, 1_000, 2_450_000);
-    let reference = deterministic_bytes("e13", &rel, 4, 1);
+    let reference = deterministic_bytes("e13", &rel, 4);
     assert!(reference.contains("discovery.decider_rounds"));
-    for threads in [1, 4, 8] {
-        for run in 0..2 {
-            assert_eq!(
-                deterministic_bytes("e13", &rel, 4, threads),
-                reference,
-                "e13 deterministic section drifted (threads={threads}, run={run})"
-            );
-        }
+    for run in 0..2 {
+        assert_eq!(
+            deterministic_bytes("e13", &rel, 4),
+            reference,
+            "e13 deterministic section drifted (run={run})"
+        );
     }
 }
 
 #[test]
 fn e17_deterministic_section_is_byte_identical_across_runs_and_worker_counts() {
-    // The whole E17 pipeline — scale-table generation, the threaded oracle
-    // run, the distributed traversal over in-process workers — under the
-    // capture.  The deterministic section carries only merged discovery
+    // The whole E17 pipeline — scale-table generation, the in-process
+    // oracle run, the distributed traversal over in-process workers — under
+    // the capture.  The deterministic section carries only merged discovery
     // counters (worker-invariant: the control loop derives cache
     // accounting from the level schedule on every plane); frame/byte traffic
     // varies with the worker count and lives in the non-deterministic
@@ -130,23 +120,17 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
     /// On random relations the deterministic section stays byte-identical
-    /// across two runs at each of 1/4/8 worker threads — randomized cover for
-    /// the fixed-workload guards above.
+    /// across two more runs — randomized cover for the fixed-workload guards
+    /// above.
     #[test]
-    fn deterministic_section_is_thread_and_run_invariant(rel in relation_strategy(4, 12)) {
-        let reference = deterministic_bytes("prop", &rel, 3, 1);
-        for threads in [1usize, 4, 8] {
+    fn deterministic_section_is_run_invariant(rel in relation_strategy(4, 12)) {
+        let reference = deterministic_bytes("prop", &rel, 3);
+        for run in 0..2 {
             prop_assert_eq!(
-                &deterministic_bytes("prop", &rel, 3, threads),
+                &deterministic_bytes("prop", &rel, 3),
                 &reference,
-                "threads={}",
-                threads
-            );
-            prop_assert_eq!(
-                &deterministic_bytes("prop", &rel, 3, threads),
-                &reference,
-                "threads={} (second run)",
-                threads
+                "run={}",
+                run
             );
         }
     }

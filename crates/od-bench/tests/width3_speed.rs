@@ -119,7 +119,7 @@ fn width2_verdicts_match_the_demand_driven_engine_bit_for_bit() {
                 ..Default::default()
             },
         );
-        let mut engine = SetBasedEngine::with_budget(&rel, 1, d.budget());
+        let mut engine = SetBasedEngine::with_budget(&rel, d.budget());
         for stmt in statements_within(&rel, 2) {
             assert_eq!(
                 d.holds(&stmt),
@@ -129,7 +129,7 @@ fn width2_verdicts_match_the_demand_driven_engine_bit_for_bit() {
         }
         // Minimal verdicts are the scan verdicts themselves: identical
         // removal counts, witnesses and class counts.
-        let mut fresh = SetBasedEngine::with_budget(&rel, 1, d.budget());
+        let mut fresh = SetBasedEngine::with_budget(&rel, d.budget());
         for (stmt, verdict) in d.minimal_statements().iter().zip(d.verdicts()) {
             assert_eq!(
                 &fresh.statement_verdict(stmt),

@@ -69,8 +69,6 @@ pub struct DiscoveryConfig {
     pub prune_implied: bool,
     /// Validation engine.
     pub engine: DiscoveryEngine,
-    /// Shard large partition scans across threads (set-based engine only).
-    pub parallel: bool,
     /// `g3` error threshold: accept a candidate when each of its canonical
     /// statements holds after removing at most `⌊ε·n⌋` tuples.  `0.0` (the
     /// default) is exact discovery — bit-identical to the pre-approximation
@@ -98,7 +96,6 @@ impl Default for DiscoveryConfig {
             max_rhs: 2,
             prune_implied: true,
             engine: DiscoveryEngine::SetBased,
-            parallel: false,
             epsilon: 0.0,
             max_context: 4,
         }
@@ -207,11 +204,6 @@ pub fn discover_ods(rel: &Relation, config: DiscoveryConfig) -> Discovery {
             result
         }
         DiscoveryEngine::SetBased => {
-            let threads = if config.parallel {
-                od_setbased::parallel::available_threads()
-            } else {
-                1
-            };
             // The widest statement context any enumerated candidate can
             // produce: |set(X)| for a constancy, |prefix(X) ∪ prefix(Y)| for a
             // compatibility — so profiling deeper than this is pure waste.
@@ -224,7 +216,6 @@ pub fn discover_ods(rel: &Relation, config: DiscoveryConfig) -> Discovery {
                 &LatticeConfig {
                     max_context: depth,
                     use_decider: true,
-                    threads,
                     epsilon: config.epsilon,
                     workers: 0,
                 },
@@ -237,7 +228,7 @@ pub fn discover_ods(rel: &Relation, config: DiscoveryConfig) -> Discovery {
             let n = rel.len();
             let mut check = |od: &OrderDependency| {
                 let engine = engine.get_or_insert_with(|| {
-                    let mut e = SetBasedEngine::with_budget(rel, threads, budget);
+                    let mut e = SetBasedEngine::with_budget(rel, budget);
                     e.adopt_profile(&profile);
                     e
                 });
@@ -622,20 +613,6 @@ mod tests {
             set_based.validated,
             naive.validated
         );
-    }
-
-    #[test]
-    fn parallel_discovery_matches_serial() {
-        let rel = fixtures::example_5_taxes();
-        let serial = discover_ods(&rel, DiscoveryConfig::default());
-        let parallel = discover_ods(
-            &rel,
-            DiscoveryConfig {
-                parallel: true,
-                ..Default::default()
-            },
-        );
-        assert_eq!(serial.ods, parallel.ods);
     }
 
     #[test]

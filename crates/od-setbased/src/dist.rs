@@ -51,10 +51,10 @@
 //! The coordinator runs the *control plane* — candidate propagation, rule-2
 //! subsumption, the per-level decider round, and the sequential replay —
 //! unchanged, so verdicts, minimal statements, and every deterministic
-//! counter are **bit-identical to the threaded engine on any worker count**:
+//! counter are **bit-identical to the in-process engine on any worker count**:
 //!
-//! * Scans are sharded whole (each verdict is produced by one serial scan),
-//!   exactly like the thread pool, and scattered back to their canonical
+//! * Scans are sharded whole (each verdict is produced by one serial scan,
+//!   exactly as on the local plane) and scattered back to their canonical
 //!   slots before the replay consumes them.
 //! * Refinements are pure functions of (base partition, attribute codes),
 //!   each performed exactly once by exactly one worker.  A worker builds a
@@ -73,8 +73,7 @@
 
 use crate::canonical::SetOd;
 use crate::lattice::{self, LatticeConfig, LevelRefinement, SetBasedDiscovery};
-use crate::parallel::{self, StatementJob};
-use crate::partition::{ColCodes, PartitionCache, StrippedPartition};
+use crate::partition::{PartitionCache, StrippedPartition};
 use crate::validate::{self, Verdict};
 use od_core::wire::{self, read_frame, read_frame_opt, write_frame, Reader, MAX_FRAME_LEN};
 use od_core::{AttrId, AttrSet, Relation};
@@ -844,7 +843,7 @@ pub fn run_worker(r: &mut impl Read, w: &mut impl Write) -> io::Result<()> {
                     sets.push(AttrSet::from_mask(rd.u64().map_err(invalid)?));
                 }
                 rd.finish().map_err(invalid)?;
-                let parts = cache.partitions_batch(&sets, 1);
+                let parts = cache.partitions_batch(&sets);
                 let mut reply = Vec::with_capacity(5 + parts.len() * 16);
                 wire::put_u8(&mut reply, RESP_REFINE_DONE);
                 wire::put_u32(&mut reply, parts.len() as u32);
@@ -866,13 +865,13 @@ pub fn run_worker(r: &mut impl Read, w: &mut impl Write) -> io::Result<()> {
                 rd.finish().map_err(invalid)?;
                 let parts: Vec<Rc<StrippedPartition>> =
                     items.iter().map(|(ctx, _)| cache.partition(ctx)).collect();
-                let codes: Vec<ColCodes> = items.iter().map(|&(_, a)| cache.codes(a)).collect();
-                let jobs: Vec<StatementJob<'_>> = parts
+                let verdicts: Vec<Verdict> = parts
                     .iter()
-                    .zip(&codes)
-                    .map(|(part, codes)| StatementJob::Constancy { part, codes })
+                    .zip(&items)
+                    .map(|(part, &(_, a))| {
+                        validate::constancy_verdict(part, &cache.codes(a), budget)
+                    })
                     .collect();
-                let verdicts = parallel::validate_statement_batch(&jobs, 1, budget);
                 write_verdicts(w, &verdicts)?;
             }
             REQ_SCAN_PAIRS => {
@@ -892,9 +891,7 @@ pub fn run_worker(r: &mut impl Read, w: &mut impl Write) -> io::Result<()> {
                     .zip(&items)
                     .map(|(part, &(_, a, b))| (&**part, a, b))
                     .collect();
-                let verdicts = parallel::with_compatibility_jobs(&mut cache, &scans, |jobs| {
-                    parallel::validate_statement_batch(jobs, 1, budget)
-                });
+                let verdicts = validate::compatibility_verdicts(&mut cache, &scans, budget);
                 write_verdicts(w, &verdicts)?;
             }
             REQ_SCAN_ONE => {

@@ -48,32 +48,24 @@ pub struct EngineStats {
 pub struct SetBasedEngine<'r> {
     cache: PartitionCache<'r>,
     verdicts: HashMap<SetOd, Verdict>,
-    threads: usize,
     budget: usize,
     /// Resolution counters.
     pub stats: EngineStats,
 }
 
 impl<'r> SetBasedEngine<'r> {
-    /// A serial, exact engine over the relation.
+    /// An exact engine over the relation.
     pub fn new(rel: &'r Relation) -> Self {
-        Self::with_threads(rel, 1)
-    }
-
-    /// An exact engine that shards large partition scans over `threads`
-    /// threads.
-    pub fn with_threads(rel: &'r Relation, threads: usize) -> Self {
-        Self::with_budget(rel, threads, 0)
+        Self::with_budget(rel, 0)
     }
 
     /// An engine accepting statements whose `g3` removal count stays within
     /// `budget` tuples (`⌊ε·n⌋`; see [`validate::error_budget`]).  Budget 0 is
     /// exact validation.
-    pub fn with_budget(rel: &'r Relation, threads: usize, budget: usize) -> Self {
+    pub fn with_budget(rel: &'r Relation, budget: usize) -> Self {
         SetBasedEngine {
             cache: PartitionCache::new(rel),
             verdicts: HashMap::new(),
-            threads: threads.max(1),
             budget,
             stats: EngineStats::default(),
         }
@@ -151,7 +143,7 @@ impl<'r> SetBasedEngine<'r> {
             return premise;
         }
         self.stats.data_validations += 1;
-        let v = validate::statement_verdict(&mut self.cache, stmt, self.threads, self.budget);
+        let v = validate::statement_verdict(&mut self.cache, stmt, 1, self.budget);
         self.verdicts.insert(*stmt, v.clone());
         v
     }
@@ -352,17 +344,6 @@ mod tests {
     }
 
     #[test]
-    fn threaded_engine_matches_serial_verdicts() {
-        let rel = fixtures::figure_1_relation();
-        let universe: Vec<AttrId> = rel.schema().attr_ids().collect();
-        let mut serial = SetBasedEngine::new(&rel);
-        let mut threaded = SetBasedEngine::with_threads(&rel, 4);
-        for od in od_infer::witness::enumerate_ods(&universe[..4], 2) {
-            assert_eq!(serial.od_holds(&od), threaded.od_holds(&od));
-        }
-    }
-
-    #[test]
     fn inherited_verdicts_carry_no_witnesses() {
         // Two rows disagreeing on A: {}: [] ↦ A fails with removal 1 and a
         // witness pair.  Under a budget of 1 it is accepted, so {B}: [] ↦ A is
@@ -381,7 +362,7 @@ mod tests {
             ],
         )
         .unwrap();
-        let mut engine = SetBasedEngine::with_budget(&rel, 1, 1);
+        let mut engine = SetBasedEngine::with_budget(&rel, 1);
         let empty: od_core::AttrSet = Default::default();
         let premise = engine.statement_verdict(&SetOd::constancy(empty, a));
         assert_eq!(premise.removal_count, 1);
@@ -416,7 +397,7 @@ mod tests {
         assert!(engine.stats.memo_hits >= adopted);
         // A budget-mismatched profile is refused — its `within` decisions are
         // relative to a different ε.
-        let mut budgeted = SetBasedEngine::with_budget(&rel, 1, 3);
+        let mut budgeted = SetBasedEngine::with_budget(&rel, 3);
         assert_eq!(budgeted.adopt_profile(&profile), 0);
     }
 
@@ -454,14 +435,14 @@ mod tests {
         let mut exact = SetBasedEngine::new(&rel);
         assert!(!exact.od_holds(&od));
         let exact_removal = {
-            let mut unbounded = SetBasedEngine::with_budget(&rel, 1, rel.len());
+            let mut unbounded = SetBasedEngine::with_budget(&rel, rel.len());
             unbounded.od_verdict(&od).removal_count
         };
         assert!(exact_removal > 0 && exact_removal < rel.len());
         // Budget exactly at the removal count accepts; one less rejects.
-        let mut at = SetBasedEngine::with_budget(&rel, 1, exact_removal);
+        let mut at = SetBasedEngine::with_budget(&rel, exact_removal);
         assert!(at.od_holds(&od));
-        let mut under = SetBasedEngine::with_budget(&rel, 1, exact_removal - 1);
+        let mut under = SetBasedEngine::with_budget(&rel, exact_removal - 1);
         assert!(!under.od_holds(&od));
         // Evidence carries witnesses for the rejected OD.
         let mut again = SetBasedEngine::new(&rel);

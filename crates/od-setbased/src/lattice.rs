@@ -32,17 +32,16 @@
 //!    clean verdicts, its pairs are subsumed by them (rule 2 below), and the
 //!    node is deleted *before expansion*: none of its `2^(|U|−k)` ancestors is
 //!    ever generated.
-//! 2. **Context-sharded level expansion** — a level's partitions are
-//!    materialized in one pass sharded *by context*
+//! 2. **Level-at-a-time expansion** — a level's partitions are all
+//!    materialized before any of its statements is scanned
 //!    ([`PartitionCache::partitions_batch`]): every context's partition is
 //!    its cheapest cached parent partition split by the dropped attribute's
-//!    codes, the parent chosen serially, so the products are computed on
-//!    worker threads and are bit-identical on every thread count.
-//! 3. **Batched per-level validation** — all of a level's surviving candidates
-//!    are scanned in one sharded pass
-//!    ([`parallel::validate_statement_batch`]), statements claimed from an
-//!    atomic cursor, each scanned serially so verdicts are bit-identical on
-//!    every thread count.
+//!    codes, so each product reads a level-`k−1` partition still in the
+//!    cache.
+//! 3. **Batched per-level validation** — a level's surviving constancy
+//!    candidates are scanned in one pass, then the pairs rule 2 leaves open
+//!    in a second, and the replay consumes those verdicts in canonical order;
+//!    a pair whose constancy holds is never scanned at all.
 //! 4. **Per-level partition eviction** — level `k` partitions are refinement
 //!    bases only for level `k + 1`, so they are evicted as soon as level
 //!    `k + 1` is materialized ([`PartitionCache::evict_sets_of_size`]); a
@@ -75,7 +74,6 @@
 
 use crate::canonical::SetOd;
 use crate::dist::{DistError, DistPlane, WorkerLauncher};
-use crate::parallel::{self, StatementJob};
 use crate::partition::{ColCodes, PartitionCache, StrippedPartition};
 use crate::validate::{self, Verdict};
 use od_core::{AttrId, AttrSet, CoreError, OrderDependency, Relation};
@@ -91,9 +89,6 @@ pub struct LatticeConfig {
     /// Consult the exact implication decider before validating a candidate
     /// (only sound — and only consulted — when `epsilon == 0`).
     pub use_decider: bool,
-    /// Threads for the sharded level expansion and the batched per-level
-    /// validation pass (1 = serial).
-    pub threads: usize,
     /// `g3` error threshold: accept statements that hold after removing at
     /// most `⌊ε·n⌋` tuples (0.0 = exact discovery).
     pub epsilon: f64,
@@ -107,14 +102,13 @@ pub struct LatticeConfig {
 
 impl Default for LatticeConfig {
     /// Width 4 by default: bitset candidate sets, key-based node deletion and
-    /// context-sharded expansion keep the fourth level interactive (the
+    /// per-level partition eviction keep the fourth level interactive (the
     /// pre-node-store traversal was pinned at 2, the `Vec`-set node store at
     /// 3).
     fn default() -> Self {
         LatticeConfig {
             max_context: 4,
             use_decider: true,
-            threads: 1,
             epsilon: 0.0,
             workers: 0,
         }
@@ -581,7 +575,7 @@ impl TraversalState {
 /// from the level schedule — and that is what makes the distributed engine
 /// bit-identical to the in-process one.
 pub(crate) enum Plane<'r> {
-    /// The in-process [`PartitionCache`] (threads shard *within* the process).
+    /// The in-process [`PartitionCache`].
     Local(Box<LocalPlane<'r>>),
     /// Context-sharded worker processes over pipes (see [`crate::dist`]).
     Dist(Box<DistPlane>),
@@ -600,22 +594,19 @@ pub(crate) struct LocalPlane<'r> {
     cache: PartitionCache<'r>,
     all_codes: Vec<ColCodes>,
     parts: Vec<Rc<StrippedPartition>>,
-    threads: usize,
     budget: usize,
 }
 
 impl<'r> LocalPlane<'r> {
-    pub(crate) fn new(rel: &'r Relation, threads: usize, budget: usize) -> Self {
+    pub(crate) fn new(rel: &'r Relation, budget: usize) -> Self {
         let cache = PartitionCache::new(rel);
         // Per-attribute code-column views into the relation's shared columnar
-        // encoding — cheap handles that deref to `&[u32]` for the batch
-        // phase's worker threads.
+        // encoding — cheap handles that deref to `&[u32]`.
         let all_codes = rel.schema().attr_ids().map(|a| cache.codes(a)).collect();
         LocalPlane {
             cache,
             all_codes,
             parts: Vec::new(),
-            threads: threads.max(1),
             budget,
         }
     }
@@ -626,7 +617,7 @@ impl Plane<'_> {
     fn refine_level(&mut self, contexts: &[AttrSet]) -> Result<LevelRefinement, DistError> {
         match self {
             Plane::Local(p) => {
-                p.parts = p.cache.partitions_batch(contexts, p.threads);
+                p.parts = p.cache.partitions_batch(contexts);
                 Ok(LevelRefinement {
                     parts: p
                         .parts
@@ -643,18 +634,12 @@ impl Plane<'_> {
     /// verdicts come back in slot order.
     fn scan_consts(&mut self, slots: &[(usize, AttrId)]) -> Result<Vec<Verdict>, DistError> {
         match self {
-            Plane::Local(p) => {
-                let jobs: Vec<StatementJob<'_>> = slots
-                    .iter()
-                    .map(|&(i, attr)| StatementJob::Constancy {
-                        part: &p.parts[i],
-                        codes: &p.all_codes[attr.index()],
-                    })
-                    .collect();
-                Ok(parallel::validate_statement_batch(
-                    &jobs, p.threads, p.budget,
-                ))
-            }
+            Plane::Local(p) => Ok(slots
+                .iter()
+                .map(|&(i, attr)| {
+                    validate::constancy_verdict(&p.parts[i], &p.all_codes[attr.index()], p.budget)
+                })
+                .collect()),
             Plane::Dist(p) => p.scan_consts(slots),
         }
     }
@@ -669,7 +654,6 @@ impl Plane<'_> {
                 let LocalPlane {
                     cache,
                     parts,
-                    threads,
                     budget,
                     ..
                 } = &mut **p;
@@ -677,9 +661,7 @@ impl Plane<'_> {
                     .iter()
                     .map(|&(i, (a, b))| (&*parts[i], a, b))
                     .collect();
-                Ok(parallel::with_compatibility_jobs(cache, &items, |jobs| {
-                    parallel::validate_statement_batch(jobs, *threads, *budget)
-                }))
+                Ok(validate::compatibility_verdicts(cache, &items, *budget))
             }
             Plane::Dist(p) => p.scan_pairs(slots),
         }
@@ -735,7 +717,7 @@ pub fn discover_statements(rel: &Relation, config: &LatticeConfig) -> SetBasedDi
             .0;
     }
     let budget = validate::error_budget(rel.len(), config.epsilon);
-    let mut plane = Plane::Local(Box::new(LocalPlane::new(rel, config.threads, budget)));
+    let mut plane = Plane::Local(Box::new(LocalPlane::new(rel, budget)));
     match discover_with_plane(rel, config, &mut plane) {
         Ok(d) => d,
         Err(e) => unreachable!("the local plane is infallible: {e}"),
@@ -807,9 +789,9 @@ pub(crate) fn discover_with_plane(
             roll_up(&mut result, lstats);
             break; // no live parents: every deeper level is empty too
         }
-        // Materialize this level's partitions in one pass sharded by context
-        // (each is one incremental refinement of a level−1 partition still in
-        // the cache; see `PartitionCache::partitions_batch`).
+        // Materialize this level's partitions (each is one incremental
+        // refinement of a level−1 partition still in the cache; see
+        // `PartitionCache::partitions_batch`).
         let contexts: Vec<AttrSet> = nodes.iter().map(|n| n.context).collect();
         let refined = {
             let _s = od_obs::span("refine");
@@ -857,7 +839,7 @@ pub(crate) fn discover_with_plane(
             None
         };
 
-        // ---- Batch A: all surviving constancy scans, one sharded pass -----
+        // ---- Batch A: all surviving constancy scans, one pass -------------
         let mut const_slots: Vec<(usize, AttrId)> = Vec::new();
         // Pre-filter hits per node, as bit masks (no per-candidate hashing in
         // the level loop).
@@ -1112,8 +1094,7 @@ fn confirm(
 }
 
 /// Fold one level's counters into the traversal totals (and flush them to the
-/// ambient recorder — deterministic counts only, recorded on the
-/// orchestrating thread).
+/// ambient recorder — deterministic counts only).
 fn roll_up(result: &mut SetBasedDiscovery, lstats: LevelStats) {
     od_obs::add("discovery.candidates", lstats.candidates as u64);
     od_obs::add("discovery.validated", lstats.validated as u64);
@@ -1225,26 +1206,6 @@ mod tests {
             },
         );
         assert_eq!(approx.stats.decider_rounds, 0);
-    }
-
-    #[test]
-    fn parallel_traversal_matches_serial_bit_for_bit() {
-        let rel = fixtures::example_5_taxes();
-        let serial = discover_statements(&rel, &LatticeConfig::default());
-        for threads in [2, 4, 8] {
-            let par = discover_statements(
-                &rel,
-                &LatticeConfig {
-                    threads,
-                    ..Default::default()
-                },
-            );
-            assert_eq!(serial.minimal_statements(), par.minimal_statements());
-            // Statements are sharded whole, so even the verdict evidence is
-            // identical on every thread count.
-            assert_eq!(serial.verdicts(), par.verdicts());
-            assert_eq!(serial.stats, par.stats);
-        }
     }
 
     #[test]

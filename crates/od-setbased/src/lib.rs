@@ -13,10 +13,9 @@
 //! | [`validate`]  | evidence-returning ([`Verdict`]) statement validation over rank codes: exact per-class `g3` removal counts, a first-violation exit at ε = 0, and the one-walk τ_A swap check for contexts with a large class |
 //! | [`lattice`]   | node-based level-wise traversal on bitset candidate sets: mask propagation, key-based node deletion, batched per-level validation and decider rounds, partition eviction, `g3` thresholds |
 //! | [`engine`]    | the memoizing demand-driven validator `od-discovery` uses as its default engine |
-//! | [`parallel`]  | sharding across threads: partition classes (atomic error budget), statements per level, and contexts per level expansion |
 //! | [`stream`]    | incremental monitoring: delta-maintained live partitions and per-statement [`VerdictLedger`]s |
 //! | [`wire`]      | canonical byte codecs for [`SetOd`]s and [`Verdict`]s, shared by od-server and the dist workers |
-//! | [`dist`]      | multi-process traversal: a coordinator shards contexts over `--workers N` pipe-connected worker processes, bit-identical to the threaded engine |
+//! | [`dist`]      | multi-process traversal: a coordinator shards contexts over `--workers N` pipe-connected worker processes, bit-identical to the in-process engine |
 //!
 //! ## The stripped-partition model, in one paragraph
 //!
@@ -28,10 +27,11 @@
 //! the minimal number of tuples to delete so it holds — decomposes as a sum of
 //! independent per-class minima (`|class| − max value-group` for constancy,
 //! `|class| − longest non-decreasing B-subsequence` for compatibility).  That
-//! additivity powers three layers: budget short-circuiting scans
-//! ([`validate`]), thread-sharded scans with one shared atomic counter
-//! ([`parallel`]), and delta maintenance that re-derives only the classes a
-//! tuple insert/delete touched ([`stream`]).
+//! additivity powers two layers: budget short-circuiting scans
+//! ([`validate`]) and delta maintenance that re-derives only the classes a
+//! tuple insert/delete touched ([`stream`]).  Every scan, partition product
+//! and lattice level runs on one serial code path, so a rejected verdict is
+//! as deterministic as an accepted one.
 //!
 //! The load-bearing fact (spelled out in [`canonical`]'s docs and exercised by
 //! the differential proptests in `od-discovery`): a list OD `X ↦ Y` holds iff
@@ -70,7 +70,6 @@ pub mod canonical;
 pub mod dist;
 pub mod engine;
 pub mod lattice;
-pub mod parallel;
 pub mod partition;
 pub mod stream;
 pub mod validate;

@@ -130,10 +130,9 @@ impl ClassCodes {
 }
 
 /// Reusable working memory of the counting kernel, held per
-/// [`PartitionCache`] (and per worker thread of a sharded level) so the
-/// thousands of refinements and products of a lattice traversal stop
-/// re-allocating their working set: the only allocations left are the
-/// surviving CSR arrays themselves.
+/// [`PartitionCache`] so the thousands of refinements and products of a
+/// lattice traversal stop re-allocating their working set: the only
+/// allocations left are the surviving CSR arrays themselves.
 #[derive(Debug, Default)]
 pub struct RefineScratch {
     /// One entry per code: during a class, its row count, then its next slot
@@ -387,8 +386,8 @@ impl StrippedPartition {
 }
 
 /// What a context's partition is split by: the dropped attribute's rank
-/// codes at level 1, its class ids from level 2 on.  Holding the column
-/// here keeps it alive while a sharded level's workers read it.
+/// codes at level 1, its class ids from level 2 on.  An owned handle, so the
+/// product can read it while the cache lends out its scratch.
 enum Operand {
     Codes(ColCodes),
     Classes(Rc<ClassCodes>),
@@ -523,14 +522,6 @@ impl<'r> PartitionCache<'r> {
         Operand::Classes(self.attr_class_codes(dropped))
     }
 
-    /// How `set`'s partition is built from a cached base (the choice both
-    /// [`Self::partition`] and [`Self::partitions_batch`] make); `None` when
-    /// no base is cached.
-    fn plan(&mut self, set: &AttrSet) -> Option<(Rc<StrippedPartition>, Operand)> {
-        let (dropped, base) = self.cheapest_base(set)?;
-        Some((base, self.operand(set, dropped)))
-    }
-
     /// The stripped partition `Π_X` (memoized).
     pub fn partition(&mut self, set: &AttrSet) -> Rc<StrippedPartition> {
         if let Some(p) = self.partitions.get(set) {
@@ -539,11 +530,12 @@ impl<'r> PartitionCache<'r> {
         let part = match set.last() {
             None => StrippedPartition::full(self.rel.len()),
             Some(last) => {
-                let (base, operand) = match self.plan(set) {
-                    Some(plan) => plan,
+                let (dropped, base) = match self.cheapest_base(set) {
+                    Some(found) => found,
                     // No base cached: build `X` minus its last attribute.
-                    None => (self.partition(&set.without(last)), self.operand(set, last)),
+                    None => (last, self.partition(&set.without(last))),
                 };
+                let operand = self.operand(set, dropped);
                 base.refine_by_with(operand.codes(), &mut self.scratch)
             }
         };
@@ -552,56 +544,10 @@ impl<'r> PartitionCache<'r> {
         rc
     }
 
-    /// Materialize a whole level's partitions in one pass, sharding the
-    /// product work **by context** across up to `threads` threads.
-    ///
-    /// Each set's base and operand are chosen serially — under level-wise
-    /// traversal every candidate base is cached, and the `Rc`-handing cache
-    /// cannot be touched from workers — so the choice does not depend on the
-    /// thread count.  The per-context splits then run sharded
-    /// ([`crate::parallel::refine_batch`]): each is a pure function of its
-    /// base partition and code column, so the results are bit-identical on
-    /// every thread count.  Sets with no cached base (possible only outside
-    /// the lattice's level discipline) fall back to the serial recursive
-    /// path.
-    pub fn partitions_batch(
-        &mut self,
-        sets: &[AttrSet],
-        threads: usize,
-    ) -> Vec<Rc<StrippedPartition>> {
-        let mut plans = Vec::with_capacity(sets.len());
-        for set in sets {
-            let plan = if self.partitions.contains_key(set) {
-                None
-            } else {
-                let plan = self.plan(set);
-                if plan.is_none() {
-                    // Serial fallback (also materializes the base for siblings).
-                    self.partition(set);
-                }
-                plan
-            };
-            plans.push(plan);
-        }
-        let jobs: Vec<Option<crate::parallel::RefineJob<'_>>> = plans
-            .iter()
-            .map(|plan| {
-                plan.as_ref()
-                    .map(|(base, operand)| crate::parallel::RefineJob {
-                        base,
-                        codes: operand.codes(),
-                    })
-            })
-            .collect();
-        let fresh = crate::parallel::refine_batch(&jobs, threads);
-        for (set, part) in sets.iter().zip(fresh) {
-            if let Some(part) = part {
-                self.partitions.insert(*set, Rc::new(part));
-            }
-        }
-        sets.iter()
-            .map(|set| self.partitions[set].clone())
-            .collect()
+    /// The partitions of a whole level, in order (each one as
+    /// [`Self::partition`] builds it).
+    pub fn partitions_batch(&mut self, sets: &[AttrSet]) -> Vec<Rc<StrippedPartition>> {
+        sets.iter().map(|set| self.partition(set)).collect()
     }
 
     /// Number of distinct attribute sets whose partition has been materialized.
@@ -834,9 +780,9 @@ mod tests {
         // Π{0,1} covers 4 rows, Π{0,2} and Π{1,2} none.
         let rel = rel_from(&[&[1, 1, 1], &[1, 1, 2], &[1, 2, 3], &[1, 2, 4]]);
         let mut cache = PartitionCache::new(&rel);
-        cache.partitions_batch(&[set(&[])], 1);
-        cache.partitions_batch(&[set(&[0]), set(&[1]), set(&[2])], 1);
-        cache.partitions_batch(&[set(&[0, 1]), set(&[0, 2]), set(&[1, 2])], 1);
+        cache.partitions_batch(&[set(&[])]);
+        cache.partitions_batch(&[set(&[0]), set(&[1]), set(&[2])]);
+        cache.partitions_batch(&[set(&[0, 1]), set(&[0, 2]), set(&[1, 2])]);
         let covered: Vec<usize> = [[0, 1], [0, 2], [1, 2]]
             .iter()
             .map(|ids| cache.partitions[&set(ids)].covered_rows())
@@ -869,10 +815,10 @@ mod tests {
         // reads c0's class codes; c2's are memoized all the same.
         let rel = rel_from(&[&[1, 1, 1], &[1, 1, 2], &[1, 2, 3], &[1, 2, 4]]);
         let mut cache = PartitionCache::new(&rel);
-        cache.partitions_batch(&[set(&[])], 1);
-        cache.partitions_batch(&[set(&[0]), set(&[1]), set(&[2])], 1);
+        cache.partitions_batch(&[set(&[])]);
+        cache.partitions_batch(&[set(&[0]), set(&[1]), set(&[2])]);
         assert!(cache.attr_codes.is_empty(), "level 1 reads rank codes");
-        cache.partitions_batch(&[set(&[0, 2])], 1);
+        cache.partitions_batch(&[set(&[0, 2])]);
         let mut memo: Vec<u32> = cache.attr_codes.keys().map(|a| a.0).collect();
         memo.sort_unstable();
         assert_eq!(memo, [0, 2]);
@@ -917,7 +863,7 @@ mod tests {
         // The cached base is served too, and a batch over cached sets
         // materializes nothing new.
         let base = cache.partition(&set(&[0]));
-        let batch = cache.partitions_batch(&[set(&[0]), set(&[0, 1])], 1);
+        let batch = cache.partitions_batch(&[set(&[0]), set(&[0, 1])]);
         assert!(Rc::ptr_eq(&batch[0], &base) && Rc::ptr_eq(&batch[1], &first));
         assert_eq!(cache.cached_sets(), 3);
     }

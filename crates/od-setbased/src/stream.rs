@@ -5,11 +5,12 @@
 //! [`crate::engine`]) rebuilds stripped partitions per relation instance; the
 //! paper, however, frames ODs as integrity constraints a DBMS should enforce
 //! *continuously*.  This module closes that gap.  The key observation (already
-//! load-bearing in [`crate::parallel`]) is that per-class `g3` removal counts
-//! are **additive and independent across classes**: a tuple insert or delete
-//! perturbs exactly one equivalence class per context, so a monitored
-//! statement's removal count can be patched by re-deriving only the touched
-//! classes instead of rebuilding partitions and re-scanning them.
+//! load-bearing in [`crate::validate`]'s budget short-circuit) is that
+//! per-class `g3` removal counts are **additive and independent across
+//! classes**: a tuple insert or delete perturbs exactly one equivalence class
+//! per context, so a monitored statement's removal count can be patched by
+//! re-deriving only the touched classes instead of rebuilding partitions and
+//! re-scanning them.
 //!
 //! Three pieces cooperate:
 //!

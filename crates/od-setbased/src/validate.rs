@@ -33,7 +33,7 @@
 //! class.  A compatibility check runs one of two kernels, chosen per context
 //! by the size of its largest class:
 //!
-//! * **per class** ([`crate::parallel::compatibility_verdict_parallel`]) —
+//! * **per class** ([`compatibility_verdict`]) —
 //!   sort each class's `(code_A, code_B, row)` triples and walk them for the
 //!   first swap;
 //! * **τ pass** ([`tau_compatibility_verdict`]) — when the context has a large
@@ -45,13 +45,8 @@
 //! removal, so accepted verdicts are identical on both kernels.
 
 use crate::canonical::SetOd;
-use crate::parallel;
 use crate::partition::{ClassCodes, PartitionCache, StrippedPartition, CLASS_SENTINEL};
-use od_core::radix;
-
-/// Row-coverage threshold below which threaded validation is not worth the
-/// spawning overhead.
-pub const PARALLEL_ROW_THRESHOLD: usize = 8_192;
+use od_core::{radix, AttrId};
 
 /// Maximum number of violating row pairs a verdict samples as witnesses.
 pub const WITNESS_SAMPLE_CAP: usize = 8;
@@ -82,9 +77,9 @@ pub(crate) const TAU_PASS_DIVISOR: usize = 8;
 /// **Precondition** shared by both sorts: callers push class rows in
 /// ascending row order, which lets the stable radix path stand in for a full
 /// lexicographic `sort_unstable` (equal keys keep ascending rows either way).
-/// These per-class sorts run inside worker threads, so they record no
-/// metrics — the scoped od-obs registry is thread-local to the orchestrator.
-pub trait ClassCode: Copy + Ord + Send + Sync {
+/// The sorts record no metrics: the lattice counts scans per statement and
+/// times them under its `validate` span.
+pub trait ClassCode: Copy + Ord {
     /// Sort `(code, row)` pairs by code, rows ascending within equal codes.
     fn sort_group_pairs(pairs: &mut Vec<(Self, u32)>) {
         pairs.sort_unstable();
@@ -144,9 +139,7 @@ pub struct Verdict {
     /// `g3` numerator).  Exact when the scan ran to completion; a lower bound
     /// when [`Self::exceeded`] is set; an upper bound when the verdict was
     /// inherited from a sub-context statement instead of scanned.  An ε = 0
-    /// rejection reports 1: the scan stops at the first violating class
-    /// (a class-sharded scan adds one per shard that found a violation
-    /// before it saw the stop).
+    /// rejection reports 1: the scan stops at the first violating class.
     pub removal_count: usize,
     /// True when the scan stopped early because `removal_count` went past the
     /// error budget — the count is then a lower bound, which is all an
@@ -209,7 +202,7 @@ impl Verdict {
 
 /// The first split of one equivalence class on `attr` (given by its codes),
 /// if any: the class head and the first row holding a different value.
-pub(crate) fn class_first_split<C: Copy + Eq>(class: &[u32], codes: &[C]) -> Option<(u32, u32)> {
+fn class_first_split<C: Copy + Eq>(class: &[u32], codes: &[C]) -> Option<(u32, u32)> {
     let head = class[0];
     let first = codes[head as usize];
     class
@@ -262,7 +255,7 @@ pub fn class_constancy_removal<C: ClassCode>(
 /// the next group's smallest — so the first swap, if any, is a group's first
 /// triple undercutting the previous group's last.  Ties on `A` never produce
 /// swaps.
-pub(crate) fn class_first_swap<C: ClassCode>(
+fn class_first_swap<C: ClassCode>(
     class: &[u32],
     codes_a: &[C],
     codes_b: &[C],
@@ -374,7 +367,7 @@ impl SwapState {
 /// Should a compatibility scan over `part` walk τ_A
 /// ([`tau_compatibility_verdict`]) instead of sorting each class?  Yes when
 /// its largest class holds at least `n / TAU_PASS_DIVISOR` rows.
-pub(crate) fn takes_tau_pass(part: &StrippedPartition) -> bool {
+fn takes_tau_pass(part: &StrippedPartition) -> bool {
     !part.is_key() && part.max_class_len() * TAU_PASS_DIVISOR >= part.n_rows()
 }
 
@@ -480,42 +473,118 @@ fn tau_walk(
     verdict
 }
 
+/// Scan `part`'s classes in order with `per_class`, which returns a class's
+/// removal count and may append witnesses, stopping once the summed removal
+/// count exceeds `budget`.
+fn scan_classes(
+    part: &StrippedPartition,
+    budget: usize,
+    mut per_class: impl FnMut(&[u32], &mut Vec<(u32, u32)>) -> usize,
+) -> Verdict {
+    let mut verdict = Verdict::clean();
+    for class in part.classes() {
+        verdict.classes_scanned += 1;
+        verdict.removal_count += per_class(class, &mut verdict.violating_pairs);
+        if verdict.removal_count > budget {
+            verdict.exceeded = true;
+            break;
+        }
+    }
+    verdict
+}
+
 /// Validate `𝒞 : [] ↦ A` over a stripped partition of `𝒞`, stopping once the
-/// removal count exceeds `budget` (the serial case of
-/// [`parallel::constancy_verdict_parallel`] — one scan loop serves both).
+/// removal count exceeds `budget`.  At budget 0 a violating class counts 1
+/// and contributes its first split alone.
 pub fn constancy_verdict(part: &StrippedPartition, codes: &[u32], budget: usize) -> Verdict {
-    parallel::constancy_verdict_parallel(part, codes, 1, budget)
+    scan_classes(part, budget, |class, witnesses| {
+        let Some(split) = class_first_split(class, codes) else {
+            return 0;
+        };
+        if budget == 0 {
+            witnesses.push(split);
+            1
+        } else {
+            class_constancy_removal(class, codes, witnesses)
+        }
+    })
 }
 
 /// Validate `𝒞 : A ~ B` over a stripped partition of `𝒞` class by class,
-/// stopping once the removal count exceeds `budget` (the serial case of
-/// [`parallel::compatibility_verdict_parallel`]).
+/// stopping once the removal count exceeds `budget`.  At budget 0 a
+/// violating class counts 1 and contributes its first swap alone.
 pub fn compatibility_verdict(
     part: &StrippedPartition,
     codes_a: &[u32],
     codes_b: &[u32],
     budget: usize,
 ) -> Verdict {
-    parallel::compatibility_verdict_parallel(part, codes_a, codes_b, 1, budget)
+    scan_classes(part, budget, |class, witnesses| {
+        let Some(swap) = class_first_swap(class, codes_a, codes_b) else {
+            return 0;
+        };
+        if budget == 0 {
+            witnesses.push(swap);
+            1
+        } else {
+            class_compatibility_removal(class, codes_a, codes_b, witnesses)
+        }
+    })
+}
+
+/// Validate a batch of compatibility statements, each given as its context's
+/// partition and its pair `(A, B)`; the verdicts come back in item order.
+///
+/// The one place a compatibility statement's kernel is chosen: a context
+/// whose largest class is large ([`takes_tau_pass`]) walks τ_A, memoized in
+/// `cache`; every other context sorts per class.  A τ-pass context needs the
+/// class id of every row unless one class covers them all; those ids are
+/// built once per run of consecutive items on the same partition (callers
+/// list a context's statements together).
+pub(crate) fn compatibility_verdicts(
+    cache: &mut PartitionCache<'_>,
+    items: &[(&StrippedPartition, AttrId, AttrId)],
+    budget: usize,
+) -> Vec<Verdict> {
+    // The current run's partition, whether it takes the τ pass, and its
+    // class ids when it does and has more than one class.
+    let mut run: Option<(&StrippedPartition, bool, Option<ClassCodes>)> = None;
+    items
+        .iter()
+        .map(|&(part, a, b)| {
+            if !run.as_ref().is_some_and(|r| std::ptr::eq(r.0, part)) {
+                let tau = takes_tau_pass(part);
+                let ids = (tau && !part.is_single_class()).then(|| part.class_codes());
+                run = Some((part, tau, ids));
+            }
+            let (_, tau, ids) = run.as_ref().expect("set above");
+            let (codes_a, codes_b) = (cache.codes(a), cache.codes(b));
+            if *tau {
+                let order_a = cache.attr_order(a);
+                tau_compatibility_verdict(part, ids.as_ref(), &order_a, &codes_a, &codes_b, budget)
+            } else {
+                compatibility_verdict(part, &codes_a, &codes_b, budget)
+            }
+        })
+        .collect()
 }
 
 /// Validate one canonical statement against the data: fetch (or build) the
 /// context's stripped partition and scan it.  A compatibility statement gets
-/// its kernel from `parallel::with_compatibility_jobs`, like the lattice's
-/// batches.  Per-class scans shard classes across `threads` threads when the
-/// partition covers at least [`PARALLEL_ROW_THRESHOLD`] rows; the τ pass is
-/// one serial walk.  The dispatch point of the demand-driven engine and the
-/// lattice's replay fallback.
+/// its kernel from `compatibility_verdicts`, like the lattice's batches.
+/// The dispatch point of the demand-driven engine and the lattice's replay
+/// fallback.
 ///
 /// `budget` is the tuple-removal allowance `⌊ε·n⌋`: the scan short-circuits
 /// once the statement's removal count exceeds it (0 = exact validation with
-/// the classic first-violation early exit).  The accept/reject decision
-/// (`verdict.within(budget)`) is deterministic across thread counts; the
-/// sampled witnesses and the exact overshoot of a rejected verdict are not.
+/// the classic first-violation early exit).
+///
+/// `_threads` is ignored, since every scan is serial.  The argument stays
+/// because the benchmark's profile and churn workloads still pass it.
 pub fn statement_verdict(
     cache: &mut PartitionCache<'_>,
     stmt: &SetOd,
-    threads: usize,
+    _threads: usize,
     budget: usize,
 ) -> Verdict {
     let part = cache.partition(stmt.context());
@@ -524,20 +593,12 @@ pub fn statement_verdict(
         // neither a split nor an in-class swap can exist.
         return Verdict::clean();
     }
-    let threads = if threads > 1 && part.covered_rows() >= PARALLEL_ROW_THRESHOLD {
-        threads
-    } else {
-        1
-    };
     match stmt {
-        SetOd::Constancy { attr, .. } => {
-            let codes = cache.codes(*attr);
-            parallel::constancy_verdict_parallel(&part, &codes, threads, budget)
-        }
+        SetOd::Constancy { attr, .. } => constancy_verdict(&part, &cache.codes(*attr), budget),
         SetOd::Compatibility { a, b, .. } => {
-            parallel::with_compatibility_jobs(cache, &[(&*part, *a, *b)], |jobs| {
-                jobs[0].run(threads, budget)
-            })
+            compatibility_verdicts(cache, &[(&*part, *a, *b)], budget)
+                .pop()
+                .expect("one verdict per item")
         }
     }
 }
@@ -800,5 +861,47 @@ mod tests {
         assert_eq!(m.removal_count, 7);
         assert_eq!(m.classes_scanned, 2);
         assert_eq!(m.g3(14), 0.5);
+    }
+
+    #[test]
+    fn budget_exceeded_reports_failure() {
+        // `b` falls while `a` rises inside each of 40 classes: every class
+        // holds one swap and one split.
+        let rows: Vec<Vec<i64>> = (0..40)
+            .flat_map(|g| [vec![g, 0, 1], vec![g, 1, 0]])
+            .collect();
+        let rows: Vec<&[i64]> = rows.iter().map(|r| r.as_slice()).collect();
+        let rel = rel_from(&rows);
+        let g = rel.rank_column(AttrId(0));
+        let a = rel.rank_column(AttrId(1));
+        let b = rel.rank_column(AttrId(2));
+        let part = StrippedPartition::by_codes_with(&g, &mut RefineScratch::default());
+        let k = compatibility_verdict(&part, &a, &b, 0);
+        assert!(!k.holds() && k.exceeded && !k.within(0));
+        assert!(!k.violating_pairs.is_empty());
+        assert!(!constancy_verdict(&part, &a, 0).holds());
+        // With one removal per class and 40 classes, a budget of 39 is a near
+        // miss and 40 accepts.
+        assert!(!compatibility_verdict(&part, &a, &b, 39).within(39));
+        assert!(compatibility_verdict(&part, &a, &b, 40).within(40));
+        // An unlimited budget scans every class.
+        for verdict in [
+            constancy_verdict(&part, &a, usize::MAX),
+            compatibility_verdict(&part, &a, &b, usize::MAX),
+        ] {
+            assert_eq!(verdict.removal_count, 40);
+            assert_eq!(verdict.classes_scanned, part.num_classes());
+        }
+    }
+
+    #[test]
+    fn degenerate_inputs() {
+        let part = StrippedPartition::full(0);
+        assert!(constancy_verdict(&part, &[], 0).holds());
+        assert!(compatibility_verdict(&part, &[], &[], 0).holds());
+        assert!(
+            scan_classes(&part, 0, |_, _| 1).holds(),
+            "vacuous truth over no classes"
+        );
     }
 }

@@ -16,8 +16,8 @@ use od_core::check::od_removal_count;
 use od_core::{AttrId, AttrSet, Relation, Schema, Value};
 use od_setbased::validate::{compatibility_verdict, statement_verdict, tau_compatibility_verdict};
 use od_setbased::{
-    discover_statements, error_budget, ClassCodes, LatticeConfig, PartitionCache, RefineScratch,
-    SetOd, StrippedPartition, CLASS_SENTINEL,
+    error_budget, ClassCodes, PartitionCache, RefineScratch, SetOd, StrippedPartition,
+    CLASS_SENTINEL,
 };
 use od_workload::{scale_relation, SCALE_1M};
 use proptest::prelude::*;
@@ -427,31 +427,5 @@ proptest! {
         assert_products_match_oracles(&rel)?;
         assert_verdicts_match_value_oracle(&rel)?;
         assert_tau_pass_matches_per_class_scan(&rel)?;
-    }
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(12))]
-
-    /// Sharding the lattice's product jobs across worker threads changes
-    /// nothing a traversal returns: the minimal statements, the verdicts,
-    /// `LatticeStats` and the per-level stats are those of one thread.
-    #[test]
-    fn product_pass_counts_are_thread_invariant(
-        rel in relation_strategy(3, 0usize..40),
-    ) {
-        let config = |threads| LatticeConfig {
-            max_context: 3,
-            threads,
-            ..Default::default()
-        };
-        let reference = discover_statements(&rel, &config(1));
-        for threads in [4usize, 8] {
-            let d = discover_statements(&rel, &config(threads));
-            prop_assert_eq!(d.stats, reference.stats, "stats drifted at {} threads", threads);
-            prop_assert_eq!(d.level_stats(), reference.level_stats());
-            prop_assert_eq!(d.minimal_statements(), reference.minimal_statements());
-            prop_assert_eq!(d.verdicts(), reference.verdicts());
-        }
     }
 }

@@ -1,7 +1,7 @@
 //! Worker-count invariance of the distributed lattice traversal.
 //!
 //! The distributed engine reruns the exact control-plane loop of the
-//! threaded engine, so everything it returns — minimal statements, verdicts
+//! in-process engine, so everything it returns — minimal statements, verdicts
 //! (witness pairs included), `LatticeStats`, per-level stats — must be
 //! bit-identical to `discover_statements` at every worker count, exact and
 //! under a `g3` budget.  Workers here are in-process protocol threads
@@ -41,7 +41,7 @@ fn relation_strategy(cols: usize, max_rows: usize) -> impl Strategy<Value = Rela
     )
 }
 
-/// Assert the full result surface matches between the threaded engine and
+/// Assert the full result surface matches between the in-process engine and
 /// the distributed one at `workers`, for one `(relation, epsilon)` pair.
 fn assert_worker_invariant(rel: &Relation, epsilon: f64, workers: usize) {
     let base_config = LatticeConfig {
@@ -242,7 +242,7 @@ fn cache_accounting_is_pinned_on_every_plane() {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// Random duplicate-heavy relations: the threaded engine and the
+    /// Random duplicate-heavy relations: the in-process engine and the
     /// distributed engine agree bit-for-bit at 1, 2, and 4 workers, at ε=0
     /// (decider active) and ε=0.02 (budgeted scans, decider gated off).
     #[test]
