@@ -26,7 +26,7 @@ use od_optimizer::OdRegistry;
 use od_setbased::stream::{
     CompactStats, DeltaBatch, DeltaSummary, StreamError, StreamMonitor, TupleId,
 };
-use od_setbased::SetOd;
+use od_setbased::translate_od;
 use std::collections::HashSet;
 
 /// The live status of one watched OD after a delta.
@@ -66,7 +66,10 @@ impl MonitorReport {
 
 struct WatchedOd {
     od: OrderDependency,
-    stmts: Vec<SetOd>,
+    /// Indices into the stream monitor's ledgers of the OD's canonical
+    /// statements.  Compaction re-monitors the ledgers in order, so they
+    /// stay valid across it.
+    ledgers: Vec<usize>,
     accepted: bool,
 }
 
@@ -118,10 +121,13 @@ impl Monitor {
         let mut stream = StreamMonitor::new(rel);
         let mut watched = Vec::new();
         for od in ods {
-            let stmts = stream.monitor_od(&od);
+            let ledgers = translate_od(&od)
+                .iter()
+                .map(|stmt| stream.monitor_statement(stmt))
+                .collect();
             watched.push(WatchedOd {
                 od,
-                stmts,
+                ledgers,
                 accepted: false,
             });
         }
@@ -290,14 +296,11 @@ impl Monitor {
 
     /// Worst-statement removal count of watched OD `i` from the ledgers.
     fn removal_of(&self, i: usize) -> usize {
+        let ledgers = self.stream.ledgers();
         self.watched[i]
-            .stmts
+            .ledgers
             .iter()
-            .map(|stmt| {
-                self.stream
-                    .statement_removal(stmt)
-                    .expect("watched statements are always monitored")
-            })
+            .map(|&l| ledgers[l].removal_count())
             .max()
             .unwrap_or(0)
     }

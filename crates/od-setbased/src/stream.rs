@@ -28,9 +28,17 @@
 //!   dictionaries.
 //! * [`StreamMonitor`] — owns the columns, an alive bitmap (tuple ids are
 //!   stable and never reused), and one live partition per monitored context,
-//!   which maps the context's id tuple to a dense class id.  Class member
-//!   lists stay sorted by id for free: fresh ids only ever grow, and each
-//!   deleted member is found by binary search and closed over by one shift.
+//!   which names each class by a class id found from the context's width,
+//!   with no hash below three attributes: the empty context is class 0, a
+//!   one-attribute context's class id is the tuple's dictionary id, a
+//!   two-attribute context maps both ids packed into a `u64`, and only wider
+//!   contexts map the id tuple.  A class of one member holds it inline, so a
+//!   singleton costs no allocation.  A batch groups each partition's row
+//!   events by one sort of `(class, tuple id)` pairs into runs, in buffers
+//!   the partition reuses, and ledgers walk those runs in class order.
+//!   Class member lists stay sorted by id for free: fresh ids only ever
+//!   grow, and each deleted member is found by binary search and closed
+//!   over by one shift.
 //! * [`VerdictLedger`] — per monitored statement, a per-class incremental
 //!   state plus the statement's running removal total.  Constancy classes
 //!   keep a dictionary-id multiset with an `O(1)`-amortized max-group
@@ -59,9 +67,12 @@ use crate::validate::{
     class_compatibility_removal, class_constancy_removal, error_budget, Verdict, WITNESS_SAMPLE_CAP,
 };
 use od_core::{AttrId, AttrSet, OrderDependency, Relation, Schema, Tuple, Value};
+use od_obs::Histogram;
 use std::collections::{BTreeMap, HashMap, HashSet};
 use std::fmt;
-use std::ops::Bound;
+use std::hash::{BuildHasherDefault, Hasher};
+use std::ops::{Bound, Range};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// Stable identifier of a tuple in a [`StreamMonitor`]'s live table.
@@ -241,6 +252,53 @@ impl PatchEffort {
     }
 }
 
+/// The hasher of every map and set keyed by a number the monitor assigns
+/// itself: class ids, dictionary ids (alone or packed in pairs), tuple ids
+/// and multiplicities.  None of them is a value a client sent: ids are dense
+/// and numbered in arrival order, so one multiply-fold per word spreads them
+/// over the table without the cost of a keyed hash.
+#[derive(Debug, Default, Clone, Copy)]
+struct IdHasher(u64);
+
+impl IdHasher {
+    /// An odd multiplier with well-mixed bits (2⁶⁴ / φ).
+    const MULTIPLIER: u64 = 0x9e37_79b9_7f4a_7c15;
+
+    fn mix(&mut self, word: u64) {
+        let product = u128::from(self.0 ^ word) * u128::from(Self::MULTIPLIER);
+        self.0 = (product as u64) ^ ((product >> 64) as u64);
+    }
+}
+
+impl Hasher for IdHasher {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        for chunk in bytes.chunks(8) {
+            let mut word = [0u8; 8];
+            word[..chunk.len()].copy_from_slice(chunk);
+            self.mix(u64::from_le_bytes(word));
+        }
+    }
+
+    fn write_u32(&mut self, n: u32) {
+        self.mix(u64::from(n));
+    }
+
+    fn write_u64(&mut self, n: u64) {
+        self.mix(n);
+    }
+
+    fn write_usize(&mut self, n: usize) {
+        self.mix(n as u64);
+    }
+}
+
+type IdMap<K, V> = HashMap<K, V, BuildHasherDefault<IdHasher>>;
+type IdSet<K> = HashSet<K, BuildHasherDefault<IdHasher>>;
+
 /// One attribute of the live table: an append-only dictionary with
 /// order-preserving, insert-friendly codes (see the module docs).
 #[derive(Debug)]
@@ -347,75 +405,268 @@ impl Column {
     }
 }
 
+/// The alive members of one live class, ascending.  A class of one member
+/// holds it inline, so a singleton costs no heap allocation.
+#[derive(Debug, Default)]
+enum Members {
+    /// No members: a released class id, or a dictionary id no alive tuple
+    /// carries.
+    #[default]
+    Empty,
+    One(TupleId),
+    /// Two or more members.
+    Many(Vec<TupleId>),
+}
+
+impl Members {
+    fn as_slice(&self) -> &[TupleId] {
+        match self {
+            Members::Empty => &[],
+            Members::One(t) => std::slice::from_ref(t),
+            Members::Many(list) => list,
+        }
+    }
+
+    fn len(&self) -> usize {
+        self.as_slice().len()
+    }
+
+    /// Drop `removed` (ascending, each a member) and append `added`
+    /// (ascending, each above every member: fresh ids only grow).
+    fn splice(&mut self, removed: &[TupleId], added: &[TupleId]) {
+        if let Members::Many(list) = self {
+            remove_members(list, removed);
+            list.extend_from_slice(added);
+            match *list.as_slice() {
+                [] => *self = Members::Empty,
+                [t] => *self = Members::One(t),
+                _ => {}
+            }
+            return;
+        }
+        debug_assert!(removed.is_empty() || removed == self.as_slice());
+        let kept = match *self {
+            Members::One(t) if removed.is_empty() => Some(t),
+            _ => None,
+        };
+        *self = match (kept, added) {
+            (None, []) => Members::Empty,
+            (None, &[t]) | (Some(t), []) => Members::One(t),
+            _ => Members::Many(kept.into_iter().chain(added.iter().copied()).collect()),
+        };
+    }
+}
+
+/// How a live partition names the class of a tuple, by the width of its
+/// context.
+#[derive(Debug)]
+enum ClassKeys {
+    /// The empty context: every alive tuple is in class 0.
+    Whole,
+    /// One attribute: the class id is the tuple's dictionary id.  Dictionary
+    /// ids never change meaning (renumbering moves only order codes), so no
+    /// map and no free list are needed.
+    Dict(AttrId),
+    /// Two attributes: the two dictionary ids packed into a `u64` → class id.
+    Pair(AttrId, AttrId, IdMap<u64, u32>),
+    /// Three or more attributes: the dictionary-id tuple → class id.
+    Wide {
+        attrs: Vec<AttrId>,
+        map: IdMap<Box<[u32]>, u32>,
+        /// Reused key buffer, so lookups hash a borrowed `&[u32]`.
+        key: Vec<u32>,
+    },
+}
+
+fn pair_key(a: u32, b: u32) -> u64 {
+    u64::from(a) << 32 | u64::from(b)
+}
+
+fn fill_key(key: &mut Vec<u32>, attrs: &[AttrId], t: TupleId, columns: &[Column]) {
+    key.clear();
+    key.extend(attrs.iter().map(|a| columns[a.index()].ids[t as usize]));
+}
+
+/// One class a batch touched: its row events are `rows[start..end]` of its
+/// partition, the deleted ids (`start..split`) before the inserted ones.
+#[derive(Debug, Clone, Copy)]
+struct Run {
+    class: u32,
+    start: usize,
+    split: usize,
+    end: usize,
+    /// The class's size before and after the batch: ledgers skip classes
+    /// that were and stay below two members (nothing to track) without a
+    /// hash lookup.
+    was_len: usize,
+    now_len: usize,
+}
+
 /// The live partition of one monitored context: equivalence classes of alive
-/// tuple ids (ascending), each named by a dense class id.
+/// tuple ids (ascending), each named by a class id (see [`ClassKeys`]).
 ///
 /// Unlike [`crate::partition::StrippedPartition`], singleton classes are kept
 /// — an insert may grow them — and classes mutate in place instead of being
 /// rebuilt by refinement.
 #[derive(Debug)]
 struct LivePartition {
-    /// Context attributes in ascending id order (the key order).
-    attrs: Vec<AttrId>,
-    /// The context's dictionary-id tuple → class id.
-    keys: HashMap<Box<[u32]>, u32>,
-    /// Class id → alive member ids, ascending (empty for a released id).
-    classes: Vec<Vec<TupleId>>,
-    /// Class ids released by emptied classes, reused by later batches.
+    keys: ClassKeys,
+    /// Class id → alive members.
+    classes: Vec<Members>,
+    /// Class ids released by emptied classes, reused by later batches (two
+    /// or more attributes only).
     free: Vec<u32>,
-    /// Reused key buffer, so lookups hash a borrowed `&[u32]`.
-    key: Vec<u32>,
+    /// This batch's row events as `class << 32 | tuple id`, sorted.
+    events: Vec<u64>,
+    /// The events' tuple ids, in the same order.
+    rows: Vec<TupleId>,
+    /// This batch's touched classes, in class order.
+    runs: Vec<Run>,
 }
 
 impl LivePartition {
     /// Group the alive tuples by their context ids (in id order, so member
     /// lists come out ascending).
     fn build(context: &AttrSet, columns: &[Column], alive: &[bool]) -> Self {
+        let attrs: Vec<AttrId> = context.iter().collect();
+        let keys = match *attrs.as_slice() {
+            [] => ClassKeys::Whole,
+            [a] => ClassKeys::Dict(a),
+            [a, b] => ClassKeys::Pair(a, b, IdMap::default()),
+            _ => ClassKeys::Wide {
+                attrs,
+                map: IdMap::default(),
+                key: Vec::new(),
+            },
+        };
         let mut part = LivePartition {
-            attrs: context.iter().collect(),
-            keys: HashMap::new(),
+            keys,
             classes: Vec::new(),
             free: Vec::new(),
-            key: Vec::new(),
+            events: Vec::new(),
+            rows: Vec::new(),
+            runs: Vec::new(),
         };
+        part.grow(columns);
         for t in (0..alive.len() as TupleId).filter(|&t| alive[t as usize]) {
             let class = part.class_of(t, columns);
-            part.classes[class as usize].push(t);
+            part.classes[class as usize].splice(&[], &[t]);
         }
         part
     }
 
-    fn fill_key(&mut self, t: TupleId, columns: &[Column]) {
-        self.key.clear();
-        self.key.extend(
-            self.attrs
-                .iter()
-                .map(|a| columns[a.index()].ids[t as usize]),
-        );
+    /// Give every class id that needs no key map its slot: the empty
+    /// context's one class, or each dictionary id of a one-attribute context.
+    fn grow(&mut self, columns: &[Column]) {
+        let len = match self.keys {
+            ClassKeys::Whole => 1,
+            ClassKeys::Dict(a) => columns[a.index()].dict.len(),
+            ClassKeys::Pair(..) | ClassKeys::Wide { .. } => return,
+        };
+        if self.classes.len() < len {
+            self.classes.resize_with(len, Members::default);
+        }
     }
 
     /// The class id of tuple `t`'s context key, allocating one (a released
-    /// id first) if the key is new.
+    /// id first) if a map-keyed context meets a new key.
     fn class_of(&mut self, t: TupleId, columns: &[Column]) -> u32 {
-        self.fill_key(t, columns);
-        if let Some(&class) = self.keys.get(self.key.as_slice()) {
-            return class;
+        let (classes, free) = (&mut self.classes, &mut self.free);
+        let mut fresh = || {
+            free.pop().unwrap_or_else(|| {
+                classes.push(Members::Empty);
+                (classes.len() - 1) as u32
+            })
+        };
+        let id = |a: &AttrId| columns[a.index()].ids[t as usize];
+        match &mut self.keys {
+            ClassKeys::Whole => 0,
+            ClassKeys::Dict(a) => id(a),
+            ClassKeys::Pair(a, b, map) => *map.entry(pair_key(id(a), id(b))).or_insert_with(fresh),
+            ClassKeys::Wide { attrs, map, key } => {
+                fill_key(key, attrs, t, columns);
+                if let Some(&class) = map.get(key.as_slice()) {
+                    return class;
+                }
+                let class = fresh();
+                map.insert(key.as_slice().into(), class);
+                class
+            }
         }
-        let class = self.free.pop().unwrap_or_else(|| {
-            self.classes.push(Vec::new());
-            (self.classes.len() - 1) as u32
-        });
-        self.keys.insert(self.key.as_slice().into(), class);
-        class
     }
 
-    /// Release an emptied class; `member` is any tuple that belonged to it
-    /// (dead tuples keep their ids, so its key is still recoverable).
+    /// Release an emptied class of a map-keyed context; `member` is any
+    /// tuple that belonged to it (dead tuples keep their ids, so its key is
+    /// still recoverable).
     fn release(&mut self, class: u32, member: TupleId, columns: &[Column]) {
-        self.fill_key(member, columns);
-        self.keys.remove(self.key.as_slice());
-        self.classes[class as usize] = Vec::new();
+        let id = |a: &AttrId| columns[a.index()].ids[member as usize];
+        match &mut self.keys {
+            ClassKeys::Whole | ClassKeys::Dict(_) => return,
+            ClassKeys::Pair(a, b, map) => {
+                map.remove(&pair_key(id(a), id(b)));
+            }
+            ClassKeys::Wide { attrs, map, key } => {
+                fill_key(key, attrs, member, columns);
+                map.remove(key.as_slice());
+            }
+        }
         self.free.push(class);
+    }
+
+    /// Apply one batch: group its row events into one run per touched class
+    /// with one sort of `(class, tuple id)` pairs, and splice each class's
+    /// members.  Every key of the batch is resolved before any emptied class
+    /// is released, so a released id is reused by later batches only.
+    fn splice(
+        &mut self,
+        deletes: &[TupleId],
+        inserted: Range<TupleId>,
+        columns: &[Column],
+        sizes: &mut Option<Arc<Histogram>>,
+    ) {
+        self.grow(columns);
+        let events = deletes.len() + inserted.len();
+        self.events.clear();
+        self.events.reserve(events);
+        for t in deletes.iter().copied().chain(inserted.clone()) {
+            let class = self.class_of(t, columns);
+            self.events.push(u64::from(class) << 32 | u64::from(t));
+        }
+        self.events.sort_unstable();
+        self.rows.clear();
+        self.rows.extend(self.events.iter().map(|&e| e as TupleId));
+        self.runs.clear();
+        self.runs.reserve(events);
+        let mut start = 0;
+        while start < self.events.len() {
+            let class = (self.events[start] >> 32) as u32;
+            let end = start
+                + self.events[start..]
+                    .iter()
+                    .take_while(|&&e| (e >> 32) as u32 == class)
+                    .count();
+            // Deleted ids predate every inserted one.
+            let split = start + self.rows[start..end].partition_point(|&t| t < inserted.start);
+            let members = &mut self.classes[class as usize];
+            let was_len = members.len();
+            members.splice(&self.rows[start..split], &self.rows[split..end]);
+            let now_len = members.len();
+            sizes
+                .get_or_insert_with(|| od_obs::recorder().histogram("stream.touched_class_size"))
+                .record(now_len as u64);
+            if now_len == 0 {
+                self.release(class, self.rows[start], columns);
+            }
+            self.runs.push(Run {
+                class,
+                start,
+                split,
+                end,
+                was_len,
+                now_len,
+            });
+            start = end;
+        }
     }
 }
 
@@ -423,6 +674,9 @@ impl LivePartition {
 /// one binary search per doomed id, and each surviving run after the first
 /// removal shifts left once.
 fn remove_members(members: &mut Vec<TupleId>, doomed: &[TupleId]) {
+    if doomed.is_empty() {
+        return;
+    }
     let mut read = 0; // first member not yet kept or dropped
     let mut write = 0; // where the next kept member goes
     for &id in doomed {
@@ -439,19 +693,12 @@ fn remove_members(members: &mut Vec<TupleId>, doomed: &[TupleId]) {
     members.truncate(write + kept);
 }
 
-/// The ids a delta added to / removed from one class of one partition, plus
-/// the class's size before and after the splice — ledgers skip classes that
-/// were and stay below two members (nothing to track) without a hash lookup.
-#[derive(Debug, Default)]
-struct ClassDelta {
-    added: Vec<TupleId>,
-    removed: Vec<TupleId>,
-    was_len: usize,
-    now_len: usize,
+/// The ids a batch removed from and added to one class.
+#[derive(Debug, Clone, Copy)]
+struct ClassDelta<'a> {
+    removed: &'a [TupleId],
+    added: &'a [TupleId],
 }
-
-/// Per-partition map of touched class ids for one delta.
-type TouchedClasses = HashMap<u32, ClassDelta>;
 
 /// A `(code_A, code_B)` pair of a compatibility class.
 type CodePair = (u64, u64);
@@ -464,9 +711,9 @@ enum ClassState {
     /// max_count`.  Ids never change meaning, so the state never goes stale.
     Constancy {
         /// dictionary id → multiplicity.
-        counts: HashMap<u32, usize>,
+        counts: IdMap<u32, usize>,
         /// multiplicity → number of ids at that multiplicity.
-        freq: HashMap<usize, usize>,
+        freq: IdMap<usize, usize>,
         max_count: usize,
         size: usize,
     },
@@ -580,8 +827,8 @@ impl ClassState {
     }
 
     fn constancy_add(
-        counts: &mut HashMap<u32, usize>,
-        freq: &mut HashMap<usize, usize>,
+        counts: &mut IdMap<u32, usize>,
+        freq: &mut IdMap<usize, usize>,
         max_count: &mut usize,
         id: u32,
     ) {
@@ -595,8 +842,8 @@ impl ClassState {
     }
 
     fn constancy_remove(
-        counts: &mut HashMap<u32, usize>,
-        freq: &mut HashMap<usize, usize>,
+        counts: &mut IdMap<u32, usize>,
+        freq: &mut IdMap<usize, usize>,
         max_count: &mut usize,
         id: u32,
     ) {
@@ -617,7 +864,7 @@ impl ClassState {
     }
 
     /// Advance this state by one delta, in place, reporting the work done.
-    fn advance(&mut self, stmt: &SetOd, delta: &ClassDelta, columns: &[Column]) -> PatchEffort {
+    fn advance(&mut self, stmt: &SetOd, delta: ClassDelta, columns: &[Column]) -> PatchEffort {
         match (self, stmt) {
             (
                 ClassState::Constancy {
@@ -629,11 +876,11 @@ impl ClassState {
                 SetOd::Constancy { attr, .. },
             ) => {
                 let ids = &columns[attr.index()].ids;
-                for &row in &delta.removed {
+                for &row in delta.removed {
                     ClassState::constancy_remove(counts, freq, max_count, ids[row as usize]);
                     *size -= 1;
                 }
-                for &row in &delta.added {
+                for &row in delta.added {
                     ClassState::constancy_add(counts, freq, max_count, ids[row as usize]);
                     *size += 1;
                 }
@@ -654,10 +901,10 @@ impl ClassState {
             ) => {
                 let (ca, cb) = (&columns[a.index()], &columns[b.index()]);
                 // A dead row keeps its ids, so its pair is still exact.
-                for &row in &delta.removed {
+                for &row in delta.removed {
                     pair_remove(pairs, descents, (ca.code(row), cb.code(row)));
                 }
-                for &row in &delta.added {
+                for &row in delta.added {
                     pair_add(pairs, descents, (ca.code(row), cb.code(row)));
                 }
                 let lis_ran = if *descents == 0 {
@@ -682,7 +929,7 @@ impl ClassState {
     }
 }
 
-fn dec_freq(freq: &mut HashMap<usize, usize>, multiplicity: usize) {
+fn dec_freq(freq: &mut IdMap<usize, usize>, multiplicity: usize) {
     if let Some(f) = freq.get_mut(&multiplicity) {
         *f -= 1;
         if *f == 0 {
@@ -702,7 +949,7 @@ pub struct VerdictLedger {
     partition: Option<usize>,
     /// Per-class incremental evidence, by class id (only classes of size ≥ 2
     /// are tracked — smaller ones cannot violate anything).
-    classes: HashMap<u32, ClassState>,
+    classes: IdMap<u32, ClassState>,
     total: usize,
 }
 
@@ -756,7 +1003,7 @@ impl VerdictLedger {
         &mut self,
         class_id: u32,
         class: &[TupleId],
-        delta: &ClassDelta,
+        delta: ClassDelta,
         columns: &[Column],
     ) -> PatchEffort {
         if class.len() < 2 {
@@ -801,8 +1048,8 @@ impl VerdictLedger {
         let state = match &self.stmt {
             SetOd::Constancy { attr, .. } => {
                 let ids = &columns[attr.index()].ids;
-                let mut counts = HashMap::new();
-                let mut freq = HashMap::new();
+                let mut counts = IdMap::default();
+                let mut freq = IdMap::default();
                 let mut max_count = 0;
                 for &row in class {
                     ClassState::constancy_add(
@@ -855,24 +1102,24 @@ impl VerdictLedger {
         (state, effort)
     }
 
-    /// Apply every touched class of this ledger's partition.  Returns the
-    /// number of class patches performed and the work they cost.
-    fn patch(
-        &mut self,
-        touched: &TouchedClasses,
-        partition: &LivePartition,
-        columns: &[Column],
-    ) -> (usize, PatchEffort) {
+    /// Apply every class this batch touched in the ledger's partition, in
+    /// class order.  Returns the number of class patches performed and the
+    /// work they cost.
+    fn patch(&mut self, partition: &LivePartition, columns: &[Column]) -> (usize, PatchEffort) {
         let mut patches = 0;
         let mut effort = PatchEffort::default();
-        for (&class_id, delta) in touched {
-            if delta.was_len < 2 && delta.now_len < 2 {
+        for run in &partition.runs {
+            if run.was_len < 2 && run.now_len < 2 {
                 continue; // never tracked, still nothing to track
             }
             patches += 1;
+            let delta = ClassDelta {
+                removed: &partition.rows[run.start..run.split],
+                added: &partition.rows[run.split..run.end],
+            };
             effort.absorb(self.patch_class(
-                class_id,
-                &partition.classes[class_id as usize],
+                run.class,
+                partition.classes[run.class as usize].as_slice(),
                 delta,
                 columns,
             ));
@@ -1014,14 +1261,15 @@ impl StreamMonitor {
         let mut ledger = VerdictLedger {
             stmt,
             partition: None,
-            classes: HashMap::new(),
+            classes: IdMap::default(),
             total: 0,
         };
         if !stmt.is_trivial() {
             let pidx = self.ensure_partition(stmt.context());
             ledger.partition = Some(pidx);
             // Initial scan: build incremental state per class of size ≥ 2.
-            for (class_id, class) in self.partitions[pidx].classes.iter().enumerate() {
+            for (class_id, members) in self.partitions[pidx].classes.iter().enumerate() {
+                let class = members.as_slice();
                 if class.len() >= 2 {
                     let (state, _) = ledger.build_state(class, &self.columns);
                     ledger.total += state.removal();
@@ -1079,7 +1327,7 @@ impl StreamMonitor {
                 if state.removal() == 0 || verdict.violating_pairs.len() >= WITNESS_SAMPLE_CAP {
                     continue;
                 }
-                let class = &self.partitions[pidx].classes[class_id as usize];
+                let class = self.partitions[pidx].classes[class_id as usize].as_slice();
                 self.witnesses_for(&ledger.stmt, class, &mut verdict.violating_pairs);
             }
         }
@@ -1119,7 +1367,8 @@ impl StreamMonitor {
                 });
             }
         }
-        let mut doomed: HashSet<TupleId> = HashSet::with_capacity(batch.deletes.len());
+        let mut doomed: IdSet<TupleId> =
+            IdSet::with_capacity_and_hasher(batch.deletes.len(), Default::default());
         for &id in &batch.deletes {
             if (id as usize) >= self.alive.len() {
                 return Err(StreamError::UnknownTuple(id));
@@ -1143,6 +1392,11 @@ impl StreamMonitor {
         }
         let renumbers_before: usize = self.columns.iter().map(|c| c.renumbers).sum();
         let first = self.alive.len() as TupleId;
+        // At most one reallocation per vector, whatever the batch size.
+        for column in &mut self.columns {
+            column.ids.reserve(batch.inserts.len());
+        }
+        self.alive.reserve(batch.inserts.len());
         for row in &batch.inserts {
             for (column, value) in self.columns.iter_mut().zip(row) {
                 let id = column.intern(value);
@@ -1151,40 +1405,16 @@ impl StreamMonitor {
             self.alive.push(true);
         }
         self.alive_count += batch.inserts.len();
-        let inserted: Vec<TupleId> = (first..self.alive.len() as TupleId).collect();
+        let inserted = first..self.alive.len() as TupleId;
 
-        // Phase 2: group the delta per partition per class and splice the
-        // class member lists: binary-searched deletes, appended inserts.
+        // Phase 2: per partition, group the delta into runs by class and
+        // splice the class member lists: binary-searched deletes, appended
+        // inserts.
         let splice_span = od_obs::span("splice");
-        let mut touched: Vec<TouchedClasses> = Vec::with_capacity(self.partitions.len());
         let columns = &self.columns;
+        let mut sizes = None;
         for partition in &mut self.partitions {
-            let mut changes = TouchedClasses::new();
-            for &id in &batch.deletes {
-                let class = partition.class_of(id, columns);
-                changes.entry(class).or_default().removed.push(id);
-            }
-            for &id in &inserted {
-                let class = partition.class_of(id, columns);
-                changes.entry(class).or_default().added.push(id);
-            }
-            // Classes emptied here are released only after every key of this
-            // batch is resolved, so a released id is reused by later batches.
-            for (&class_id, delta) in &mut changes {
-                let class = &mut partition.classes[class_id as usize];
-                delta.was_len = class.len();
-                if !delta.removed.is_empty() {
-                    delta.removed.sort_unstable();
-                    remove_members(class, &delta.removed);
-                }
-                class.extend(&delta.added); // fresh ids grow: order is kept
-                delta.now_len = class.len();
-                od_obs::record("stream.touched_class_size", delta.now_len as u64);
-                if delta.now_len == 0 {
-                    partition.release(class_id, delta.removed[0], columns);
-                }
-            }
-            touched.push(changes);
+            partition.splice(&batch.deletes, inserted.clone(), columns, &mut sizes);
         }
         drop(splice_span);
 
@@ -1196,19 +1426,16 @@ impl StreamMonitor {
             let Some(pidx) = ledger.partition else {
                 continue; // trivial statement: nothing can perturb it
             };
-            if touched[pidx].is_empty() {
-                continue;
-            }
-            let (patches, spent) = ledger.patch(&touched[pidx], &self.partitions[pidx], columns);
+            let (patches, spent) = ledger.patch(&self.partitions[pidx], columns);
             recomputed += patches;
             effort.absorb(spent);
         }
         drop(patch_span);
 
         let summary = DeltaSummary {
-            inserted,
+            inserted: inserted.collect(),
             deleted: batch.deletes.len(),
-            touched_classes: touched.iter().map(|t| t.len()).sum(),
+            touched_classes: self.partitions.iter().map(|p| p.runs.len()).sum(),
             recomputed_classes: recomputed,
         };
         self.stats.deltas_applied += 1;
@@ -1290,10 +1517,13 @@ impl StreamMonitor {
     /// column, each distinct value (held by the dictionary and its index)
     /// with its id and order code, plus one id per tuple (dead tuples
     /// included — they are what compaction reclaims); the alive bitmap; and
-    /// per live class its key and members.  Deterministic for logically
-    /// equal monitors — lengths, never capacities — so compaction metrics
-    /// built on it diff clean across runs.  Ledger class states are
-    /// excluded: their size depends on touch history, not on logical content.
+    /// per live class its members and its key: none for the empty and
+    /// one-attribute contexts, which need no key map, a `u64` and a class
+    /// id for a two-attribute context, and the id tuple and a class id for a
+    /// wider one.  Deterministic for logically equal monitors — lengths,
+    /// never capacities — so compaction metrics built on it diff clean
+    /// across runs.  Ledger class states are excluded: their size depends on
+    /// touch history, not on logical content.
     pub fn approx_heap_bytes(&self) -> usize {
         const ID: usize = std::mem::size_of::<u32>();
         const CODE: usize = std::mem::size_of::<u64>();
@@ -1312,8 +1542,12 @@ impl StreamMonitor {
             .partitions
             .iter()
             .map(|p| {
-                p.keys.len() * (p.attrs.len() + 1) * ID
-                    + p.classes.iter().map(|c| c.len() * ID).sum::<usize>()
+                let keys = match &p.keys {
+                    ClassKeys::Whole | ClassKeys::Dict(_) => 0,
+                    ClassKeys::Pair(_, _, map) => map.len() * (CODE + ID),
+                    ClassKeys::Wide { attrs, map, .. } => map.len() * (attrs.len() + 1) * ID,
+                };
+                keys + p.classes.iter().map(|c| c.len() * ID).sum::<usize>()
             })
             .sum();
         columns + self.alive.len() + partitions
@@ -1636,30 +1870,53 @@ mod tests {
     }
 
     #[test]
-    fn emptied_classes_release_their_ids() {
+    fn one_attribute_classes_are_dictionary_ids_and_keyed_classes_recycle() {
         // Replacing a row with a fresh key each batch empties one class and
-        // opens another: released class ids are reused, so the partition
-        // stays as large as its live classes.
-        let rel = rel_from(&[&[0, 0], &[1, 1]]);
+        // opens another in every context.
+        let rel = rel_from(&[&[0, 0, 0, 0], &[1, 1, 1, 1]]);
         let mut monitor = StreamMonitor::new(&rel);
-        let context: AttrSet = [AttrId(0)].into_iter().collect();
-        let stmt = SetOd::constancy(context, AttrId(1));
-        monitor.monitor_statement(&stmt);
+        let stmts: Vec<SetOd> = (1..=3)
+            .map(|width| SetOd::constancy((0..width).map(AttrId).collect(), AttrId(3)))
+            .collect();
+        for stmt in &stmts {
+            monitor.monitor_statement(stmt);
+        }
         let mut victim = 0;
         for i in 2..50 {
             let summary = monitor
                 .apply_delta(
                     &DeltaBatch::new()
                         .delete(victim)
-                        .insert(vec![Value::Int(i), Value::Int(i)]),
+                        .insert(vec![Value::Int(i); 4]),
                 )
                 .unwrap();
             victim = summary.inserted[0];
         }
+        assert_ledgers_match_oracle(&monitor, &stmts);
+
+        // One attribute: the class id is the dictionary id, with one slot per
+        // distinct value ever seen and no key map.
+        let column = &monitor.columns[0];
         let partition = &monitor.partitions[0];
-        assert_eq!(partition.keys.len(), 2);
-        assert!(partition.classes.len() <= 3, "class ids are recycled");
-        assert_eq!(monitor.statement_removal(&stmt), Some(0));
+        assert!(matches!(partition.keys, ClassKeys::Dict(AttrId(0))));
+        assert_eq!(partition.classes.len(), column.dict.len());
+        for t in (0..monitor.total_rows() as TupleId).filter(|&t| monitor.is_alive(t)) {
+            let class = &partition.classes[column.ids[t as usize] as usize];
+            assert_eq!(class.as_slice(), [t]);
+        }
+
+        // Two and three attributes: released class ids are reused, so each
+        // partition stays as large as its live classes.
+        let ClassKeys::Pair(_, _, pairs) = &monitor.partitions[1].keys else {
+            panic!("a two-attribute context keys its classes by id pairs");
+        };
+        let ClassKeys::Wide { attrs, map, .. } = &monitor.partitions[2].keys else {
+            panic!("a three-attribute context keys its classes by id tuples");
+        };
+        assert_eq!((pairs.len(), attrs.len(), map.len()), (2, 3, 2));
+        for partition in &monitor.partitions[1..] {
+            assert!(partition.classes.len() <= 3, "class ids are recycled");
+        }
     }
 
     #[test]
@@ -1698,7 +1955,10 @@ mod tests {
             "dead ids retained before compaction"
         );
         let deltas_before = monitor.stats.deltas_applied;
+        let watched: Vec<SetOd> = monitor.ledgers().iter().map(|l| *l.statement()).collect();
         let compacted = monitor.compact();
+        let rewatched: Vec<SetOd> = monitor.ledgers().iter().map(|l| *l.statement()).collect();
+        assert_eq!(rewatched, watched, "ledger indices survive compaction");
         assert_eq!(compacted.dead_ids_reclaimed, 2);
         assert!(compacted.bytes_freed > 0, "dead rows must free bytes");
         assert_eq!(monitor.total_rows(), monitor.alive_rows());

@@ -349,3 +349,102 @@ proptest! {
         }
     }
 }
+
+/// Contexts of three or more attributes key their classes by id tuples, a
+/// path no statement over `COLS` columns reaches.  On four columns, every
+/// statement over a three-attribute context is monitored through
+/// interleaved inserts and deletes: a class that empties and whose id a new
+/// key takes, a renumbering of a context column, and a compaction.  After
+/// every batch each ledger equals a fresh scan.
+#[test]
+fn three_attribute_contexts_match_full_recompute_at_every_batch() {
+    let mut schema = Schema::new("wide");
+    for i in 0..4 {
+        schema.add_attr(format!("w{i}"));
+    }
+    let row = |a: i64, b: i64, x: f64, y: i64| {
+        vec![Value::Int(a), Value::Int(b), Value::Float(x), Value::Int(y)]
+    };
+    let initial = vec![
+        row(0, 0, 0.0, 0),
+        row(0, 0, 0.0, 1),
+        row(0, 1, 0.0, 0),
+        row(1, 1, 1.0, 1),
+        row(1, 1, 1.0, 1),
+        row(1, 1, 1.0, 0),
+    ];
+    let rel = Relation::from_rows(schema, initial).expect("fixed arity");
+    let stmts: Vec<SetOd> = (0..4)
+        .map(|a| {
+            let context: AttrSet = (0..4).filter(|&c| c != a).map(AttrId).collect();
+            SetOd::constancy(context, AttrId(a))
+        })
+        .collect();
+    let mut monitor = StreamMonitor::new(&rel);
+    for stmt in &stmts {
+        assert!(!stmt.is_trivial());
+        monitor.monitor_statement(stmt);
+    }
+    let check = |monitor: &StreamMonitor, step: &str| {
+        let snapshot = monitor.to_relation();
+        let mut cache = PartitionCache::new(&snapshot);
+        for stmt in &stmts {
+            let oracle = validate::statement_verdict(&mut cache, stmt, 1, usize::MAX);
+            assert_eq!(
+                monitor.statement_removal(stmt),
+                Some(oracle.removal_count),
+                "ledger drift on {stmt} after {step}"
+            );
+        }
+    };
+    check(&monitor, "monitoring");
+
+    // Empty the class (0, 0, 0.0), then let a new key take its released id
+    // beside a new member of a violating class.
+    let batch = DeltaBatch::new()
+        .delete(0)
+        .delete(1)
+        .insert(row(2, 2, 2.0, 0));
+    monitor.apply_delta(&batch).expect("valid batch");
+    check(&monitor, "emptying a class");
+    let batch = DeltaBatch::new()
+        .delete(2)
+        .insert(row(3, 3, 0.5, 0))
+        .insert(row(3, 3, 0.5, 1))
+        .insert(row(1, 1, 1.0, 0));
+    monitor.apply_delta(&batch).expect("valid batch");
+    check(&monitor, "reusing a released class id");
+    let batch = DeltaBatch::new()
+        .insert(row(0, 0, 0.0, 0))
+        .insert(row(0, 0, 0.0, 1));
+    monitor.apply_delta(&batch).expect("valid batch");
+    check(&monitor, "re-opening the emptied key");
+
+    // Bisect w2 towards 0.5 from below until its code gap is exhausted: each
+    // new value opens a class, and every other batch deletes an older one.
+    let mut x = 0.0;
+    let mut older = Vec::new();
+    for i in 0..40 {
+        x += (0.5 - x) / 2.0;
+        let mut batch = DeltaBatch::new()
+            .insert(row(3, 3, x, i % 2))
+            .insert(row(3, 3, x, 0));
+        if i % 2 == 1 {
+            batch = batch.delete(older.remove(0));
+        }
+        older.extend(monitor.apply_delta(&batch).expect("valid batch").inserted);
+        check(&monitor, &format!("bisection step {i}"));
+    }
+    assert!(monitor.stats.renumbers >= 1, "w2 must renumber");
+
+    monitor.compact();
+    check(&monitor, "compaction");
+    let last = monitor.alive_rows() as u32 - 1;
+    let batch = DeltaBatch::new()
+        .delete(0)
+        .delete(last)
+        .insert(row(3, 3, 0.5, 1))
+        .insert(row(9, 9, 9.0, 9));
+    monitor.apply_delta(&batch).expect("valid batch");
+    check(&monitor, "a batch after compaction");
+}
