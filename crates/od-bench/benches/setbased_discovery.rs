@@ -1,25 +1,18 @@
-//! E10 bench — naive (sort-per-candidate) vs set-based (partition-backed)
-//! OD discovery on the tax and date-warehouse workloads, width-2 candidates,
-//! plus the approximate (`g3`-thresholded) variant on dirtied data.
+//! E10 bench — partition-backed list-OD discovery on the tax and
+//! date-warehouse workloads, width-2 candidates, plus the approximate
+//! (`g3`-thresholded) variant on dirtied data.
 //!
-//! The set-based engine validates canonical statements once each and shares
-//! them across candidates, so its advantage grows with both row count and the
+//! Discovery validates canonical statements once each and shares them across
+//! candidates, so its cost grows with distinct statements rather than with the
 //! number of enumerated candidates.  The approximate entries measure the cost
 //! of evidence collection: instead of bailing at the first violation, rejected
 //! statements are scanned until the error budget is exhausted.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use od_core::{Relation, Value};
-use od_discovery::{discover_ods, DiscoveryConfig, DiscoveryEngine};
+use od_discovery::{discover_ods, DiscoveryConfig};
 use od_workload::{generate_date_dim, tax};
 use std::time::Duration;
-
-fn config(engine: DiscoveryEngine) -> DiscoveryConfig {
-    DiscoveryConfig {
-        engine,
-        ..Default::default()
-    }
-}
 
 /// Corrupt roughly one row in a hundred (deterministically) so exact ODs break
 /// and approximate discovery has real work to do.
@@ -42,19 +35,8 @@ fn bench(c: &mut Criterion) {
 
     for rows in [2_000usize, 10_000] {
         let taxes = tax::generate_taxes(rows, 7);
-        group.bench_with_input(BenchmarkId::new("taxes_naive", rows), &rows, |b, _| {
-            b.iter(|| {
-                discover_ods(&taxes, config(DiscoveryEngine::Naive))
-                    .ods
-                    .len()
-            })
-        });
         group.bench_with_input(BenchmarkId::new("taxes_setbased", rows), &rows, |b, _| {
-            b.iter(|| {
-                discover_ods(&taxes, config(DiscoveryEngine::SetBased))
-                    .ods
-                    .len()
-            })
+            b.iter(|| discover_ods(&taxes, DiscoveryConfig::default()).ods.len())
         });
     }
 
@@ -65,13 +47,7 @@ fn bench(c: &mut Criterion) {
     group.bench_with_input(
         BenchmarkId::new("taxes_dirty_exact", 10_000),
         &10_000,
-        |b, _| {
-            b.iter(|| {
-                discover_ods(&dirty, config(DiscoveryEngine::SetBased))
-                    .ods
-                    .len()
-            })
-        },
+        |b, _| b.iter(|| discover_ods(&dirty, DiscoveryConfig::default()).ods.len()),
     );
     group.bench_with_input(
         BenchmarkId::new("taxes_dirty_eps2pct", 10_000),
@@ -82,7 +58,7 @@ fn bench(c: &mut Criterion) {
                     &dirty,
                     DiscoveryConfig {
                         epsilon: 0.02,
-                        ..config(DiscoveryEngine::SetBased)
+                        ..Default::default()
                     },
                 )
                 .ods
@@ -92,19 +68,11 @@ fn bench(c: &mut Criterion) {
     );
 
     // The date warehouse has 9 attributes, so width-2 enumeration produces
-    // thousands of candidates — the regime the statement memoization targets.
-    // The naive engine is benched on fewer days to keep its runtime sane.
+    // thousands of candidates — the regime the statement sharing targets.
     let dates_small = generate_date_dim(1998, 400, 2_450_000);
-    group.bench_with_input(BenchmarkId::new("date_dim_naive", 400), &400, |b, _| {
-        b.iter(|| {
-            discover_ods(&dates_small, config(DiscoveryEngine::Naive))
-                .ods
-                .len()
-        })
-    });
     group.bench_with_input(BenchmarkId::new("date_dim_setbased", 400), &400, |b, _| {
         b.iter(|| {
-            discover_ods(&dates_small, config(DiscoveryEngine::SetBased))
+            discover_ods(&dates_small, DiscoveryConfig::default())
                 .ods
                 .len()
         })
@@ -115,7 +83,7 @@ fn bench(c: &mut Criterion) {
         &10_000,
         |b, _| {
             b.iter(|| {
-                discover_ods(&dates_large, config(DiscoveryEngine::SetBased))
+                discover_ods(&dates_large, DiscoveryConfig::default())
                     .ods
                     .len()
             })

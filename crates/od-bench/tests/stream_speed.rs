@@ -7,7 +7,7 @@
 //! multiset ledgers brought the release margin back to ~7× (6.4–7.6× over
 //! six runs on a 2-vCPU Intel Xeon host), and live partitions on flat
 //! classes to 7.0–11.2× (nine runs, same host).  Runs in CI under the release
-//! profile alongside `setbased_speed.rs`; the churn batches, statement set,
+//! profile alongside the width guards; the churn batches, statement set,
 //! and baseline are shared with the E11 bench via [`od_bench::streaming`].
 
 use od_bench::streaming::{churn_batch, full_revalidation, monitored_statements};

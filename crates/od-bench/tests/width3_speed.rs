@@ -8,17 +8,17 @@
 //!    pruning (the wall-clock assertion is release-only; the semantic
 //!    assertions run in every profile and ride tier-1 too).
 //! 2. **Width-2 equivalence** — the node-based traversal's verdict for every
-//!    statement within the old width-2 bound is bit-for-bit the demand-driven
-//!    engine's verdict, at ε = 0 and ε = 0.02 (the engine validates each
-//!    statement with the same serial scan the old traversal used, so this
-//!    pins the refactor against the pre-node-store semantics).
+//!    statement within the old width-2 bound is bit-for-bit the verdict of a
+//!    fresh `validate::statement_verdict` scan, at ε = 0 and ε = 0.02 (the
+//!    same serial scan the old traversal used, so this pins the refactor
+//!    against the pre-node-store semantics).
 //! 3. **Propagation beats generate-then-check** — at width 3 the number of
 //!    validated candidates stays a small fraction of the candidate slots the
 //!    propagation resolved without enumeration.
 
 use od_bench::timing::best_of_with;
 use od_core::{AttrId, AttrSet, Relation};
-use od_setbased::{discover_statements, LatticeConfig, SetBasedEngine, SetOd};
+use od_setbased::{discover_statements, validate, LatticeConfig, PartitionCache, SetOd};
 use od_workload::{generate_date_dim, tax};
 
 /// Every non-trivial canonical statement over the relation's attributes with a
@@ -119,20 +119,20 @@ fn width2_verdicts_match_the_demand_driven_engine_bit_for_bit() {
                 ..Default::default()
             },
         );
-        let mut engine = SetBasedEngine::with_budget(&rel, d.budget());
+        let budget = d.budget();
+        let mut cache = PartitionCache::new(&rel);
         for stmt in statements_within(&rel, 2) {
             assert_eq!(
                 d.holds(&stmt),
-                engine.statement_holds(&stmt),
-                "ε = {epsilon}: node-based and demand-driven engines disagree on {stmt}"
+                validate::statement_verdict(&mut cache, &stmt, 1, budget).within(budget),
+                "ε = {epsilon}: node-based traversal and a fresh scan disagree on {stmt}"
             );
         }
         // Minimal verdicts are the scan verdicts themselves: identical
         // removal counts, witnesses and class counts.
-        let mut fresh = SetBasedEngine::with_budget(&rel, d.budget());
         for (stmt, verdict) in d.minimal_statements().iter().zip(d.verdicts()) {
             assert_eq!(
-                &fresh.statement_verdict(stmt),
+                &validate::statement_verdict(&mut cache, stmt, 1, budget),
                 verdict,
                 "ε = {epsilon}: verdict drift on {stmt}"
             );

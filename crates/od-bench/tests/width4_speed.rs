@@ -9,17 +9,17 @@
 //!    run in every profile and ride tier-1 too).
 //! 2. **Width-3 equivalence** — the bitset traversal's verdict for every
 //!    statement within the PR 4 node-store engine's width-3 bound is
-//!    bit-for-bit the demand-driven engine's verdict, at ε = 0 and ε = 0.02
-//!    (the engine validates each statement with the same serial scan the
-//!    node-store traversal used, so this pins the representation change
-//!    against the pre-bitset semantics).
+//!    bit-for-bit the verdict of a fresh `validate::statement_verdict` scan,
+//!    at ε = 0 and ε = 0.02 (the same serial scan the node-store traversal
+//!    used, so this pins the representation change against the pre-bitset
+//!    semantics).
 //! 3. **Per-level decider batching** — decider queries are issued in batched
 //!    round-trips, one per level (counted in `LatticeStats::decider_rounds`),
 //!    never one per candidate.
 
 use od_bench::timing::best_of_with;
 use od_core::{AttrId, AttrSet, Relation};
-use od_setbased::{discover_statements, LatticeConfig, SetBasedEngine, SetOd};
+use od_setbased::{discover_statements, validate, LatticeConfig, PartitionCache, SetOd};
 use od_workload::{generate_date_dim, tax};
 
 /// Every non-trivial canonical statement over the relation's attributes with a
@@ -129,20 +129,20 @@ fn width3_verdicts_match_the_demand_driven_engine_bit_for_bit() {
                 ..Default::default()
             },
         );
-        let mut engine = SetBasedEngine::with_budget(&rel, d.budget());
+        let budget = d.budget();
+        let mut cache = PartitionCache::new(&rel);
         for stmt in statements_within(&rel, 3) {
             assert_eq!(
                 d.holds(&stmt),
-                engine.statement_holds(&stmt),
-                "ε = {epsilon}: bitset and demand-driven engines disagree on {stmt}"
+                validate::statement_verdict(&mut cache, &stmt, 1, budget).within(budget),
+                "ε = {epsilon}: bitset traversal and a fresh scan disagree on {stmt}"
             );
         }
         // Minimal verdicts are the scan verdicts themselves: identical
         // removal counts, witnesses and class counts.
-        let mut fresh = SetBasedEngine::with_budget(&rel, d.budget());
         for (stmt, verdict) in d.minimal_statements().iter().zip(d.verdicts()) {
             assert_eq!(
-                &fresh.statement_verdict(stmt),
+                &validate::statement_verdict(&mut cache, stmt, 1, budget),
                 verdict,
                 "ε = {epsilon}: verdict drift on {stmt}"
             );

@@ -6,12 +6,11 @@
 //! * [`discover`] — profile a relation instance for ODs/FDs that hold on it
 //!   exactly, or — with [`DiscoveryConfig::epsilon`] — for approximate ODs
 //!   whose TANE-style `g3` error stays under a threshold, with axiom-based
-//!   pruning of implied candidates.  Validation defaults to the
-//!   partition-backed set-based engine of the `od-setbased` crate
-//!   ([`DiscoveryEngine::SetBased`]); the original sort-per-candidate path
-//!   remains available as [`DiscoveryEngine::Naive`] and serves as the oracle
-//!   in differential tests.  Discovered exact ODs can be fed straight into the
-//!   optimizer's registry with [`Discovery::install_into`];
+//!   pruning of implied candidates.  Every list candidate is answered from
+//!   one partition-backed lattice profile of the `od-setbased` crate; the
+//!   original sort-per-candidate algorithm lives on as the oracle of the
+//!   differential tests (`tests/naive/`).  Discovered exact ODs can be fed
+//!   straight into the optimizer's registry with [`Discovery::install_into`];
 //! * [`monotone`] — derive ODs from generated-column expressions by
 //!   monotonicity analysis (the DB2 generated-columns technique of
 //!   reference \[12\]).
@@ -45,9 +44,6 @@ pub mod discover;
 pub mod monitor;
 pub mod monotone;
 
-pub use discover::{
-    discover_fds, discover_ods, discover_ods_naive, try_discover_ods, Discovery, DiscoveryConfig,
-    DiscoveryEngine,
-};
+pub use discover::{discover_fds, discover_ods, try_discover_ods, Discovery, DiscoveryConfig};
 pub use monitor::{Monitor, MonitorReport, OdStatus, SubscriptionId};
 pub use monotone::{derived_column_ods, monotonicity, DerivedColumn, Monotonicity};

@@ -1,13 +1,15 @@
-//! Differential tests between the naive (sort-per-candidate) discovery engine
-//! and the set-based partition engine: identical minimal OD sets on random
-//! relations, and the acceptance criteria on the date-warehouse workload.
-//! Both engines share one pruning loop, so implication pruning is checked
-//! against its own oracle: a greedy decider minimization of the unpruned
-//! result.
+//! Differential tests between list discovery and the sort-per-candidate
+//! oracle in `naive/`: identical minimal OD sets on random relations, on the
+//! fixtures and on the date-warehouse workload.  The oracle shares no pruning
+//! code with `discover_ods`; implication pruning is also checked against its
+//! own oracle, a greedy decider minimization of the unpruned result.
 
+mod naive;
+
+use naive::discover_ods_naive;
 use od_core::check::od_holds;
-use od_core::{OrderDependency, Relation, Schema, Value};
-use od_discovery::{discover_ods, discover_ods_naive, DiscoveryConfig, DiscoveryEngine};
+use od_core::{fixtures, OrderDependency, Relation, Schema, Value};
+use od_discovery::{discover_ods, DiscoveryConfig};
 use od_infer::{Decider, OdSet};
 use od_workload::generate_date_dim;
 use proptest::prelude::*;
@@ -68,32 +70,20 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
     /// Implication pruning keeps exactly the ODs a greedy decider
-    /// minimization keeps, for both engines, with the profile deep enough
-    /// for every candidate and with a depth-1 profile that sends wide
-    /// candidates to the fallback engine.
+    /// minimization keeps, and exactly the ODs the oracle keeps.
     #[test]
     fn pruning_equals_greedy_decider_minimization(rel in relation_strategy(4, 10)) {
-        for engine in [DiscoveryEngine::SetBased, DiscoveryEngine::Naive] {
-            for (max_lhs, max_rhs, max_context) in [(2, 2, 4), (3, 2, 4), (3, 2, 1)] {
-                let config = DiscoveryConfig {
-                    max_lhs,
-                    max_rhs,
-                    max_context,
-                    engine,
-                    ..Default::default()
-                };
-                let (_, pruned, minimized) = pruned_and_minimized(&rel, config);
-                prop_assert_eq!(
-                    &pruned, &minimized,
-                    "{:?} at widths {}/{}, depth {}", engine, max_lhs, max_rhs, max_context
-                );
-            }
+        for (max_lhs, max_rhs) in [(2, 2), (3, 2)] {
+            let config = DiscoveryConfig { max_lhs, max_rhs, ..Default::default() };
+            let (_, pruned, minimized) = pruned_and_minimized(&rel, config);
+            prop_assert_eq!(&pruned, &minimized, "at widths {}/{}", max_lhs, max_rhs);
+            let naive = discover_ods_naive(&rel, config);
+            prop_assert_eq!(&pruned, &naive.ods, "at widths {}/{}", max_lhs, max_rhs);
         }
     }
 
-    /// Both engines return the same minimal OD set on random small relations,
-    /// with and without implication pruning, and the set-based engine never
-    /// touches the data for more candidates than the naive one.
+    /// Discovery and the oracle return the same minimal OD set on random
+    /// small relations, with and without implication pruning.
     #[test]
     fn engines_return_the_same_minimal_od_set(rel in relation_strategy(4, 10)) {
         for prune in [true, false] {
@@ -102,7 +92,6 @@ proptest! {
             let naive = discover_ods_naive(&rel, config);
             prop_assert_eq!(&set_based.ods, &naive.ods, "prune={}", prune);
             prop_assert_eq!(set_based.candidates, naive.candidates);
-            prop_assert!(set_based.validated <= naive.validated);
             // Every reported OD genuinely holds.
             for od in &set_based.ods {
                 prop_assert!(od_holds(&rel, od));
@@ -134,18 +123,12 @@ proptest! {
             let set_based = discover_ods(&rel, config);
             let naive = discover_ods_naive(&rel, config);
             prop_assert_eq!(&set_based.ods, &naive.ods, "ε = {}", epsilon);
-            // Every candidate was answerable from the lattice profile: no
-            // fallback scans beyond it.
-            let stats = set_based.lattice_stats.expect("set-based runs profile");
-            prop_assert_eq!(set_based.statement_validations, stats.validated);
-            prop_assert_eq!(set_based.validated, 0);
         }
     }
 
-    /// Width-4 candidates exercise the bitset lattice's fourth level (the new
-    /// default `max_context`): the traversal must still pin the seed's naive
-    /// oracle exactly, at ε = 0 and ε > 0, with every candidate answered from
-    /// the profile scan-free.
+    /// Width-4 candidates exercise the bitset lattice's fourth level: the
+    /// traversal must still pin the seed's naive oracle exactly, at ε = 0 and
+    /// ε > 0.
     #[test]
     fn node_lattice_agrees_with_naive_at_width_four(rel in relation_strategy(4, 9)) {
         for epsilon in [0.0, 0.2] {
@@ -158,34 +141,32 @@ proptest! {
             let set_based = discover_ods(&rel, config);
             let naive = discover_ods_naive(&rel, config);
             prop_assert_eq!(&set_based.ods, &naive.ods, "ε = {}", epsilon);
-            // Every candidate was answerable from the width-4 profile: no
-            // fallback scans beyond it.
-            let stats = set_based.lattice_stats.expect("set-based runs profile");
-            prop_assert_eq!(set_based.statement_validations, stats.validated);
-            prop_assert_eq!(set_based.validated, 0);
-            // Decider rounds stay per level even under discovery's clamped
-            // depth (levels 0..=min(4, needed)).
+            // Decider rounds stay per level (levels 0..=4).
+            let stats = set_based.lattice_stats.expect("discovery runs a profile");
             prop_assert!(stats.decider_rounds <= 5, "{:?}", stats);
         }
     }
 
-    /// When the configured lattice depth undercuts the candidate widths, the
-    /// per-candidate engine fallback keeps the result identical.
+    /// `max_context` is not read: discovery profiles to the depth the
+    /// candidate widths need, whatever the field says.
     #[test]
-    fn shallow_profiles_fall_back_without_changing_the_result(rel in relation_strategy(4, 9)) {
-        let wide = DiscoveryConfig { max_lhs: 3, max_rhs: 2, ..Default::default() };
-        let shallow = DiscoveryConfig { max_context: 1, ..wide };
-        let full = discover_ods(&rel, wide);
+    fn max_context_does_not_change_the_result(rel in relation_strategy(4, 9)) {
+        let shallow = DiscoveryConfig { max_lhs: 3, max_rhs: 2, max_context: 1, ..Default::default() };
+        let deep = DiscoveryConfig { max_context: 4, ..shallow };
         let clipped = discover_ods(&rel, shallow);
-        prop_assert_eq!(&full.ods, &clipped.ods);
-        let naive = discover_ods_naive(&rel, wide);
-        prop_assert_eq!(&clipped.ods, &naive.ods);
+        let full = discover_ods(&rel, deep);
+        prop_assert_eq!(&clipped.ods, &full.ods);
+        prop_assert_eq!(&clipped.errors, &full.errors);
+        prop_assert_eq!(clipped.lattice_stats, full.lattice_stats);
+        let naive = discover_ods_naive(&rel, deep);
+        prop_assert_eq!(&full.ods, &naive.ods);
+        prop_assert_eq!(&full.errors, &naive.errors);
     }
 
-    /// `epsilon: 0.0` is bit-identical to exact discovery, and for any ε both
-    /// engines agree on the approximate OD set and its error scores (the naive
-    /// path measures each statement with the sort-based evidence oracle, the
-    /// set-based path with per-class partition arithmetic).
+    /// `epsilon: 0.0` is bit-identical to exact discovery, and for any ε
+    /// discovery and the oracle agree on the approximate OD set and its error
+    /// scores (the oracle measures each statement with the sort-based
+    /// evidence checker, discovery with per-class partition arithmetic).
     #[test]
     fn engines_agree_under_error_thresholds(rel in relation_strategy(4, 10)) {
         let exact = discover_ods(&rel, DiscoveryConfig::default());
@@ -200,9 +181,9 @@ proptest! {
             let set_based = discover_ods(&rel, config);
             let naive = discover_ods_naive(&rel, config);
             prop_assert_eq!(&set_based.ods, &naive.ods, "ε = {}", epsilon);
-            // The naive oracle scores every statement exactly; the set-based
-            // engine may report an inherited upper bound — never more than ε,
-            // and never below the oracle's exact score.
+            // The oracle scores every statement exactly; the profile may
+            // report an inherited upper bound — never more than ε, and never
+            // below the oracle's exact score.
             prop_assert_eq!(set_based.errors.len(), naive.errors.len());
             for (fast, oracle) in set_based.errors.iter().zip(naive.errors.iter()) {
                 prop_assert!((0.0..=epsilon).contains(fast), "score {} at ε = {}", fast, epsilon);
@@ -227,9 +208,8 @@ fn warehouse_pruning_equals_greedy_decider_minimization() {
     assert_eq!(pruned, minimized);
 }
 
-/// The tentpole acceptance criterion: on the date-warehouse fixture the
-/// set-based engine discovers the same minimal ODs as the naive engine while
-/// validating strictly fewer candidates against the data.
+/// On the date-warehouse fixture discovery finds the same minimal ODs as the
+/// oracle while scanning fewer statements than the oracle checks candidates.
 #[test]
 fn warehouse_same_ods_with_strictly_fewer_data_validations() {
     let rel = generate_date_dim(1998, 200, 2_450_000);
@@ -239,23 +219,20 @@ fn warehouse_same_ods_with_strictly_fewer_data_validations() {
 
     assert_eq!(
         set_based.ods, naive.ods,
-        "engines must find the same minimal ODs"
+        "discovery and the oracle must find the same minimal ODs"
     );
     assert!(
         !set_based.ods.is_empty(),
         "the calendar hierarchy must be discovered"
     );
+    let scans = set_based
+        .lattice_stats
+        .expect("discovery runs a profile")
+        .validated;
     assert!(
-        set_based.validated < naive.validated,
-        "set-based candidates touching data ({}) must be strictly fewer than naive ({})",
-        set_based.validated,
-        naive.validated,
-    );
-    assert!(
-        set_based.statement_validations < naive.validated,
-        "even counting per-statement scans ({}) the set-based engine must undercut \
-         the naive engine's full-candidate validations ({})",
-        set_based.statement_validations,
+        scans < naive.validated,
+        "the profile's statement scans ({scans}) must undercut the oracle's \
+         full-candidate validations ({})",
         naive.validated,
     );
     // The calendar's signature OD is implied by the minimal result (it may not
@@ -263,8 +240,49 @@ fn warehouse_same_ods_with_strictly_fewer_data_validations() {
     let s = rel.schema();
     let date = s.attr_by_name("d_date").unwrap();
     let year = s.attr_by_name("d_year").unwrap();
-    let m = od_infer::OdSet::from_ods(set_based.ods.clone());
-    assert!(
-        od_infer::Decider::new(&m).implies(&od_core::OrderDependency::new(vec![date], vec![year]))
-    );
+    let m = OdSet::from_ods(set_based.ods.clone());
+    assert!(Decider::new(&m).implies(&OrderDependency::new(vec![date], vec![year])));
+}
+
+#[test]
+fn engines_agree_on_the_fixtures() {
+    for rel in [fixtures::example_5_taxes(), fixtures::figure_1_relation()] {
+        for prune in [true, false] {
+            let config = DiscoveryConfig {
+                prune_implied: prune,
+                ..Default::default()
+            };
+            let set_based = discover_ods(&rel, config);
+            let naive = discover_ods_naive(&rel, config);
+            assert_eq!(
+                set_based.ods, naive.ods,
+                "discovery and the oracle must find the same minimal ODs"
+            );
+            assert_eq!(set_based.candidates, naive.candidates);
+        }
+    }
+}
+
+#[test]
+fn engines_agree_on_approximate_discovery() {
+    let mut schema = Schema::new("dirty");
+    schema.add_attr("a");
+    schema.add_attr("b");
+    schema.add_attr("c");
+    let mut rows: Vec<Vec<Value>> = (0..30i64)
+        .map(|i| vec![Value::Int(i), Value::Int(i * 2), Value::Int(i % 5)])
+        .collect();
+    rows[4][1] = Value::Int(999);
+    rows[19][2] = Value::Int(-3);
+    let rel = Relation::from_rows(schema, rows).unwrap();
+    for epsilon in [0.0, 0.1, 0.35] {
+        let config = DiscoveryConfig {
+            epsilon,
+            ..Default::default()
+        };
+        let set_based = discover_ods(&rel, config);
+        let naive = discover_ods_naive(&rel, config);
+        assert_eq!(set_based.ods, naive.ods, "ε = {epsilon}");
+        assert_eq!(set_based.ods.len(), set_based.errors.len());
+    }
 }

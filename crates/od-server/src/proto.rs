@@ -190,7 +190,8 @@ pub enum Request {
         max_rhs: u32,
         /// `g3` acceptance threshold (0 = exact).
         epsilon: f64,
-        /// Lattice context bound.
+        /// Ignored: discovery profiles to the depth `max_lhs` and `max_rhs`
+        /// need.  The field stays so the frame layout does not change.
         max_context: u32,
     },
     /// Run the set-based lattice over a hosted relation and return the

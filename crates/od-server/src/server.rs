@@ -154,6 +154,8 @@ struct DiscoverKey {
     max_lhs: u32,
     max_rhs: u32,
     epsilon_bits: u64,
+    /// `DiscoverStatements`'s context bound; 0 for `Discover`, which ignores
+    /// its own.
     max_context: u32,
 }
 
@@ -589,7 +591,7 @@ fn handle(
             max_lhs,
             max_rhs,
             epsilon,
-            max_context,
+            max_context: _,
         } => {
             if !(0.0..=1.0).contains(&epsilon) {
                 return err(ErrorCode::BadRequest, "epsilon must be within [0, 1]");
@@ -601,13 +603,12 @@ fn handle(
                 max_lhs,
                 max_rhs,
                 epsilon_bits: epsilon.to_bits(),
-                max_context,
+                max_context: 0,
             };
             let config = DiscoveryConfig {
                 max_lhs: max_lhs as usize,
                 max_rhs: max_rhs as usize,
                 epsilon,
-                max_context: max_context as usize,
                 ..DiscoveryConfig::default()
             };
             discover_cached(shared, key, |rel| {

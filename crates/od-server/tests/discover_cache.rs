@@ -8,6 +8,7 @@
 //! identity on frames.
 
 use od_core::{AttrId, OrderDependency, Value};
+use od_discovery::{discover_ods, DiscoveryConfig};
 use od_server::proto::{Request, Response};
 use od_server::{Client, OdServer};
 use std::net::SocketAddr;
@@ -194,5 +195,41 @@ fn recreated_relation_never_serves_the_old_profile() {
     );
     // And the new profile is itself cached consistently.
     assert_eq!(client.request(&discover_request()).unwrap(), second);
+    server.shutdown();
+}
+
+/// A `Discover` request's `max_context` does not reach discovery: a 3/2-wide
+/// request answers with local discovery's ODs and errors at any value of it.
+#[test]
+fn discover_ignores_max_context() {
+    let (server, addr) = boot(160);
+    let mut client = Client::connect(addr).unwrap();
+    let local = discover_ods(
+        &od_workload::tax::generate_taxes(160, 42),
+        DiscoveryConfig {
+            max_lhs: 3,
+            max_rhs: 2,
+            ..Default::default()
+        },
+    );
+    for max_context in [1, 4] {
+        let response = client
+            .request(&Request::Discover {
+                relation: "taxes".into(),
+                max_lhs: 3,
+                max_rhs: 2,
+                epsilon: 0.0,
+                max_context,
+            })
+            .unwrap();
+        assert_eq!(
+            response,
+            Response::Discovered {
+                ods: local.ods.clone(),
+                errors: local.errors.clone(),
+            },
+            "max_context {max_context}"
+        );
+    }
     server.shutdown();
 }

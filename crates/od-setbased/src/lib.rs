@@ -12,7 +12,6 @@
 //! | [`canonical`] | the set-based canonical statements and the exact list ↔ set translation |
 //! | [`validate`]  | evidence-returning ([`Verdict`]) statement validation over rank codes: exact per-class `g3` removal counts, a first-violation exit at ε = 0, and the one-walk τ_A swap check for contexts with a large class |
 //! | [`lattice`]   | node-based level-wise traversal on bitset candidate sets: mask propagation, key-based node deletion, batched per-level validation and decider rounds, partition eviction, `g3` thresholds |
-//! | [`engine`]    | the memoizing demand-driven validator `od-discovery` uses as its default engine |
 //! | [`stream`]    | incremental monitoring: delta-maintained live partitions and per-statement [`VerdictLedger`]s |
 //! | [`wire`]      | canonical byte codecs for [`SetOd`]s and [`Verdict`]s, shared by od-server and the dist workers |
 //! | [`dist`]      | multi-process traversal: a coordinator shards contexts over `--workers N` pipe-connected worker processes, bit-identical to the in-process engine |
@@ -46,21 +45,22 @@
 //! ```
 //! use od_core::fixtures;
 //! use od_core::OrderDependency;
-//! use od_setbased::{LatticeConfig, SetBasedEngine};
+//! use od_setbased::{discover_statements, translate_od, LatticeConfig};
 //!
 //! let rel = fixtures::example_5_taxes();
 //! let s = rel.schema();
 //! let income = s.attr_by_name("income").unwrap();
 //! let bracket = s.attr_by_name("bracket").unwrap();
 //!
-//! // Demand-driven: ask about one OD.
-//! let mut engine = SetBasedEngine::new(&rel);
-//! assert!(engine.od_holds(&OrderDependency::new(vec![income], vec![bracket])));
-//!
-//! // Bulk: profile every canonical statement up to the default context
-//! // bound (width 4 on bitset attribute sets).
-//! let profile = od_setbased::discover_statements(&rel, &LatticeConfig::default());
+//! // Profile every canonical statement up to the default context bound
+//! // (width 4 on bitset attribute sets).
+//! let profile = discover_statements(&rel, &LatticeConfig::default());
 //! assert!(!profile.minimal_statements().is_empty());
+//!
+//! // A list OD holds iff all of its canonical statements do, so the profile
+//! // answers it without touching the data again.
+//! let od = OrderDependency::new(vec![income], vec![bracket]);
+//! assert!(translate_od(&od).iter().all(|stmt| profile.holds(stmt)));
 //! ```
 
 #![forbid(unsafe_code)]
@@ -68,7 +68,6 @@
 
 pub mod canonical;
 pub mod dist;
-pub mod engine;
 pub mod lattice;
 pub mod partition;
 pub mod stream;
@@ -77,7 +76,6 @@ pub mod wire;
 
 pub use canonical::{compatibility_as_ods, constancy_as_od, translate_od, SetOd};
 pub use dist::{discover_statements_dist, maybe_run_worker, DistError, DistStats, WorkerLauncher};
-pub use engine::{EngineStats, SetBasedEngine};
 pub use lattice::{
     discover_statements, try_discover_statements, LatticeConfig, LatticeStats, LevelStats,
     SetBasedDiscovery,

@@ -2,7 +2,7 @@
 //! partitions** and per-statement **verdict ledgers**.
 //!
 //! The snapshot stack ([`crate::partition`] / [`crate::validate`] /
-//! [`crate::engine`]) rebuilds stripped partitions per relation instance; the
+//! [`crate::lattice`]) rebuilds stripped partitions per relation instance; the
 //! paper, however, frames ODs as integrity constraints a DBMS should enforce
 //! *continuously*.  This module closes that gap.  The key observation (already
 //! load-bearing in [`crate::validate`]'s budget short-circuit) is that
@@ -1129,8 +1129,8 @@ impl VerdictLedger {
 }
 
 /// Owns a live table and keeps monitored statements' verdicts current under
-/// [`DeltaBatch`]es — the streaming counterpart of
-/// [`SetBasedEngine`](crate::engine::SetBasedEngine).
+/// [`DeltaBatch`]es — the streaming counterpart of a fresh
+/// [`statement_verdict`](crate::validate::statement_verdict) scan.
 ///
 /// See the module docs for the data-structure walkthrough.  Typical use:
 ///
@@ -1224,7 +1224,7 @@ impl StreamMonitor {
     }
 
     /// The tuple-removal budget `⌊ε·n⌋` for the **current** alive-row count —
-    /// unlike the snapshot engine's fixed budget, this moves as the table
+    /// unlike a snapshot profile's fixed budget, this moves as the table
     /// grows and shrinks.
     pub fn error_budget(&self, epsilon: f64) -> usize {
         error_budget(self.alive_count, epsilon)
@@ -1335,8 +1335,8 @@ impl StreamMonitor {
     }
 
     /// The OD-level removal count: the worst canonical statement's ledger
-    /// total (the same acceptance measure as
-    /// [`SetBasedEngine::od_verdict`](crate::engine::SetBasedEngine::od_verdict)).
+    /// total (the same acceptance measure list discovery applies to a
+    /// candidate's statements).
     /// `None` if any of the OD's statements is not monitored.
     pub fn od_removal(&self, od: &OrderDependency) -> Option<usize> {
         translate_od(od)

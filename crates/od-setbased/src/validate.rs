@@ -572,8 +572,8 @@ pub(crate) fn compatibility_verdicts(
 /// Validate one canonical statement against the data: fetch (or build) the
 /// context's stripped partition and scan it.  A compatibility statement gets
 /// its kernel from `compatibility_verdicts`, like the lattice's batches.
-/// The dispatch point of the demand-driven engine and the lattice's replay
-/// fallback.
+/// The lattice's replay fallback, and on a fresh [`PartitionCache`] the
+/// verdict reference that tests pin the lattice's verdicts against.
 ///
 /// `budget` is the tuple-removal allowance `⌊ε·n⌋`: the scan short-circuits
 /// once the statement's removal count exceeds it (0 = exact validation with

@@ -4,9 +4,7 @@
 
 use od_core::check::{od_holds, od_removal_count};
 use od_core::{AttrId, AttrList, AttrSet, OrderDependency, Relation, Schema, Value};
-use od_setbased::{
-    discover_statements, translate_od, LatticeConfig, PartitionCache, SetBasedEngine, SetOd,
-};
+use od_setbased::{discover_statements, translate_od, LatticeConfig, PartitionCache, SetOd};
 use proptest::prelude::*;
 
 /// Strategy: a relation with `cols` integer columns and up to `max_rows` rows
@@ -100,37 +98,6 @@ fn all_statements(cols: u32, max_context: usize) -> Vec<SetOd> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
 
-    /// The memoizing engine answers exactly like the sort-based checker.
-    #[test]
-    fn engine_agrees_with_sort_based_checker(
-        rel in relation_strategy(4, 9),
-        lhs in list_strategy(4, 3),
-        rhs in list_strategy(4, 3),
-    ) {
-        let od = OrderDependency::new(lhs, rhs);
-        let mut engine = SetBasedEngine::new(&rel);
-        prop_assert_eq!(engine.od_holds(&od), od_holds(&rel, &od));
-    }
-
-    /// Statement memoization never changes verdicts: asking many ODs through
-    /// one engine gives the same answers as fresh engines per OD.
-    #[test]
-    fn memoization_is_transparent(
-        rel in relation_strategy(3, 8),
-        lists in prop::collection::vec(prop::collection::vec(0u32..3, 0..=2), 0..8),
-    ) {
-        let lists: Vec<AttrList> =
-            lists.into_iter().map(|ids| ids.into_iter().map(AttrId).collect()).collect();
-        let mut shared = SetBasedEngine::new(&rel);
-        for lhs in &lists {
-            for rhs in &lists {
-                let od = OrderDependency::new(lhs.clone(), rhs.clone());
-                let mut fresh = SetBasedEngine::new(&rel);
-                prop_assert_eq!(shared.od_holds(&od), fresh.od_holds(&od));
-            }
-        }
-    }
-
     /// The canonical translation is exact: an OD holds iff every translated
     /// statement holds (checked through the statements' own list-OD forms).
     #[test]
@@ -193,8 +160,9 @@ proptest! {
         }
     }
 
-    /// Approximate engine decisions agree with the oracle removal count under
-    /// every budget, and ε = 0 reproduces the exact checker bit for bit.
+    /// Budgeted scans of an OD's canonical statements accept it exactly when
+    /// the oracle removal count fits the budget, and budget 0 reproduces the
+    /// exact checker bit for bit.
     #[test]
     fn budgeted_engine_matches_oracle_thresholds(
         rel in relation_strategy(3, 8),
@@ -202,22 +170,23 @@ proptest! {
         rhs in list_strategy(3, 2),
     ) {
         let od = OrderDependency::new(lhs, rhs);
-        let worst = translate_od(&od)
+        let stmts = translate_od(&od);
+        let worst = stmts
             .iter()
             .map(|stmt| brute_force_statement_removal(&rel, stmt))
             .max()
             .unwrap_or(0);
+        let mut cache = PartitionCache::new(&rel);
         for budget in [0usize, 1, 2, rel.len()] {
-            let mut engine = SetBasedEngine::with_budget(&rel, budget);
-            prop_assert_eq!(
-                engine.od_holds(&od),
-                worst <= budget,
-                "budget {} on {}", budget, od
-            );
+            let accepted = stmts.iter().all(|stmt| {
+                od_setbased::validate::statement_verdict(&mut cache, stmt, 1, budget)
+                    .within(budget)
+            });
+            prop_assert_eq!(accepted, worst <= budget, "budget {} on {}", budget, od);
+            if budget == 0 {
+                prop_assert_eq!(accepted, od_holds(&rel, &od));
+            }
         }
-        // Exactness of the ε = 0 special case.
-        let mut exact = SetBasedEngine::new(&rel);
-        prop_assert_eq!(exact.od_holds(&od), od_holds(&rel, &od));
     }
 
     /// The node-based width-3 traversal answers every in-bound statement

@@ -1,10 +1,10 @@
-//! Set-based OD discovery on the date warehouse: the FASTOD-style engine of
-//! `od-setbased` against the naive sort-per-candidate baseline.
+//! Set-based OD discovery on the date warehouse: every list candidate is
+//! answered from one FASTOD-style lattice profile of `od-setbased`.
 //!
-//! The naive engine re-sorts the relation for every surviving candidate; the
-//! set-based engine decomposes each candidate into canonical constancy /
-//! compatibility statements, validates each distinct statement once with
-//! stripped partitions, and shares the verdicts across candidates.
+//! Each candidate decomposes into canonical constancy / compatibility
+//! statements; the profile validates each distinct statement once with
+//! stripped partitions, and candidates share the verdicts.  Every discovered
+//! OD is then re-checked with `od-core`'s sort-based split/swap checker.
 //!
 //! The second half corrupts a slice of the data and reruns discovery with a
 //! `g3` error threshold (approximate ODs), then installs the exactly-holding
@@ -13,8 +13,9 @@
 //!
 //! Run with `cargo run --release --example discovery_setbased`.
 
+use od_core::check::od_holds;
 use od_core::{Relation, Value};
-use od_discovery::{discover_ods, discover_ods_naive, DiscoveryConfig};
+use od_discovery::{discover_ods, DiscoveryConfig};
 use od_optimizer::{names_to_list, OdRegistry};
 use od_setbased::{discover_statements, LatticeConfig};
 use od_workload::generate_date_dim;
@@ -29,34 +30,35 @@ fn main() {
         schema.arity()
     );
 
-    // Width-2 discovery with both engines.
+    // Width-2 discovery.
     let config = DiscoveryConfig::default();
-    let start = Instant::now();
-    let naive = discover_ods_naive(&rel, config);
-    let naive_time = start.elapsed();
     let start = Instant::now();
     let set_based = discover_ods(&rel, config);
     let set_based_time = start.elapsed();
+    let scans = set_based
+        .lattice_stats
+        .expect("discovery runs a profile")
+        .validated;
+    println!(
+        "discovery: {} candidates answered from {} statement scans, {:?}",
+        set_based.candidates, scans, set_based_time
+    );
+    for od in &set_based.ods {
+        assert!(od_holds(&rel, od), "{od} must hold on the data");
+    }
 
     println!(
-        "naive engine:     {} candidates, {} validated against data, {:?}",
-        naive.candidates, naive.validated, naive_time
+        "\n{} minimal ODs discovered, each re-checked by sorting, e.g.:",
+        set_based.ods.len()
     );
-    println!(
-        "set-based engine: {} candidates, {} touched data ({} statement scans), {:?}",
-        set_based.candidates, set_based.validated, set_based.statement_validations, set_based_time
-    );
-    assert_eq!(naive.ods, set_based.ods, "the engines must agree");
-
-    println!("\n{} minimal ODs discovered, e.g.:", set_based.ods.len());
     for od in set_based.ods.iter().take(8) {
         println!("  {}", od.display(&schema));
     }
 
-    // The node-based lattice profile behind the engine: every minimal
-    // set-based statement up to context size 4 (the default since bitset
-    // candidate sets made width 4 interactive), with the stats' own
-    // `Display`/`summary()` rendering the per-level breakdown.
+    // A lattice profile on its own: every minimal set-based statement up to
+    // context size 4 (the default since bitset candidate sets made width 4
+    // interactive), with the stats' own `Display`/`summary()` rendering the
+    // per-level breakdown.
     let profile = discover_statements(&rel, &LatticeConfig::default());
     println!(
         "\nbitset lattice profile (width {}):",

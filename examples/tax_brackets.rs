@@ -31,10 +31,9 @@ fn main() {
     // Discover ODs from the data alone.
     let found = discover_ods(&rel, DiscoveryConfig::default());
     println!(
-        "\ndiscovered {} minimal ODs ({} candidates, {} validated):",
+        "\ndiscovered {} minimal ODs ({} candidates):",
         found.ods.len(),
-        found.candidates,
-        found.validated
+        found.candidates
     );
     for od in &found.ods {
         println!("  {}", od.display(&schema));
