@@ -5,8 +5,10 @@
 //! ~20% cheaper (the margin fell from ~6.4× to ~5×), so the guard keeps one
 //! turn of headroom under CI noise against the faster denominator.  Pair
 //! multiset ledgers brought the release margin back to ~7× (6.4–7.6× over
-//! six runs on a 2-vCPU Intel Xeon host), and live partitions on flat
-//! classes to 7.0–11.2× (nine runs, same host).  Runs in CI under the release
+//! six runs on a 2-vCPU Intel Xeon host), live partitions on flat classes to
+//! 7.0–11.2× (nine runs, same host), and head-advancing front deletes,
+//! one-walk interning and pair events, and single-id constancy classes to
+//! 12.6–14.7× (five runs, same host).  Runs in CI under the release
 //! profile alongside the width guards; the churn batches, statement set,
 //! and baseline are shared with the E11 bench via [`od_bench::streaming`].
 

@@ -147,8 +147,15 @@ impl std::hash::Hash for Value {
             }
             Value::Float(f) => {
                 2u8.hash(state);
-                // Hash consistently with Int(i) == Float(i as f64).
-                let canonical = if f.is_nan() { f64::NAN } else { *f };
+                // Hash consistently with Int(i) == Float(i as f64): every NaN
+                // is one value, and so are -0.0 and 0.0 (== Int(0)).
+                let canonical = if f.is_nan() {
+                    f64::NAN
+                } else if *f == 0.0 {
+                    0.0
+                } else {
+                    *f
+                };
                 canonical.to_bits().hash(state);
             }
             Value::Str(s) => {
@@ -333,6 +340,29 @@ mod tests {
             s.finish()
         };
         assert_eq!(h(&Value::Int(7)), h(&Value::Float(7.0)));
+    }
+
+    #[test]
+    fn signed_zeros_hash_and_group_as_one_value() {
+        use std::collections::hash_map::DefaultHasher;
+        use std::collections::HashMap;
+        use std::hash::{Hash, Hasher};
+        let h = |v: &Value| {
+            let mut s = DefaultHasher::new();
+            v.hash(&mut s);
+            s.finish()
+        };
+        let zeros = [Value::Float(-0.0), Value::Float(0.0), Value::Int(0)];
+        for zero in &zeros {
+            assert_eq!(zero, &zeros[0]);
+            assert_eq!(h(zero), h(&zeros[0]), "{zero:?} hashes apart");
+        }
+        let mut groups: HashMap<Value, usize> = HashMap::new();
+        for zero in zeros {
+            *groups.entry(zero).or_default() += 1;
+        }
+        assert_eq!(groups.len(), 1);
+        assert_eq!(groups.into_values().next(), Some(3));
     }
 
     #[test]

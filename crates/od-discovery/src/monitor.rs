@@ -28,12 +28,13 @@ use od_setbased::stream::{
 };
 use od_setbased::translate_od;
 use std::collections::HashSet;
+use std::sync::Arc;
 
 /// The live status of one watched OD after a delta.
 #[derive(Debug, Clone, PartialEq)]
 pub struct OdStatus {
-    /// The watched OD.
-    pub od: OrderDependency,
+    /// The watched OD, shared with the monitor's watch list.
+    pub od: Arc<OrderDependency>,
     /// Worst canonical statement's exact `g3` removal count on the live table.
     pub removal_count: usize,
     /// The corresponding `g3` error (removal / alive rows).
@@ -65,7 +66,7 @@ impl MonitorReport {
 }
 
 struct WatchedOd {
-    od: OrderDependency,
+    od: Arc<OrderDependency>,
     /// Indices into the stream monitor's ledgers of the OD's canonical
     /// statements.  Compaction re-monitors the ledgers in order, so they
     /// stay valid across it.
@@ -126,7 +127,7 @@ impl Monitor {
                 .map(|stmt| stream.monitor_statement(stmt))
                 .collect();
             watched.push(WatchedOd {
-                od,
+                od: Arc::new(od),
                 ledgers,
                 accepted: false,
             });
@@ -217,9 +218,10 @@ impl Monitor {
     /// pushed the same report before it is returned.
     pub fn apply(&mut self, batch: &DeltaBatch) -> Result<MonitorReport, StreamError> {
         let summary: DeltaSummary = self.stream.apply_delta(batch)?;
+        let (budget, rows) = (self.budget(), self.rows());
         let statuses = (0..self.watched.len())
             .map(|i| {
-                let mut status = self.status_of(i);
+                let mut status = self.status_of(i, budget, rows);
                 status.flipped = status.accepted != self.watched[i].accepted;
                 status
             })
@@ -243,22 +245,25 @@ impl Monitor {
 
     /// The current statuses of every watched OD (no flips marked).
     pub fn statuses(&self) -> Vec<OdStatus> {
-        (0..self.watched.len()).map(|i| self.status_of(i)).collect()
+        let (budget, rows) = (self.budget(), self.rows());
+        (0..self.watched.len())
+            .map(|i| self.status_of(i, budget, rows))
+            .collect()
     }
 
-    /// The live status of watched OD `i` (with `flipped` unset).
-    fn status_of(&self, i: usize) -> OdStatus {
+    /// The live status of watched OD `i` (with `flipped` unset), against
+    /// the current budget and alive-row count.
+    fn status_of(&self, i: usize, budget: usize, rows: usize) -> OdStatus {
         let removal = self.removal_of(i);
-        let n = self.stream.alive_rows();
         OdStatus {
-            od: self.watched[i].od.clone(),
+            od: Arc::clone(&self.watched[i].od),
             removal_count: removal,
-            g3: if n == 0 {
+            g3: if rows == 0 {
                 0.0
             } else {
-                removal as f64 / n as f64
+                removal as f64 / rows as f64
             },
-            accepted: removal <= self.budget(),
+            accepted: removal <= budget,
             flipped: false,
         }
     }
@@ -277,7 +282,7 @@ impl Monitor {
         let mut installed = 0;
         let mut retracted = 0;
         for i in 0..self.watched.len() {
-            let od = &self.watched[i].od;
+            let od = &*self.watched[i].od;
             let exact = self.removal_of(i) == 0;
             if exact && !present.contains(od) {
                 registry.add_od(table, od.clone());

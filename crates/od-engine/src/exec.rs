@@ -659,6 +659,36 @@ mod tests {
     }
 
     #[test]
+    fn join_matches_keys_of_opposite_signed_zero() {
+        // One-row tables keyed 0.0 and -0.0: the keys are equal, so the
+        // join must return the combined row.
+        let table = |name: &str, key: f64| {
+            let mut schema = Schema::new(name);
+            schema.add_attr("k");
+            schema.add_attr("tag");
+            let row = vec![Value::Float(key), Value::from(name)];
+            Table::new(Relation::from_rows(schema, [row]).unwrap())
+        };
+        let mut c = Catalog::new();
+        c.add_table(table("pos", 0.0));
+        c.add_table(table("neg", -0.0));
+        let plan = PhysicalPlan::HashJoin {
+            left: Box::new(PhysicalPlan::TableScan {
+                table: "pos".into(),
+            }),
+            right: Box::new(PhysicalPlan::TableScan {
+                table: "neg".into(),
+            }),
+            left_key: AttrId(0),
+            right_key: AttrId(0),
+        };
+        let (b, _) = execute(&plan, &c);
+        assert_eq!(b.len(), 1, "0.0 and -0.0 keys must join");
+        assert_eq!(b.rows[0][1], Value::from("pos"));
+        assert_eq!(b.rows[0][3], Value::from("neg"));
+    }
+
+    #[test]
     fn project_and_limit() {
         let c = catalog();
         let plan = PhysicalPlan::Limit {

@@ -517,7 +517,7 @@ fn od_fits_schema(od: &OrderDependency, arity: usize) -> bool {
 
 fn wire_status(status: &od_discovery::OdStatus) -> WireOdStatus {
     WireOdStatus {
-        od: status.od.clone(),
+        od: (*status.od).clone(),
         removal_count: status.removal_count as u64,
         accepted: status.accepted,
         flipped: status.flipped,

@@ -234,7 +234,7 @@ fn wire_statuses_match_in_process_monitor() {
             .statuses()
             .iter()
             .map(|s| od_server::proto::WireOdStatus {
-                od: s.od.clone(),
+                od: (*s.od).clone(),
                 removal_count: s.removal_count as u64,
                 accepted: s.accepted,
                 flipped: s.flipped,

@@ -20,12 +20,14 @@
 //!   ever seen (plus a value-ordered index for lookups), every tuple's
 //!   dictionary id, and one gapped `u64` **order code** per distinct value
 //!   (spaced [`CODE_GAP`] apart).  A new distinct value takes the midpoint of
-//!   its neighbours' codes; when a gap is exhausted the column renumbers its
-//!   distinct values — never its tuples — (counted in
-//!   [`StreamStats::renumbers`]).  Equality tests compare ids; only
-//!   compatibility, which needs an order, reads codes.  There is no row
-//!   store: [`StreamMonitor::to_relation`] and witnesses decode through the
-//!   dictionaries.
+//!   its neighbours' codes, or one gap above the greatest code: a value
+//!   above the column's maximum, as monotone keys and dates are, is
+//!   compared with the maximum directly and searches no index.  When a gap
+//!   is exhausted the column renumbers its distinct values — never its
+//!   tuples — (counted in [`StreamStats::renumbers`]).  Equality tests
+//!   compare ids; only compatibility, which needs an order, reads codes.
+//!   There is no row store: [`StreamMonitor::to_relation`] and witnesses
+//!   decode through the dictionaries.
 //! * [`StreamMonitor`] — owns the columns, an alive bitmap (tuple ids are
 //!   stable and never reused), and one live partition per monitored context,
 //!   which names each class by a class id found from the context's width,
@@ -33,22 +35,28 @@
 //!   one-attribute context's class id is the tuple's dictionary id, a
 //!   two-attribute context maps both ids packed into a `u64`, and only wider
 //!   contexts map the id tuple.  A class of one member holds it inline, so a
-//!   singleton costs no allocation.  A batch groups each partition's row
-//!   events by one sort of `(class, tuple id)` pairs into runs, in buffers
-//!   the partition reuses, and ledgers walk those runs in class order.
-//!   Class member lists stay sorted by id for free: fresh ids only ever
-//!   grow, and each deleted member is found by binary search and closed
-//!   over by one shift.
+//!   singleton costs no allocation, and a longer class boxes its member
+//!   list, so empty and one-member slots stay small.  A batch groups each
+//!   partition's row events by one sort of `(class, tuple id)` pairs into
+//!   runs, in buffers the partition reuses, and ledgers walk those runs in
+//!   class order.  Class member lists stay sorted by id for free: fresh ids
+//!   only ever grow, and each deleted member is found by binary search.
+//!   The gaps close toward whichever end moves fewer ids, so deleting a
+//!   class's oldest members only advances the head of its list, and a dead
+//!   prefix past a fixed share of the list is drained at once.
 //! * [`VerdictLedger`] — per monitored statement, a per-class incremental
-//!   state plus the statement's running removal total.  Constancy classes
-//!   keep a dictionary-id multiset with an `O(1)`-amortized max-group
-//!   tracker, so a touched row costs `O(1)`.  Compatibility classes keep a
-//!   **multiset of distinct `(code_A, code_B)` pairs** in `(A, B)` order plus
-//!   the number of adjacent pairs whose `B` descends — each such descent is a
-//!   swap, and a class without one is swap-free — so a touched row costs
-//!   `O(log k)`.  A class that still descends gets its removal count from
-//!   the `[r − d, r + i]` bound when that pins it, and from an LIS tails
-//!   pass over the pairs otherwise.
+//!   state plus the statement's running removal total.  A constancy class
+//!   whose members all carry one dictionary id keeps that id and its size,
+//!   with no map; the first other id promotes it to a dictionary-id
+//!   multiset with an `O(1)`-amortized max-group tracker.  Either way a
+//!   touched row costs `O(1)`.  Compatibility classes keep a **multiset of
+//!   distinct `(code_A, code_B)` pairs** in `(A, B)` order plus the number
+//!   of adjacent pairs whose `B` descends — each such descent is a swap,
+//!   and a class without one is swap-free — so a touched row costs
+//!   `O(log k)`: one tree walk for a repeated pair, three for a pair's
+//!   first arrival or last departure.  A class that still descends gets
+//!   its removal count from the `[r − d, r + i]` bound when that pins it,
+//!   and from an LIS tails pass over the pairs otherwise.
 //!
 //! The ledger invariant — checked bit-for-bit against from-scratch
 //! recomputation by `tests/stream_differential.rs` — is:
@@ -68,10 +76,11 @@ use crate::validate::{
 };
 use od_core::{AttrId, AttrSet, OrderDependency, Relation, Schema, Tuple, Value};
 use od_obs::Histogram;
+use std::cmp::Ordering;
 use std::collections::{BTreeMap, HashMap, HashSet};
 use std::fmt;
 use std::hash::{BuildHasherDefault, Hasher};
-use std::ops::{Bound, Range};
+use std::ops::Range;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -313,6 +322,9 @@ struct Column {
     /// Dictionary id → gapped order code:
     /// `order[x] < order[y] ⟺ dict[x] < dict[y]`.
     order: Vec<u64>,
+    /// Dictionary id of the greatest value (`None` while the dictionary is
+    /// empty).
+    top: Option<u32>,
     /// Renumberings performed on this column.
     renumbers: usize,
 }
@@ -325,6 +337,7 @@ impl Column {
         Column {
             index: dict.iter().cloned().zip(0..).collect(),
             order: (1..=dict.len() as u64).map(|i| i * CODE_GAP).collect(),
+            top: dict.len().checked_sub(1).map(|last| last as u32),
             dict,
             ids,
             renumbers: 0,
@@ -334,27 +347,36 @@ impl Column {
     /// The dictionary id of `value`, interning it if unseen: its order code
     /// is minted in the gap between its neighbours' codes, and the column
     /// renumbers when that gap is exhausted.
+    ///
+    /// A value compared equal to or above the greatest one needs no index
+    /// search: monotone keys, timestamps and dates grow a table this way,
+    /// and each new one costs only its insert, with the code
+    /// `top code + CODE_GAP`.  Any other value is found, or else its
+    /// successor is, by one walk, and its predecessor by one more.
     fn intern(&mut self, value: &Value) -> u32 {
-        if let Some(&id) = self.index.get(value) {
-            return id;
-        }
         let code_of = |(_, &id): (&Value, &u32)| self.order[id as usize];
-        let below = self.index.range(..value).next_back().map(code_of);
-        let above = self
-            .index
-            .range((Bound::Excluded(value), Bound::Unbounded))
-            .next()
-            .map(code_of);
-        let minted = match (below, above) {
-            (None, None) => Some(CODE_GAP),
-            (Some(lo), None) => lo.checked_add(CODE_GAP),
-            (None, Some(hi)) => (hi >= 2).then_some(hi / 2),
-            (Some(lo), Some(hi)) => {
-                let mid = lo + (hi - lo) / 2;
-                (mid > lo).then_some(mid)
-            }
+        let (minted, greatest) = match self.top {
+            None => (Some(CODE_GAP), true),
+            Some(top) => match value.cmp(&self.dict[top as usize]) {
+                Ordering::Equal => return top,
+                Ordering::Greater => (self.order[top as usize].checked_add(CODE_GAP), true),
+                Ordering::Less => {
+                    let hi = match self.index.range(value..).next() {
+                        Some((known, &id)) if known == value => return id,
+                        above => above.map(code_of).expect("the greatest value lies above"),
+                    };
+                    // No predecessor: every code is at least 1, so 0 bounds
+                    // the gap from below.
+                    let lo = self.index.range(..value).next_back().map_or(0, code_of);
+                    let mid = lo + (hi - lo) / 2;
+                    ((mid > lo).then_some(mid), false)
+                }
+            },
         };
         let id = self.dict.len() as u32;
+        if greatest {
+            self.top = Some(id);
+        }
         self.dict.push(value.clone());
         self.index.insert(value.clone(), id);
         self.order.push(minted.unwrap_or(0));
@@ -414,8 +436,23 @@ enum Members {
     #[default]
     Empty,
     One(TupleId),
-    /// Two or more members.
-    Many(Vec<TupleId>),
+    /// Two or more members.  Boxed, so that the empty and one-member slots
+    /// that make up most of a one-attribute context's class table stay
+    /// small.
+    Many(Box<MemberList>),
+}
+
+// A one-attribute context keeps one slot per dictionary id ever seen, so a
+// slot must stay smaller than a bare member list.
+const _: () = assert!(std::mem::size_of::<Members>() < std::mem::size_of::<Vec<TupleId>>());
+
+/// The members of a class of two or more, `list[head..]`.  The slots before
+/// `head` are the dead prefix that deletes near the front leave behind
+/// instead of shifting every later member (see [`remove_members`]).
+#[derive(Debug)]
+struct MemberList {
+    list: Vec<TupleId>,
+    head: usize,
 }
 
 impl Members {
@@ -423,7 +460,7 @@ impl Members {
         match self {
             Members::Empty => &[],
             Members::One(t) => std::slice::from_ref(t),
-            Members::Many(list) => list,
+            Members::Many(many) => &many.list[many.head..],
         }
     }
 
@@ -434,10 +471,11 @@ impl Members {
     /// Drop `removed` (ascending, each a member) and append `added`
     /// (ascending, each above every member: fresh ids only grow).
     fn splice(&mut self, removed: &[TupleId], added: &[TupleId]) {
-        if let Members::Many(list) = self {
-            remove_members(list, removed);
+        if let Members::Many(many) = self {
+            let MemberList { list, head } = &mut **many;
+            remove_members(list, head, removed);
             list.extend_from_slice(added);
-            match *list.as_slice() {
+            match list[*head..] {
                 [] => *self = Members::Empty,
                 [t] => *self = Members::One(t),
                 _ => {}
@@ -452,7 +490,10 @@ impl Members {
         *self = match (kept, added) {
             (None, []) => Members::Empty,
             (None, &[t]) | (Some(t), []) => Members::One(t),
-            _ => Members::Many(kept.into_iter().chain(added.iter().copied()).collect()),
+            _ => Members::Many(Box::new(MemberList {
+                list: kept.into_iter().chain(added.iter().copied()).collect(),
+                head: 0,
+            })),
         };
     }
 }
@@ -670,27 +711,62 @@ impl LivePartition {
     }
 }
 
-/// Remove `doomed` (ascending, each a member) from the ascending `members`:
-/// one binary search per doomed id, and each surviving run after the first
-/// removal shifts left once.
-fn remove_members(members: &mut Vec<TupleId>, doomed: &[TupleId]) {
-    if doomed.is_empty() {
+/// A member list drops its dead prefix once that prefix is more than
+/// `1 / DEAD_PREFIX_SHARE` of the list.
+const DEAD_PREFIX_SHARE: usize = 8;
+
+/// Remove `doomed` (ascending, each a member) from the ascending members
+/// `list[*head..]`, closing the gaps toward whichever end moves fewer ids:
+/// either the survivors before the last doomed id shift right and `head`
+/// advances, or the survivors after the first one shift left.  Each doomed
+/// id costs one binary search and each surviving run moves once, so
+/// deleting the `k` oldest members moves nothing.  Once the dead prefix
+/// passes its share of the list, one `drain` drops it.
+fn remove_members(list: &mut Vec<TupleId>, head: &mut usize, doomed: &[TupleId]) {
+    let (Some(&first), Some(&last)) = (doomed.first(), doomed.last()) else {
         return;
-    }
-    let mut read = 0; // first member not yet kept or dropped
-    let mut write = 0; // where the next kept member goes
-    for &id in doomed {
-        let pos = read + members[read..].partition_point(|&t| t < id);
-        debug_assert_eq!(members.get(pos), Some(&id), "deleting a member");
-        if write < read {
-            members.copy_within(read..pos, write);
+    };
+    let find = |list: &[TupleId], from: usize, to: usize, id: TupleId| {
+        let pos = from + list[from..to].partition_point(|&t| t < id);
+        debug_assert_eq!(list.get(pos), Some(&id), "deleting a member");
+        pos
+    };
+    let lo = find(list, *head, list.len(), first);
+    let hi = find(list, lo, list.len(), last);
+    let survivors_before = hi + 1 - *head - doomed.len();
+    let survivors_after = list.len() - lo - doomed.len();
+    if survivors_before < survivors_after {
+        // The runs between `head` and `hi` shift right, the last run first.
+        let mut write = hi + 1; // survivors moved so far start here
+        let mut end = hi; // the doomed slot that ends the next run
+        for &id in doomed[..doomed.len() - 1].iter().rev() {
+            let pos = find(list, lo, end, id);
+            let run = end - pos - 1;
+            list.copy_within(pos + 1..end, write - run);
+            write -= run;
+            end = pos;
         }
-        write += pos - read;
-        read = pos + 1;
+        let run = end - *head;
+        list.copy_within(*head..end, write - run);
+        *head = write - run;
+    } else {
+        // The runs after `lo` shift left, as a plain in-place filter.
+        let mut write = lo; // where the next survivor goes
+        let mut read = lo + 1; // first member not yet kept or dropped
+        for &id in &doomed[1..] {
+            let pos = find(list, read, hi + 1, id);
+            list.copy_within(read..pos, write);
+            write += pos - read;
+            read = pos + 1;
+        }
+        let kept = list.len() - read;
+        list.copy_within(read.., write);
+        list.truncate(write + kept);
     }
-    let kept = members.len() - read;
-    members.copy_within(read.., write);
-    members.truncate(write + kept);
+    if *head * DEAD_PREFIX_SHARE > list.len() {
+        list.drain(..*head);
+        *head = 0;
+    }
 }
 
 /// The ids a batch removed from and added to one class.
@@ -706,9 +782,19 @@ type CodePair = (u64, u64);
 /// Incrementally maintained per-class evidence for one ledger.
 #[derive(Debug)]
 enum ClassState {
-    /// Constancy `𝒞 : [] ↦ A`: a multiset of the class's `A` dictionary ids
-    /// with an `O(1)`-amortized max-group tracker.  `removal = size −
-    /// max_count`.  Ids never change meaning, so the state never goes stale.
+    /// Constancy `𝒞 : [] ↦ A` on a class whose members all carry the one
+    /// `A` dictionary id `id`: the statement holds on it, so `removal = 0`,
+    /// and a row event costs one id comparison with no map.  The first
+    /// added row that carries another id promotes the class to
+    /// [`ClassState::Constancy`], carrying `size`.
+    /// [`VerdictLedger::build_state`] picks this form whenever it applies,
+    /// so compaction's rebuild returns a class that holds again to it.  Ids
+    /// never change meaning, so the state never goes stale.
+    SingleId { id: u32, size: usize },
+    /// Constancy `𝒞 : [] ↦ A` on a class that has carried two ids since its
+    /// state was built: a multiset of the class's `A` dictionary ids with an
+    /// `O(1)`-amortized max-group tracker.  `removal = size − max_count`.
+    /// Ids never change meaning, so the state never goes stale.
     Constancy {
         /// dictionary id → multiplicity.
         counts: IdMap<u32, usize>,
@@ -750,41 +836,42 @@ fn descent(lo: Option<CodePair>, hi: Option<CodePair>) -> usize {
     matches!((lo, hi), (Some((_, b1)), Some((_, b2))) if b1 > b2) as usize
 }
 
-/// The distinct pairs just below and just above `key` (excluding `key`).
-fn neighbours(
-    pairs: &BTreeMap<CodePair, u32>,
-    key: CodePair,
-) -> (Option<CodePair>, Option<CodePair>) {
-    let below = pairs.range(..key).next_back().map(|(&k, _)| k);
-    let above = pairs
-        .range((Bound::Excluded(key), Bound::Unbounded))
-        .next()
-        .map(|(&k, _)| k);
-    (below, above)
+/// The distinct pair just below `key`.
+fn predecessor(pairs: &BTreeMap<CodePair, u32>, key: CodePair) -> Option<CodePair> {
+    pairs.range(..key).next_back().map(|(&k, _)| k)
 }
 
 /// Add one row's pair; a new distinct pair splits the boundary between its
-/// neighbours into two.
+/// neighbours into two.  One walk finds the pair, or else its successor; a
+/// new pair costs one more for its predecessor, and its insert.
 fn pair_add(pairs: &mut BTreeMap<CodePair, u32>, descents: &mut usize, key: CodePair) {
-    if let Some(count) = pairs.get_mut(&key) {
-        *count += 1;
-        return;
-    }
-    let (below, above) = neighbours(pairs, key);
+    let above = match pairs.range_mut(key..).next() {
+        Some((&k, count)) if k == key => {
+            *count += 1;
+            return;
+        }
+        above => above.map(|(&k, _)| k),
+    };
+    let below = predecessor(pairs, key);
     *descents =
         *descents + descent(below, Some(key)) + descent(Some(key), above) - descent(below, above);
     pairs.insert(key, 1);
 }
 
-/// Remove one row's pair; dropping its last copy joins its neighbours.
+/// Remove one row's pair; dropping its last copy joins its neighbours.  One
+/// walk finds the pair and its successor; a last copy costs one more for
+/// its predecessor, and its removal.
 fn pair_remove(pairs: &mut BTreeMap<CodePair, u32>, descents: &mut usize, key: CodePair) {
-    let count = pairs.get_mut(&key).expect("removing a tracked pair");
+    let mut from = pairs.range_mut(key..);
+    let (&found, count) = from.next().expect("removing a tracked pair");
+    assert_eq!(found, key, "removing a tracked pair");
     if *count > 1 {
         *count -= 1;
         return;
     }
+    let above = from.next().map(|(&k, _)| k);
+    let below = predecessor(pairs, key);
     pairs.remove(&key);
-    let (below, above) = neighbours(pairs, key);
     *descents =
         *descents + descent(below, above) - descent(below, Some(key)) - descent(Some(key), above);
 }
@@ -812,6 +899,7 @@ fn lis_removal(pairs: &BTreeMap<CodePair, u32>) -> usize {
 impl ClassState {
     fn removal(&self) -> usize {
         match self {
+            ClassState::SingleId { .. } => 0,
             ClassState::Constancy {
                 max_count, size, ..
             } => size - max_count,
@@ -821,7 +909,7 @@ impl ClassState {
 
     fn is_fresh(&self, current: usize) -> bool {
         match self {
-            ClassState::Constancy { .. } => true,
+            ClassState::SingleId { .. } | ClassState::Constancy { .. } => true,
             ClassState::Compatibility { version, .. } => *version == current,
         }
     }
@@ -863,27 +951,64 @@ impl ClassState {
         }
     }
 
+    /// Advance a constancy state by one delta of `A` dictionary ids
+    /// (`ids` is the `A` column), in place.
+    fn advance_constancy(&mut self, ids: &[u32], mut delta: ClassDelta) {
+        if let ClassState::SingleId { id, size } = *self {
+            // Every member carries `id`, the removed ones too; a class the
+            // removals emptied takes the first added row's id.
+            let size = size - delta.removed.len();
+            let id = match delta.added.first() {
+                Some(&row) if size == 0 => ids[row as usize],
+                _ => id,
+            };
+            let same = delta
+                .added
+                .iter()
+                .take_while(|&&row| ids[row as usize] == id)
+                .count();
+            let size = size + same;
+            if same == delta.added.len() {
+                *self = ClassState::SingleId { id, size };
+                return;
+            }
+            // The first other id: promote to the multiset, whose one group
+            // is the whole class so far.
+            *self = ClassState::Constancy {
+                counts: [(id, size)].into_iter().collect(),
+                freq: [(size, 1)].into_iter().collect(),
+                max_count: size,
+                size,
+            };
+            delta = ClassDelta {
+                removed: &[],
+                added: &delta.added[same..],
+            };
+        }
+        let ClassState::Constancy {
+            counts,
+            freq,
+            max_count,
+            size,
+        } = self
+        else {
+            unreachable!("a constancy ledger holds constancy states");
+        };
+        for &row in delta.removed {
+            ClassState::constancy_remove(counts, freq, max_count, ids[row as usize]);
+            *size -= 1;
+        }
+        for &row in delta.added {
+            ClassState::constancy_add(counts, freq, max_count, ids[row as usize]);
+            *size += 1;
+        }
+    }
+
     /// Advance this state by one delta, in place, reporting the work done.
     fn advance(&mut self, stmt: &SetOd, delta: ClassDelta, columns: &[Column]) -> PatchEffort {
         match (self, stmt) {
-            (
-                ClassState::Constancy {
-                    counts,
-                    freq,
-                    max_count,
-                    size,
-                },
-                SetOd::Constancy { attr, .. },
-            ) => {
-                let ids = &columns[attr.index()].ids;
-                for &row in delta.removed {
-                    ClassState::constancy_remove(counts, freq, max_count, ids[row as usize]);
-                    *size -= 1;
-                }
-                for &row in delta.added {
-                    ClassState::constancy_add(counts, freq, max_count, ids[row as usize]);
-                    *size += 1;
-                }
+            (state, SetOd::Constancy { attr, .. }) => {
+                state.advance_constancy(&columns[attr.index()].ids, delta);
                 PatchEffort {
                     rows: delta.removed.len() + delta.added.len(),
                     splices: 0,
@@ -997,16 +1122,18 @@ impl VerdictLedger {
     }
 
     /// Patch one touched class.  `class` is the class's current membership
-    /// (short or empty when it shrank away); `delta` lists the ids the batch
-    /// moved in or out.  Returns the patch work performed.
+    /// (short or empty when it shrank away), read only to build a state;
+    /// `delta` lists the ids the batch moved in or out.  Returns the patch
+    /// work performed.
     fn patch_class(
         &mut self,
-        class_id: u32,
-        class: &[TupleId],
+        run: &Run,
+        class: &Members,
         delta: ClassDelta,
         columns: &[Column],
     ) -> PatchEffort {
-        if class.len() < 2 {
+        let class_id = run.class;
+        if run.now_len < 2 {
             // Singletons and emptied classes cannot violate; drop any state.
             if let Some(old) = self.classes.remove(&class_id) {
                 self.total -= old.removal();
@@ -1027,7 +1154,7 @@ impl VerdictLedger {
         }
         // First touch of this class, or cached magnitudes went stale after a
         // renumbering: build from the full membership.
-        let (fresh, effort) = self.build_state(class, columns);
+        let (fresh, effort) = self.build_state(class.as_slice(), columns);
         let new_removal = fresh.removal();
         let old_removal = self
             .classes
@@ -1047,24 +1174,15 @@ impl VerdictLedger {
         };
         let state = match &self.stmt {
             SetOd::Constancy { attr, .. } => {
-                let ids = &columns[attr.index()].ids;
-                let mut counts = IdMap::default();
-                let mut freq = IdMap::default();
-                let mut max_count = 0;
-                for &row in class {
-                    ClassState::constancy_add(
-                        &mut counts,
-                        &mut freq,
-                        &mut max_count,
-                        ids[row as usize],
-                    );
-                }
-                ClassState::Constancy {
-                    counts,
-                    freq,
-                    max_count,
-                    size: class.len(),
-                }
+                // An empty single-id state takes the first member's id, and
+                // stays single-id unless another id follows.
+                let mut state = ClassState::SingleId { id: 0, size: 0 };
+                let members = ClassDelta {
+                    removed: &[],
+                    added: class,
+                };
+                state.advance_constancy(&columns[attr.index()].ids, members);
+                state
             }
             SetOd::Compatibility { a, b, .. } => {
                 let (ca, cb) = (&columns[a.index()], &columns[b.index()]);
@@ -1118,8 +1236,8 @@ impl VerdictLedger {
                 added: &partition.rows[run.split..run.end],
             };
             effort.absorb(self.patch_class(
-                run.class,
-                partition.classes[run.class as usize].as_slice(),
+                run,
+                &partition.classes[run.class as usize],
                 delta,
                 columns,
             ));
@@ -1795,6 +1913,207 @@ mod tests {
         for pair in codes.windows(2) {
             assert!(pair[0] < pair[1], "codes must stay order-preserving");
         }
+    }
+
+    #[test]
+    fn intern_finds_known_values_and_mints_codes_beside_their_neighbours() {
+        let mut column = Column::from_sorted(vec![Value::Int(10), Value::Int(20)], vec![0, 1]);
+        assert_eq!(column.top, Some(1));
+        // Repeated values keep their ids, the greatest one and an equal
+        // value of another type included.
+        assert_eq!(column.intern(&Value::Int(10)), 0);
+        assert_eq!(column.intern(&Value::Int(20)), 1);
+        assert_eq!(column.intern(&Value::Float(20.0)), 1);
+
+        // Above the maximum: one gap above the greatest code, and the new top.
+        assert_eq!(column.intern(&Value::Int(30)), 2);
+        assert_eq!(column.order[2], column.order[1] + CODE_GAP);
+        assert_eq!(column.top, Some(2));
+        assert_eq!(column.intern(&Value::Int(30)), 2);
+
+        // Below the minimum: half the least code.  Between two neighbours:
+        // their midpoint.  Neither moves the top.
+        assert_eq!(column.intern(&Value::Int(5)), 3);
+        assert_eq!(column.order[3], column.order[0] / 2);
+        assert_eq!(column.intern(&Value::Int(15)), 4);
+        assert_eq!(column.order[4], (column.order[0] + column.order[1]) / 2);
+        assert_eq!(column.top, Some(2));
+        assert_eq!(
+            (
+                column.intern(&Value::Int(5)),
+                column.intern(&Value::Int(15))
+            ),
+            (3, 4)
+        );
+
+        // A greatest code with no gap above it renumbers the column.
+        column.order[2] = u64::MAX - 1;
+        assert_eq!(column.intern(&Value::Int(40)), 5);
+        assert_eq!(column.renumbers, 1);
+        assert_eq!(column.top, Some(5));
+        let codes: Vec<u64> = column
+            .index
+            .values()
+            .map(|&id| column.order[id as usize])
+            .collect();
+        assert_eq!(codes, (1..=6).map(|i| i * CODE_GAP).collect::<Vec<_>>());
+        for (value, &id) in &column.index {
+            assert_eq!(&column.dict[id as usize], value, "ids decode");
+        }
+
+        // An empty column mints its first code at one gap.
+        let mut empty = Column::from_sorted(Vec::new(), Vec::new());
+        assert_eq!(empty.top, None);
+        assert_eq!(empty.intern(&Value::Null), 0);
+        assert_eq!((empty.order[0], empty.top), (CODE_GAP, Some(0)));
+    }
+
+    #[test]
+    fn remove_members_matches_a_filter_and_bounds_the_dead_prefix() {
+        let mut rng = 0x9e37_79b9_7f4a_7c15_u64;
+        let mut below = move |bound: usize| {
+            rng ^= rng << 13;
+            rng ^= rng >> 7;
+            rng ^= rng << 17;
+            (rng % bound as u64) as usize
+        };
+        let (mut rightward, mut leftward, mut drains) = (0, 0, 0);
+        for case in 0..2_000 {
+            let mut list: Vec<TupleId> = (0..2 + below(60) as TupleId).map(|t| 3 * t).collect();
+            let mut head = 0;
+            // Rounds on one list, so that dead prefixes build up.
+            for round in 0..5 {
+                let live = list[head..].to_vec();
+                if live.is_empty() {
+                    break;
+                }
+                let k = 1 + below(live.len());
+                let doomed: Vec<TupleId> = match below(4) {
+                    0 => live[..k].to_vec(),
+                    1 => live[live.len() - k..].to_vec(),
+                    2 => {
+                        let start = below(live.len() - k + 1);
+                        live[start..start + k].to_vec()
+                    }
+                    _ => live.iter().copied().filter(|_| below(3) == 0).collect(),
+                };
+                let mut expected = live.clone();
+                expected.retain(|t| !doomed.contains(t));
+                let (was_head, was_len) = (head, list.len());
+                remove_members(&mut list, &mut head, &doomed);
+                assert_eq!(list[head..], expected, "case {case}, round {round}");
+                assert!(
+                    head * DEAD_PREFIX_SHARE <= list.len(),
+                    "dead prefix {head} of {} outgrew its share",
+                    list.len()
+                );
+                if head > was_head {
+                    rightward += 1;
+                } else if head == was_head && list.len() == was_len - doomed.len() {
+                    leftward += (!doomed.is_empty()) as usize;
+                } else {
+                    assert_eq!((head, list.len()), (0, expected.len()), "a drain");
+                    drains += 1;
+                }
+            }
+        }
+        assert!(
+            rightward > 0 && leftward > 0 && drains > 0,
+            "shifts right {rightward}, left {leftward}, drains {drains}"
+        );
+    }
+
+    #[test]
+    fn deleting_the_oldest_members_only_advances_the_head() {
+        let mut members = Members::default();
+        let ids: Vec<TupleId> = (0..100).collect();
+        members.splice(&[], &ids);
+        members.splice(&ids[..5], &[100, 101]);
+        let Members::Many(many) = &members else {
+            panic!("a class of many members keeps a list");
+        };
+        assert_eq!((many.head, many.list.len()), (5, 102), "no member moved");
+        assert_eq!(members.as_slice(), (5..102).collect::<Vec<_>>());
+        // Past its share of the list, the dead prefix is drained.
+        members.splice(&ids[5..20], &[]);
+        let Members::Many(many) = &members else {
+            panic!("a class of many members keeps a list");
+        };
+        assert_eq!((many.head, many.list.len()), (0, 82));
+        assert_eq!(members.as_slice(), (20..102).collect::<Vec<_>>());
+    }
+
+    /// The constancy states of `monitor`'s first ledger, by class id.
+    fn constancy_states(monitor: &StreamMonitor) -> Vec<(u32, &ClassState)> {
+        let mut states: Vec<(u32, &ClassState)> = monitor.ledgers[0]
+            .classes
+            .iter()
+            .map(|(&class, state)| (class, state))
+            .collect();
+        states.sort_by_key(|&(class, _)| class);
+        states
+    }
+
+    #[test]
+    fn single_id_classes_promote_on_a_second_id_and_return_after_compaction() {
+        let rel = rel_from(&[&[0, 7], &[0, 7], &[1, 8], &[1, 8]]);
+        let stmt = SetOd::constancy([AttrId(0)].into_iter().collect(), AttrId(1));
+        let mut monitor = StreamMonitor::new(&rel);
+        monitor.monitor_statement(&stmt);
+        let single = |id: u32, size: usize| move |state: &ClassState| matches!(*state, ClassState::SingleId { id: i, size: s } if (i, s) == (id, size));
+        let states = constancy_states(&monitor);
+        assert_eq!(states.len(), 2);
+        assert!(single(0, 2)(states[0].1) && single(1, 2)(states[1].1));
+
+        // A second id in class 0 promotes it, carrying its size.
+        let offender = monitor
+            .apply_delta(&DeltaBatch::new().insert(vec![Value::Int(0), Value::Int(9)]))
+            .unwrap()
+            .inserted[0];
+        assert_eq!(monitor.statement_removal(&stmt), Some(1));
+        let states = constancy_states(&monitor);
+        assert!(matches!(
+            states[0].1,
+            ClassState::Constancy {
+                size: 3,
+                max_count: 2,
+                ..
+            }
+        ));
+        assert!(single(1, 2)(states[1].1));
+
+        // Healed, the class keeps its multiset; class 1, emptied and refilled
+        // in one batch, takes the new rows' id and stays single-id.
+        monitor
+            .apply_delta(
+                &DeltaBatch::new()
+                    .delete(offender)
+                    .delete(2)
+                    .delete(3)
+                    .insert(vec![Value::Int(1), Value::Int(9)])
+                    .insert(vec![Value::Int(1), Value::Int(9)]),
+            )
+            .unwrap();
+        assert_ledgers_match_oracle(&monitor, &[stmt]);
+        let states = constancy_states(&monitor);
+        assert!(matches!(
+            states[0].1,
+            ClassState::Constancy {
+                size: 2,
+                max_count: 2,
+                ..
+            }
+        ));
+        let nine = monitor.columns[1].index[&Value::Int(9)];
+        assert!(single(nine, 2)(states[1].1));
+
+        // Compaction rebuilds every class, and a holding one is single-id.
+        monitor.compact();
+        assert_ledgers_match_oracle(&monitor, &[stmt]);
+        let nine = monitor.columns[1].index[&Value::Int(9)];
+        let seven = monitor.columns[1].index[&Value::Int(7)];
+        let states = constancy_states(&monitor);
+        assert!(single(seven, 2)(states[0].1) && single(nine, 2)(states[1].1));
     }
 
     #[test]

@@ -1,9 +1,12 @@
-//! A batch on a one-attribute key context may not allocate per row.  Such a
-//! context's class id is the key's dictionary id, a class of one member holds
-//! it inline, and a batch groups its row events in buffers the monitor
-//! reuses.  So deleting k rows, or re-inserting them while their values are
-//! still in the dictionary, makes no more allocations at k = 1,000 than at
-//! k = 10.
+//! A batch may not allocate per row, on a one-attribute key context or on
+//! the large classes of holding constancy statements.  A key context's class
+//! id is the key's dictionary id, a class of one member holds it inline, and
+//! a batch groups its row events in buffers the monitor reuses.  A class
+//! whose oldest members are deleted advances its head past them, and drops
+//! that dead prefix with one in-place drain.  A holding constancy class
+//! keeps one id and a size, with no map.  So deleting the k oldest rows, or
+//! re-inserting them while their values are still in the dictionary, makes
+//! no more allocations at k = 1,000 than at k = 10.
 //!
 //! This is its own test binary because it installs a counting global
 //! allocator.
@@ -80,13 +83,33 @@ fn key_context_batches_make_as_many_allocations_at_any_size() {
     let mut schema = Schema::new("t");
     let key = schema.add_attr("key");
     let group = schema.add_attr("group");
+    let tier = schema.add_attr("tier");
+    let region = schema.add_attr("region");
     let rows: Vec<Tuple> = (0..ROWS)
-        .map(|i| vec![Value::Int(i), Value::Int(i % 7)])
+        .map(|i| {
+            let g = i % 7;
+            vec![
+                Value::Int(i),
+                Value::Int(g),
+                Value::Int(g / 3),
+                Value::Int(0),
+            ]
+        })
         .collect();
     let rel = Relation::from_rows(schema, rows.clone()).expect("rows fit the schema");
     let mut monitor = StreamMonitor::new(&rel);
-    let context: AttrSet = [key].into_iter().collect();
-    monitor.monitor_statement(&SetOd::constancy(context, group));
+    let by = |attr| -> AttrSet { [attr].into_iter().collect() };
+    let statements = [
+        // Every class a singleton.
+        SetOd::constancy(by(key), group),
+        // Seven classes of about 570 rows, each holding.
+        SetOd::constancy(by(group), tier),
+        // The empty context: one class of every alive row, holding.
+        SetOd::constancy(AttrSet::new(), region),
+    ];
+    for statement in &statements {
+        monitor.monitor_statement(statement);
+    }
     let mut alive: Vec<(TupleId, Tuple)> = (0..).zip(rows).collect();
 
     // One cycle at the largest size first: the table's vectors, the reused
@@ -107,5 +130,7 @@ fn key_context_batches_make_as_many_allocations_at_any_size() {
         "re-inserting 1,000 rows made {big_insert} allocations, 10 rows {small_insert}"
     );
     assert_eq!(monitor.alive_rows(), ROWS as usize);
-    assert_eq!(monitor.ledgers()[0].removal_count(), 0);
+    for ledger in monitor.ledgers() {
+        assert_eq!(ledger.removal_count(), 0, "{}", ledger.statement());
+    }
 }

@@ -448,3 +448,103 @@ fn three_attribute_contexts_match_full_recompute_at_every_batch() {
     monitor.apply_delta(&batch).expect("valid batch");
     check(&monitor, "a batch after compaction");
 }
+
+/// A sliding window over time-ordered rows, the way a fact table or a date
+/// dimension grows: every batch deletes the oldest rows and inserts fresh
+/// ones whose key and date lie above every value seen so far.  Statements
+/// over contexts of width 0 to 3 hold throughout, except one constancy
+/// statement that a fresh row breaks and its delete heals, before the
+/// monitor compacts mid-run.  After every batch each ledger equals a fresh
+/// scan, and the witnesses it samples from its classes' members name alive
+/// tuples only.
+#[test]
+fn sliding_window_of_time_ordered_rows_matches_full_recompute() {
+    const WINDOW: i64 = 120;
+    const BATCH: i64 = 10;
+    let mut schema = Schema::new("window");
+    let [key, day, month, year, quarter, region, flag] =
+        ["key", "day", "month", "year", "quarter", "region", "flag"].map(|n| schema.add_attr(n));
+    let row = |d: i64, flagged: bool| {
+        let m = (d / 30) % 12;
+        vec![
+            Value::Int(1_000 + 2 * d + flagged as i64),
+            Value::Date(d as i32),
+            Value::Int(m),
+            Value::Int(d / 360),
+            Value::Int(m / 3),
+            Value::Int(0),
+            Value::Int(flagged as i64),
+        ]
+    };
+    let ctx = |attrs: &[AttrId]| -> AttrSet { attrs.iter().copied().collect() };
+    let broken = SetOd::constancy(ctx(&[quarter]), flag);
+    let stmts = [
+        SetOd::constancy(AttrSet::new(), region),
+        SetOd::compatibility(AttrSet::new(), key, day),
+        SetOd::compatibility(AttrSet::new(), month, day),
+        SetOd::constancy(ctx(&[month]), quarter),
+        SetOd::compatibility(ctx(&[year]), key, day),
+        broken,
+        SetOd::constancy(ctx(&[year, month]), quarter),
+        SetOd::compatibility(ctx(&[year, month]), day, key),
+        SetOd::constancy(ctx(&[year, month, quarter]), region),
+    ];
+    let rel = Relation::from_rows(schema, (0..WINDOW).map(|d| row(d, false))).expect("fixed arity");
+    let mut monitor = StreamMonitor::new(&rel);
+    for stmt in &stmts {
+        assert!(!stmt.is_trivial());
+        monitor.monitor_statement(stmt);
+    }
+    // The alive ids, oldest first.
+    let mut alive: std::collections::VecDeque<u32> = (0..WINDOW as u32).collect();
+    let mut offender = None;
+    for (step, next) in (WINDOW..).step_by(BATCH as usize).take(40).enumerate() {
+        let mut batch = DeltaBatch::new();
+        batch.deletes = alive.drain(..BATCH as usize).collect();
+        batch.inserts = (next..next + BATCH).map(|d| row(d, false)).collect();
+        match step {
+            // A flagged copy of the newest day breaks `quarter ↦ flag`...
+            5 => batch.inserts.push(row(next + BATCH - 1, true)),
+            // ...and deleting it heals the statement.
+            12 => batch.deletes.extend(offender.take()),
+            _ => {}
+        }
+        let summary = monitor.apply_delta(&batch).expect("valid batch");
+        if step == 5 {
+            offender = summary.inserted.last().copied();
+            alive.extend(&summary.inserted[..BATCH as usize]);
+        } else {
+            alive.extend(summary.inserted);
+        }
+        if step == 20 {
+            monitor.compact();
+            // Compaction renumbers the alive rows densely in id order; the
+            // offender is gone by now, so the window is every alive row.
+            alive = (0..alive.len() as u32).collect();
+        }
+
+        let snapshot = monitor.to_relation();
+        let mut cache = PartitionCache::new(&snapshot);
+        for stmt in &stmts {
+            let oracle = validate::statement_verdict(&mut cache, stmt, 1, usize::MAX);
+            assert_eq!(
+                monitor.statement_removal(stmt),
+                Some(oracle.removal_count),
+                "ledger drift on {stmt} after batch {step}"
+            );
+            let verdict = monitor.statement_verdict(stmt).expect("monitored");
+            assert_eq!(
+                verdict.violating_pairs.is_empty(),
+                oracle.removal_count == 0
+            );
+            for (x, y) in verdict.violating_pairs {
+                assert!(
+                    monitor.is_alive(x) && monitor.is_alive(y),
+                    "{stmt}: ({x}, {y})"
+                );
+            }
+        }
+        let expected = usize::from((5..12).contains(&step));
+        assert_eq!(monitor.statement_removal(&broken), Some(expected));
+    }
+}
