@@ -4,9 +4,9 @@
 //! What makes width 4 affordable is representation plus batching: contexts,
 //! candidate sets and partition keys are `u64` masks (propagation is a `&`,
 //! subsumption a compare-and-mask, cache keys hash one word), each level's
-//! partitions are built from the cheapest cached base, and decider
-//! implication runs as one batched round-trip per level with counterexample
-//! reuse.  The bench
+//! partitions are built from the cheapest cached base, and one implication
+//! decider grows with the confirmed statements and reuses its
+//! counterexamples.  The bench
 //! measures the residual cost — partition products for the surviving level-4
 //! nodes plus their batched scans.
 

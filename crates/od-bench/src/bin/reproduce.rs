@@ -156,7 +156,7 @@ fn main() {
     if want("e12") {
         match &metrics_out {
             Some(dir) => {
-                let (report, metrics) = exp_e12_width3_with_metrics(scale);
+                let (report, metrics) = od_bench::metrics::capture("e12", || exp_e12_width3(scale));
                 println!("{report}");
                 emit(&metrics, dir);
             }
@@ -166,7 +166,8 @@ fn main() {
     if want("e13") {
         match &metrics_out {
             Some(dir) => {
-                let (report, metrics) = exp_e13_width4_with_metrics(scale, max_context);
+                let (report, metrics) =
+                    od_bench::metrics::capture("e13", || exp_e13_width4(scale, max_context));
                 println!("{report}");
                 emit(&metrics, dir);
             }

@@ -649,8 +649,9 @@ pub fn exp_e12_width3(scale: ExperimentScale) -> String {
 
 /// E13 — width-4 lattice discovery on bitset attribute sets: `u64`-mask
 /// contexts, candidate sets and partition keys, partition products from the
-/// cheapest cached base, and decider implication batched into one round-trip
-/// per level make the fourth context level (the new default) interactive.
+/// cheapest cached base, and one implication decider that grows with the
+/// confirmed statements make the fourth context level (the new default)
+/// interactive.  The report counts the levels the decider ran on.
 pub fn exp_e13_width4(scale: ExperimentScale, max_context: usize) -> String {
     use od_setbased::{discover_statements, LatticeConfig};
     let mut out = String::new();
@@ -676,7 +677,7 @@ pub fn exp_e13_width4(scale: ExperimentScale, max_context: usize) -> String {
         writeln!(
             out,
             "{name} ({} rows × {} attrs): {} minimal statements in {elapsed:?} — \
-             {} decider round-trips over {} levels",
+             the decider ran on {} of {} levels",
             rel.len(),
             rel.schema().arity(),
             d.minimal_statements().len(),
@@ -686,32 +687,21 @@ pub fn exp_e13_width4(scale: ExperimentScale, max_context: usize) -> String {
         .unwrap();
         write!(out, "{}", d.summary()).unwrap();
         if d.stats.decider_rounds > d.level_stats().len() {
-            writeln!(out, "  UNEXPECTED: more decider rounds than levels").unwrap();
+            writeln!(
+                out,
+                "  UNEXPECTED: the decider ran on more levels than exist"
+            )
+            .unwrap();
         }
     }
     writeln!(
         out,
-        "claim: bitset candidate propagation + per-level decider batching keep \
-         width-{max_context} interactive  |  measured: one decider round per level and \
+        "claim: bitset candidate propagation + one growing implication decider keep \
+         width-{max_context} interactive  |  measured: levels the decider ran on and \
          propagation-dominated deep levels above"
     )
     .unwrap();
     out
-}
-
-/// [`exp_e12_width3`] under a scoped metrics registry: the report's
-/// deterministic section carries the lattice counters (nodes, cache,
-/// propagation, partition-class histograms) for `BENCH_e12.json`.
-pub fn exp_e12_width3_with_metrics(scale: ExperimentScale) -> (String, od_obs::MetricsReport) {
-    metrics::capture("e12", || exp_e12_width3(scale))
-}
-
-/// [`exp_e13_width4`] under a scoped metrics registry, for `BENCH_e13.json`.
-pub fn exp_e13_width4_with_metrics(
-    scale: ExperimentScale,
-    max_context: usize,
-) -> (String, od_obs::MetricsReport) {
-    metrics::capture("e13", || exp_e13_width4(scale, max_context))
 }
 
 /// E17 — multi-process lattice traversal: the default width-4 `LatticeConfig`

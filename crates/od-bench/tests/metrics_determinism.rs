@@ -4,7 +4,8 @@
 //! CI.  Wall-clock durations and RSS live in
 //! the non-deterministic section and are deliberately not compared.
 
-use od_bench::{exp_e12_width3_with_metrics, exp_e13_width4_with_metrics, ExperimentScale};
+use od_bench::metrics::capture;
+use od_bench::{exp_e12_width3, exp_e13_width4, ExperimentScale};
 use od_core::{Relation, Schema, Value};
 use od_setbased::{discover_statements, LatticeConfig};
 use od_workload::generate_date_dim;
@@ -13,7 +14,7 @@ use proptest::prelude::*;
 /// One discovery run on `rel` under a scoped registry; returns the
 /// deterministic section's canonical bytes.
 fn deterministic_bytes(experiment: &str, rel: &Relation, max_context: usize) -> String {
-    let (_, report) = od_bench::metrics::capture(experiment, || {
+    let (_, report) = capture(experiment, || {
         discover_statements(
             rel,
             &LatticeConfig {
@@ -93,11 +94,11 @@ fn experiment_level_captures_are_byte_identical_across_runs() {
     // byte-for-byte across two consecutive runs — exactly what the CI
     // bench-smoke diff step asserts on the release binary.
     let scale = ExperimentScale::tiny();
-    let (_, first) = exp_e12_width3_with_metrics(scale);
-    let (_, second) = exp_e12_width3_with_metrics(scale);
+    let (_, first) = capture("e12", || exp_e12_width3(scale));
+    let (_, second) = capture("e12", || exp_e12_width3(scale));
     assert_eq!(first.deterministic_json(), second.deterministic_json());
-    let (_, first) = exp_e13_width4_with_metrics(scale, 4);
-    let (_, second) = exp_e13_width4_with_metrics(scale, 4);
+    let (_, first) = capture("e13", || exp_e13_width4(scale, 4));
+    let (_, second) = capture("e13", || exp_e13_width4(scale, 4));
     assert_eq!(first.deterministic_json(), second.deterministic_json());
 }
 

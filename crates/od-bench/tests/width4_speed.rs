@@ -13,9 +13,9 @@
 //!    at ε = 0 and ε = 0.02 (the same serial scan the node-store traversal
 //!    used, so this pins the representation change against the pre-bitset
 //!    semantics).
-//! 3. **Per-level decider batching** — decider queries are issued in batched
-//!    round-trips, one per level (counted in `LatticeStats::decider_rounds`),
-//!    never one per candidate.
+//! 3. **One decider per traversal** — `LatticeStats::decider_rounds` counts
+//!    the levels it ran on: never more than the levels visited, and far
+//!    fewer than the candidates.
 
 use od_bench::timing::best_of_with;
 use od_core::{AttrId, AttrSet, Relation};
@@ -105,7 +105,7 @@ fn width4_traversal_is_interactive_on_bitset_contexts() {
             deepest.propagated_away > deepest.validated,
             "deep levels must be propagation-dominated: {deepest:?}"
         );
-        // Decider batching: one round-trip per level, never per candidate.
+        // The decider runs on at most every level, never once per candidate.
         assert!(d.stats.decider_rounds >= 1);
         assert!(
             d.stats.decider_rounds <= d.level_stats().len(),

@@ -573,6 +573,40 @@ mod tests {
         }
     }
 
+    /// `Int` and `Float` cells compare exactly, so a column holding
+    /// a = `2^53 + 1`, b = `2.0^53` and c = `2^53` encodes alike in every row
+    /// order: two entries, a above b = c, and a snapshot that decodes.
+    #[test]
+    fn int_float_cells_beyond_2_pow_53_encode_alike_in_every_row_order() {
+        let cells = [
+            Value::Int((1 << 53) + 1),
+            Value::Float(9_007_199_254_740_992.0),
+            Value::Int(1 << 53),
+        ];
+        for order in [
+            [0, 1, 2],
+            [0, 2, 1],
+            [1, 0, 2],
+            [1, 2, 0],
+            [2, 0, 1],
+            [2, 1, 0],
+        ] {
+            let tuples: Vec<Tuple> = order.iter().map(|&i| vec![cells[i].clone()]).collect();
+            let rel = crate::Relation::from_rows(schema(1), tuples.clone()).unwrap();
+            let enc = rel.encoding();
+            assert_valid_encoding(&tuples, &enc);
+            assert_eq!(enc.dict(0).len(), 2, "row order {order:?}");
+            let code = |cell: usize| enc.codes(0)[order.iter().position(|&i| i == cell).unwrap()];
+            assert_eq!(
+                (code(0), code(1), code(2)),
+                (1, 0, 0),
+                "row order {order:?}"
+            );
+            let back = crate::Relation::from_bytes(&rel.to_bytes()).expect("snapshot decodes");
+            assert_eq!(back.encoding().codes(0), enc.codes(0));
+        }
+    }
+
     #[test]
     fn all_null_and_empty_columns() {
         let tuples: Vec<Tuple> = vec![vec![Value::Null], vec![Value::Null]];

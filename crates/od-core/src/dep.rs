@@ -53,8 +53,10 @@ impl OrderDependency {
     /// because the normalized right-hand side is a prefix of the normalized
     /// left-hand side (e.g. `XY ↦ X`, `X ↦ []`, `[A,B,A] ↦ [A,B]`).
     ///
-    /// This is a sufficient (not necessary) syntactic condition; full triviality
-    /// checking (`∅ ⊨ X ↦ Y`) is provided by the `od-infer` crate's decider.
+    /// By Theorem 15 the condition is also necessary: an OD is satisfied by
+    /// every instance (`∅ ⊨ X ↦ Y`) exactly when it is syntactically trivial.
+    /// The `od-infer` prover's tests check this against its decider,
+    /// exhaustively over lists of up to two of three attributes.
     pub fn is_syntactically_trivial(&self) -> bool {
         self.rhs.normalize().is_prefix_of(&self.lhs.normalize())
     }

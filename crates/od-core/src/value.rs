@@ -8,6 +8,8 @@
 //! * `Null` sorts **before** every non-null value (SQL `NULLS FIRST` under `ASC`),
 //! * values of the same type compare naturally (strings lexicographically — which
 //!   is exactly the `month_name` trap of the paper's Section 1),
+//! * integers and floats compare exactly by numeric value (`Int(2) ==
+//!   Float(2.0)`; an integer beyond 2^53 is never rounded to a float),
 //! * values of different types compare by a fixed type rank (`Null < Boolean <
 //!   Integer ≈ Float < Text < Date`); mixed-type columns are not meaningful in the
 //!   workloads but a total order keeps sorting well-defined everywhere.
@@ -100,6 +102,26 @@ impl Value {
             (false, false) => a.partial_cmp(&b).expect("non-NaN floats are comparable"),
         }
     }
+
+    /// Exact comparison of an integer with a float.  Rounding the integer to
+    /// `f64` would not do: beyond 2^53 it makes distinct integers equal to
+    /// one float, and the order stops being transitive.  NaN sorts last, a
+    /// float beyond the `i64` range sorts beyond every integer, and any other
+    /// float is compared by its integer part, then by its fraction.
+    fn cmp_int_float(i: i64, f: f64) -> Ordering {
+        // 2^63, exactly: every i64 lies in [-2^63, 2^63).
+        const BOUND: f64 = 9_223_372_036_854_775_808.0;
+        if f.is_nan() || f >= BOUND {
+            return Ordering::Less;
+        }
+        if f < -BOUND {
+            return Ordering::Greater;
+        }
+        let whole = f.trunc();
+        // `whole` is integral and within range, so the cast is exact.
+        i.cmp(&(whole as i64))
+            .then_with(|| Value::cmp_floats(0.0, f - whole))
+    }
 }
 
 impl PartialEq for Value {
@@ -124,8 +146,8 @@ impl Ord for Value {
             (Bool(a), Bool(b)) => a.cmp(b),
             (Int(a), Int(b)) => a.cmp(b),
             (Float(a), Float(b)) => Value::cmp_floats(*a, *b),
-            (Int(a), Float(b)) => Value::cmp_floats(*a as f64, *b),
-            (Float(a), Int(b)) => Value::cmp_floats(*a, *b as f64),
+            (Int(a), Float(b)) => Value::cmp_int_float(*a, *b),
+            (Float(a), Int(b)) => Value::cmp_int_float(*b, *a).reverse(),
             (Str(a), Str(b)) => a.cmp(b),
             (Date(a), Date(b)) => a.cmp(b),
             _ => self.type_rank().cmp(&other.type_rank()),
@@ -265,6 +287,42 @@ mod tests {
         assert_eq!(Value::Int(2), Value::Float(2.0));
         assert!(Value::Float(f64::NAN) > Value::Float(1e300));
         assert_eq!(Value::Float(f64::NAN), Value::Float(f64::NAN));
+        assert!(Value::Int(i64::MAX) < Value::Float(f64::NAN));
+        assert!(Value::Int(i64::MAX) < Value::Float(9.3e18));
+        assert!(Value::Int(i64::MIN) > Value::Float(f64::NEG_INFINITY));
+        assert_eq!(
+            Value::Int(i64::MIN),
+            Value::Float(-9_223_372_036_854_775_808.0)
+        );
+        assert!(Value::Int(-3) < Value::Float(-2.5));
+        assert!(Value::Int(-2) > Value::Float(-2.5));
+        assert_eq!(Value::Float(-0.0), Value::Int(0));
+    }
+
+    #[test]
+    fn int_float_order_is_exact_beyond_2_pow_53() {
+        // `2^53 + 1` has no f64 of its own; rounding it to `2^53` made
+        // a == b and b == c while a > c.
+        let a = Value::Int((1 << 53) + 1);
+        let b = Value::Float(9_007_199_254_740_992.0);
+        let c = Value::Int(1 << 53);
+        assert!(a > b);
+        assert_eq!(b, c);
+        assert!(a > c);
+        let orders = [
+            [0, 1, 2],
+            [0, 2, 1],
+            [1, 0, 2],
+            [1, 2, 0],
+            [2, 0, 1],
+            [2, 1, 0],
+        ];
+        let vals = [&a, &b, &c];
+        for order in orders {
+            let set: std::collections::BTreeSet<Value> =
+                order.iter().map(|&i| vals[i].clone()).collect();
+            assert_eq!(set.len(), 2, "insertion order {order:?}");
+        }
     }
 
     #[test]

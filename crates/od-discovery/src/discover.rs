@@ -190,15 +190,13 @@ impl ProfileAnswers<'_> {
 }
 
 /// The ODs confirmed so far, as the premises of implication pruning.
-#[derive(Default)]
 struct Confirmed {
-    ods: OdSet,
-    /// The canonical statements of `ods`.  An OD is equivalent to the
-    /// conjunction of its statements, so `ods` imply every statement these
+    /// The decider over the confirmed ODs.
+    decider: Decider,
+    /// Their canonical statements.  An OD is equivalent to the conjunction
+    /// of its statements, so the confirmed ODs imply every statement these
     /// subsume.
     statements: Vec<SetOd>,
-    /// The decider over `ods`, rebuilt lazily after `ods` grows.
-    decider: Option<Decider>,
 }
 
 impl Confirmed {
@@ -211,21 +209,16 @@ impl Confirmed {
     }
 
     /// Do the confirmed ODs imply `od`?  One decider search.
-    fn imply(&mut self, od: &OrderDependency, tally: &mut Tally) -> bool {
-        let ods = &self.ods;
-        let implied = self
-            .decider
-            .get_or_insert_with(|| Decider::new(ods))
-            .implies(od);
+    fn imply(&self, od: &OrderDependency, tally: &mut Tally) -> bool {
+        let implied = self.decider.implies(od);
         tally.implies_calls += 1;
         tally.implied += u64::from(implied);
         implied
     }
 
     fn add(&mut self, od: OrderDependency, stmts: Vec<SetOd>) {
-        self.ods.add_od(od);
+        self.decider.add_premise(od);
         self.statements.extend(stmts);
-        self.decider = None;
     }
 }
 
@@ -266,7 +259,10 @@ fn run_discovery(
     // Implication pruning combines many confirmed premises, so it is only
     // sound (and only used) in exact mode.
     let prune_implied = config.prune_implied && config.epsilon <= 0.0;
-    let mut confirmed = Confirmed::default();
+    let mut confirmed = Confirmed {
+        decider: Decider::new(&OdSet::new()),
+        statements: Vec::new(),
+    };
     let mut tally = Tally::default();
     let mut result = Discovery::default();
 

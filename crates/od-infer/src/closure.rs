@@ -36,11 +36,6 @@ pub fn fd_closure(m: &OdSet, attrs: &AttrSet) -> AttrSet {
     attr_closure(&implied_fds(m), attrs)
 }
 
-/// Does `ℳ` imply the FD `X → Y` (via the FD fragment of the ODs)?
-pub fn fd_implied(m: &OdSet, fd: &FunctionalDependency) -> bool {
-    fd.rhs.is_subset(&fd_closure(m, &fd.lhs))
-}
-
 /// The constant attributes of `ℳ` (Definition 18): attributes `A` with
 /// `[] ↦ [A]` in `ℳ⁺`.
 pub fn constants(m: &OdSet) -> AttrSet {
@@ -59,6 +54,7 @@ pub fn attrs_compatible(d: &Decider, a: AttrId, b: AttrId) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::fd_bridge::fd_implied;
     use od_core::{AttrList, OrderDependency};
 
     fn od(lhs: &[u32], rhs: &[u32]) -> OrderDependency {

@@ -9,7 +9,7 @@
 //! | [`odset`] | the prescribed set `ℳ` of ODs / equivalences / compatibilities |
 //! | [`proof`] | Definition 6 (proofs), Definition 7 (axioms OD1–OD6), proof verification |
 //! | [`theorems`] | Theorems 2–10 and 14 as axiom-level proof constructors |
-//! | [`decide`] | exact implication decision `ℳ ⊨ X ↦ Y` via two-tuple patterns |
+//! | [`decide`] | exact implication decision `ℳ ⊨ X ↦ Y` via two-tuple patterns, over a premise set that grows by appending |
 //! | [`closure`] | FD closure, constants (Definition 18), compatibility queries |
 //! | [`witness`] | the completeness construction `split(ℳ)` append `swap(ℳ)` (Section 4), plus [`witness::violation_table`] materializing sampled violating pairs from the discovery validators' evidence |
 //! | [`fd_bridge`] | ODs subsume FDs (Lemma 1, Theorems 13, 15, 16) |
@@ -42,8 +42,8 @@ pub mod prover;
 pub mod theorems;
 pub mod witness;
 
-pub use decide::{Decider, DeciderBatch, DeciderBatchStats, Orientation, TwoTuplePattern};
+pub use decide::{Decider, DeciderStats, Orientation, TwoTuplePattern};
 pub use odset::{Constraint, OdSet};
 pub use proof::{Proof, ProofBuilder, ProofError, ProofStep, Rule};
-pub use prover::{Outcome, Prover, SearchLimits};
+pub use prover::{Outcome, Prover};
 pub use witness::witness_table;

@@ -23,7 +23,7 @@ use crate::odset::OdSet;
 use crate::proof::{Proof, ProofBuilder};
 use crate::theorems;
 use od_core::OrderDependency;
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 
 /// Result of a [`Prover::prove`] call.
 #[derive(Debug, Clone)]
@@ -52,46 +52,24 @@ impl Outcome {
     }
 }
 
-/// Search budget for the forward-chaining phase.
-#[derive(Debug, Clone, Copy)]
-pub struct SearchLimits {
-    /// Maximum number of distinct derived ODs to retain.
-    pub max_derived: usize,
-    /// Maximum number of chaining rounds.
-    pub max_rounds: usize,
-}
+/// Forward chaining stops growing once it holds more derived ODs than this.
+const MAX_DERIVED: usize = 4_000;
 
-impl Default for SearchLimits {
-    fn default() -> Self {
-        SearchLimits {
-            max_derived: 4_000,
-            max_rounds: 4,
-        }
-    }
-}
+/// Forward chaining runs at most this many rounds.
+const MAX_ROUNDS: usize = 4;
 
 /// Prover for a fixed `ℳ`.
 #[derive(Debug, Clone)]
 pub struct Prover {
-    m: OdSet,
     decider: Decider,
-    limits: SearchLimits,
 }
 
 impl Prover {
-    /// Build a prover for `ℳ` with default search limits.
+    /// Build a prover for `ℳ`.
     pub fn new(m: &OdSet) -> Self {
         Prover {
-            m: m.clone(),
             decider: Decider::new(m),
-            limits: SearchLimits::default(),
         }
-    }
-
-    /// Override the forward-chaining search budget.
-    pub fn with_limits(mut self, limits: SearchLimits) -> Self {
-        self.limits = limits;
-        self
     }
 
     /// Access the underlying exact decider.
@@ -123,16 +101,18 @@ impl Prover {
     /// sides) is reached.
     fn forward_chain(&self, goal: &OrderDependency) -> Option<Proof> {
         let mut b = ProofBuilder::new();
-        // Known ODs, keyed by their normalized form, mapped to the proving step.
-        let mut known: HashMap<OrderDependency, usize> = HashMap::new();
+        // Known ODs, keyed by their normalized form, mapped to the proving
+        // step.  Ordered, so the capped search derives the same ODs — and
+        // returns the same proof — on every call.
+        let mut known: BTreeMap<OrderDependency, usize> = BTreeMap::new();
 
         let add =
-            |b: &mut ProofBuilder, known: &mut HashMap<OrderDependency, usize>, idx: usize| {
+            |b: &mut ProofBuilder, known: &mut BTreeMap<OrderDependency, usize>, idx: usize| {
                 let od = b.step(idx).normalize();
                 known.entry(od).or_insert(idx);
             };
 
-        for od in self.m.ods() {
+        for od in self.decider.premises() {
             let g = b.given(od.clone());
             add(&mut b, &mut known, g);
             // Suffix both ways is cheap and frequently needed.
@@ -143,8 +123,8 @@ impl Prover {
         }
         let goal_norm = goal.normalize();
 
-        for _ in 0..self.limits.max_rounds {
-            if known.len() > self.limits.max_derived {
+        for _ in 0..MAX_ROUNDS {
+            if known.len() > MAX_DERIVED {
                 break;
             }
             let snapshot: Vec<(OrderDependency, usize)> =
@@ -164,7 +144,7 @@ impl Prover {
                 known.iter().map(|(k, v)| (k.clone(), *v)).collect();
             for (od1, i1) in &snapshot {
                 for (od2, i2) in &snapshot {
-                    if known.len() > self.limits.max_derived {
+                    if known.len() > MAX_DERIVED {
                         break;
                     }
                     if od1.rhs == od2.lhs {
@@ -222,13 +202,6 @@ pub fn trivial_proof(goal: &OrderDependency) -> Option<Proof> {
     Some(b.finish())
 }
 
-/// Syntactic triviality test used by `trivial_proof`; by Theorem 15 this
-/// coincides with semantic triviality (`∅ ⊨ X ↦ Y`), which the test-suite
-/// cross-checks against the decider.
-pub fn is_syntactically_trivial(goal: &OrderDependency) -> bool {
-    goal.rhs.normalize().is_prefix_of(&goal.lhs.normalize())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -267,10 +240,30 @@ mod tests {
         let universe: Vec<AttrId> = (0..3).map(AttrId).collect();
         for goal in crate::witness::enumerate_ods(&universe, 2) {
             assert_eq!(
-                is_syntactically_trivial(&goal),
+                goal.is_syntactically_trivial(),
                 decide::is_trivial(&goal),
                 "mismatch for {goal}"
             );
+        }
+    }
+
+    #[test]
+    fn repeated_proofs_of_a_chain_are_identical() {
+        // The derived-OD cap cuts the search mid-round, so what it derives
+        // must not depend on iteration order: every call gives one proof.
+        for n in [4u32, 6] {
+            let m = OdSet::from_ods((0..n - 1).map(|i| od(&[i], &[i + 1])));
+            let goal = od(&[0], &[n - 1]);
+            let first = Prover::new(&m).prove(&goal);
+            let first = first.proof().expect("the chain goal is proved").steps();
+            for _ in 0..3 {
+                let again = Prover::new(&m).prove(&goal);
+                assert_eq!(
+                    again.proof().map(|p| p.steps()),
+                    Some(first),
+                    "chain of {n}"
+                );
+            }
         }
     }
 

@@ -115,6 +115,7 @@ pub fn swap_table(m: &OdSet, schema: &Schema, universe: &[AttrId]) -> Relation {
 
 fn swap_rows(m: &OdSet, schema: &Schema, universe: &[AttrId]) -> Vec<Tuple> {
     let mut blocks = Vec::new();
+    let base = Decider::new(m);
     let non_const: Vec<AttrId> = {
         let k = constants(m);
         universe
@@ -142,22 +143,19 @@ fn swap_rows(m: &OdSet, schema: &Schema, universe: &[AttrId]) -> Vec<Tuple> {
                     .filter(|(i, _)| mask & (1 << i) != 0)
                     .map(|(_, x)| *x)
                     .collect();
-                let mut frozen = m.clone();
+                let mut d = base.clone();
                 for &c in &context {
-                    frozen.add_constant(c);
+                    d.add_premise(OrderDependency::new(AttrList::empty(), vec![c]));
                 }
-                let d = Decider::new(&frozen);
-                let compat = OrderCompatibility::new(vec![a], vec![b]);
-                if d.implies_compatibility(&compat) {
-                    continue;
-                }
-                // Find the direction that fails and materialize its counterexample.
-                let pattern = compat
+                // A direction that fails materializes its counterexample;
+                // when neither does, `a ~ b` is implied and needs no block.
+                if let Some(pattern) = OrderCompatibility::new(vec![a], vec![b])
                     .as_ods()
                     .iter()
                     .find_map(|od| d.counterexample(od))
-                    .expect("compatibility not implied, so one direction has a counterexample");
-                blocks.push(pattern.rows(schema));
+                {
+                    blocks.push(pattern.rows(schema));
+                }
             }
         }
     }

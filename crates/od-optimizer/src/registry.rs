@@ -55,29 +55,35 @@ impl OdRegistry {
             names_to_list(schema, lhs).to_set(),
             names_to_list(schema, rhs).to_set(),
         );
-        let entry = self.tables.entry(schema.name().to_string()).or_default();
-        entry.fds.push(fd.clone());
-        entry.ods.add_od(fd.to_od());
-        self.deciders.remove(schema.name());
-        self
+        let od = fd.to_od();
+        self.tables
+            .entry(schema.name().to_string())
+            .or_default()
+            .fds
+            .push(fd);
+        self.add_od(schema.name(), od)
     }
 
-    /// Add a raw OD to a table's constraint set.
+    /// Add a raw OD to a table's constraint set (and to the table's cached
+    /// decider, if one is built: premises only grow here).
     pub fn add_od(&mut self, table: &str, od: OrderDependency) -> &mut Self {
+        if let Some(decider) = self.deciders.get_mut(table) {
+            decider.add_premise(od.clone());
+        }
         self.tables
             .entry(table.to_string())
             .or_default()
             .ods
             .add_od(od);
-        self.deciders.remove(table);
         self
     }
 
     /// Retract an OD from a table's constraint set (the streaming-monitor
     /// hook: a discovered OD whose live verdict flips to *reject* must stop
     /// licensing rewrites immediately).  Returns true if anything was removed;
-    /// the table's cached decider is invalidated so the next
-    /// [`Self::order_satisfies`] query reflects the retraction.
+    /// a premise cannot be retracted from a decider, so the table's cached
+    /// one is dropped and the next [`Self::order_satisfies`] query rebuilds
+    /// it without the OD.
     pub fn remove_od(&mut self, table: &str, od: &OrderDependency) -> bool {
         let Some(entry) = self.tables.get_mut(table) else {
             return false;
@@ -204,6 +210,24 @@ mod tests {
         // Retracting again (or from an unknown table) is a no-op.
         assert!(!r.remove_od("date_dim", &od));
         assert!(!r.remove_od("nope", &od));
+    }
+
+    #[test]
+    fn an_od_added_after_a_query_is_seen_by_the_next_query() {
+        let s = schema();
+        let mut r = OdRegistry::new();
+        let provided = names_to_list(&s, &["d_year", "d_month"]);
+        let required = names_to_list(&s, &["d_year", "d_quarter", "d_month"]);
+        // The first query builds the table's decider over no premises.
+        assert!(!r.order_satisfies("date_dim", &provided, &required));
+        let od = OrderDependency::new(
+            names_to_list(&s, &["d_month"]),
+            names_to_list(&s, &["d_quarter"]),
+        );
+        r.add_od("date_dim", od.clone());
+        assert!(r.order_satisfies("date_dim", &provided, &required));
+        assert!(r.remove_od("date_dim", &od));
+        assert!(!r.order_satisfies("date_dim", &provided, &required));
     }
 
     #[test]

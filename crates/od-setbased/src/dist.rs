@@ -49,7 +49,7 @@
 //! ## Merge determinism
 //!
 //! The coordinator runs the *control plane* — candidate propagation, rule-2
-//! subsumption, the per-level decider round, and the sequential replay —
+//! subsumption, the implication decider, and the sequential replay —
 //! unchanged, so verdicts, minimal statements, and every deterministic
 //! counter are **bit-identical to the in-process engine on any worker count**:
 //!

@@ -51,14 +51,13 @@
 //! Two same-context rules complete the pruning: **constancy subsumes
 //! compatibility** (rule 2: if `𝒞 : [] ↦ A` holds, `A` never swaps against
 //! anything in `𝒞`'s classes), and the optional **implication decider**
-//! (rule 3: the exact [`od_infer::DeciderBatch`] over everything confirmed so
+//! (rule 3: the exact [`od_infer::Decider`] over everything confirmed so
 //! far, which catches non-subset consequences such as FD transitivity).
-//! Decider queries are issued in **one batched round-trip per level**, not per
-//! candidate: a [`DeciderBatch`] snapshots the premises once at level start
-//! (counted in [`LatticeStats::decider_rounds`]), its premise set is appended
-//! to — never re-snapshotted — as the replay confirms statements, and every
-//! counterexample found by a search is reused to refute later queries
-//! search-free.  With a non-zero error threshold `ε`, candidates are accepted
+//! One decider lives for the whole traversal: each confirmed statement's
+//! list ODs are appended to its premises, and every counterexample one of
+//! its searches finds is kept to refute later queries search-free — across
+//! levels too, since the premises only grow.  With a non-zero error
+//! threshold `ε`, candidates are accepted
 //! when their `g3` removal count stays within `⌊ε·n⌋`; propagation and rule 2
 //! remain sound (they rest on a single premise and statement satisfaction is
 //! monotone under context growth and tuple removal), but rule 3 combines
@@ -70,15 +69,16 @@
 //! decisions are identical to a statement-at-a-time traversal; the batched
 //! scans merely *pre-compute* verdicts (a level-start decider pre-filter skips
 //! scans for candidates already implied — sound because implication is
-//! monotone in the premise set).
+//! monotone in the premise set).  [`LatticeStats::decider_rounds`] counts the
+//! levels the decider ran on.
 
 use crate::canonical::SetOd;
 use crate::dist::{DistError, DistPlane, WorkerLauncher};
 use crate::partition::{ColCodes, PartitionCache, StrippedPartition};
 use crate::validate::{self, Verdict};
 use od_core::{AttrId, AttrSet, CoreError, OrderDependency, Relation};
-use od_infer::{DeciderBatch, OdSet};
-use std::collections::{HashMap, HashSet};
+use od_infer::{Decider, OdSet};
+use std::collections::HashMap;
 use std::rc::Rc;
 
 /// Configuration for a lattice traversal.
@@ -127,8 +127,7 @@ pub struct LatticeStats {
     pub inherited: usize,
     /// Candidates resolved by the implication decider.
     pub decider_pruned: usize,
-    /// Batched decider round-trips issued: **one per level** (level-start
-    /// premise snapshot, grown in place), never one per candidate.
+    /// Levels the implication decider ran on: at most one per level.
     pub decider_rounds: usize,
     /// Decider queries answered by a cached counterexample pattern instead of
     /// a fresh backtracking search.
@@ -255,7 +254,6 @@ pub struct SetBasedDiscovery {
     /// Statements the decider proved implied (they hold, but are not minimal);
     /// kept so [`Self::holds`] stays complete within the bound.
     pruned: Vec<SetOd>,
-    holding: HashSet<SetOd>,
     max_context: usize,
     budget: usize,
     level_stats: Vec<LevelStats>,
@@ -307,14 +305,7 @@ impl SetBasedDiscovery {
     /// `max_context` (larger contexts are answered via monotonicity from
     /// confirmed statements, which can only under-approximate).
     pub fn holds(&self, stmt: &SetOd) -> bool {
-        if let Some(normalized) = stmt.normalized() {
-            return self.holds(&normalized);
-        }
-        if stmt.is_trivial() || self.holding.contains(stmt) {
-            return true;
-        }
-        self.minimal.iter().any(|m| m.subsumes(stmt))
-            || self.pruned.iter().any(|p| p.subsumes(stmt))
+        self.removal_upper_bound(stmt).is_some()
     }
 
     /// An upper bound on the statement's `g3` removal count, or `None` when
@@ -555,20 +546,6 @@ fn generate_level(universe: &[AttrId], level: usize, prev: &LevelStore) -> (Vec<
     (nodes, propagated)
 }
 
-/// The traversal's confirmed-statement state (premises for rule 3).
-#[derive(Default)]
-struct TraversalState {
-    confirmed: OdSet,
-}
-
-impl TraversalState {
-    fn record(&mut self, stmt: &SetOd) {
-        for od in stmt.as_list_ods() {
-            self.confirmed.add_od(od);
-        }
-    }
-}
-
 /// The traversal's swappable **data plane**: partition refinement, statement
 /// scans, and eviction.  The control plane ([`discover_with_plane`]) is
 /// identical over both variants — cache accounting included, which it derives
@@ -725,8 +702,8 @@ pub fn discover_statements(rel: &Relation, config: &LatticeConfig) -> SetBasedDi
 }
 
 /// The traversal's **control plane**, generic over the data plane: candidate
-/// propagation, superkey deletion, the per-level decider round, the
-/// canonical sequential replay, and partition-cache accounting.  Every data
+/// propagation, superkey deletion, the decider pre-filter, the canonical
+/// sequential replay, and partition-cache accounting.  Every data
 /// access — refinement, scans, eviction — goes through `plane`, so the
 /// distributed engine runs *this exact loop* and inherits its determinism.
 ///
@@ -750,7 +727,6 @@ pub(crate) fn discover_with_plane(
         verdicts: Vec::new(),
         minimal_index: HashMap::new(),
         pruned: Vec::new(),
-        holding: HashSet::new(),
         max_context: config.max_context,
         budget: validate::error_budget(rel.len(), config.epsilon),
         level_stats: Vec::new(),
@@ -761,7 +737,9 @@ pub(crate) fn discover_with_plane(
     // with a non-zero budget those premises may each lean on a *different*
     // removal set whose union busts the budget.
     let decider_active = config.use_decider && budget == 0;
-    let mut state = TraversalState::default();
+    // Rule 3's premises: every statement confirmed so far, appended as the
+    // replay confirms it.
+    let mut decider = decider_active.then(|| Decider::new(&OdSet::new()));
     let _discovery_span = od_obs::span("discovery");
 
     // Partition-cache accounting (see above): the previous level's
@@ -826,18 +804,14 @@ pub(crate) fn discover_with_plane(
         // a singleton) — the empty relation included.
         let keyed: Vec<bool> = refined.parts.iter().map(|&(c, _)| c == 0).collect();
 
-        // One batched decider round-trip for the whole level: the premise
-        // snapshot is taken here, queried during scheduling (the pre-filter)
-        // and replay, and grown in place as statements are confirmed.
-        // Implication is monotone in the premise set, so a pre-filter answer
-        // stays valid at its replay position — its scan can be skipped
-        // outright and the answer reused without a second query.
-        let mut batch = if decider_active {
+        // The decider is queried during scheduling (the pre-filter) and
+        // replay, and grows as statements are confirmed.  Implication is
+        // monotone in the premise set, so a pre-filter answer stays valid at
+        // its replay position — its scan can be skipped outright and the
+        // answer reused without a second query.
+        if decider_active {
             result.stats.decider_rounds += 1;
-            Some(DeciderBatch::new(&state.confirmed))
-        } else {
-            None
-        };
+        }
 
         // ---- Batch A: all surviving constancy scans, one pass -------------
         let mut const_slots: Vec<(usize, AttrId)> = Vec::new();
@@ -851,9 +825,9 @@ pub(crate) fn discover_with_plane(
                 if keyed[i] {
                     continue; // clean by the superkey rule, no scan needed
                 }
-                if let Some(batch) = batch.as_mut() {
+                if let Some(decider) = decider.as_mut() {
                     for attr in node.consts.iter() {
-                        if batch.implies_context_constancy(&node.context, attr) {
+                        if decider.implies_context_constancy(&node.context, attr) {
                             pre_pruned_consts[i].insert(attr);
                         }
                     }
@@ -908,8 +882,8 @@ pub(crate) fn discover_with_plane(
                 {
                     continue; // rule 2 (or the decider) resolves it scan-free
                 }
-                if let Some(batch) = batch.as_mut() {
-                    if batch.implies_context_compatibility(&node.context, a, b) {
+                if let Some(decider) = decider.as_mut() {
+                    if decider.implies_context_compatibility(&node.context, a, b) {
                         pre_pruned_pairs[i].insert(a, b);
                         continue;
                     }
@@ -926,7 +900,7 @@ pub(crate) fn discover_with_plane(
 
         // ---- Sequential replay in canonical order -------------------------
         // Confirmation order (contexts as enumerated, constancies before
-        // pairs) is what the batch's premise set grows along, so pruning
+        // pairs) is what the decider's premise set grows along, so pruning
         // decisions match a statement-at-a-time traversal exactly.
         let replay_span = od_obs::span("validate");
         let mut next_alive: Vec<Node> = Vec::new();
@@ -941,18 +915,15 @@ pub(crate) fn discover_with_plane(
             for attr in consts.iter() {
                 lstats.candidates += 1;
                 let stmt = SetOd::constancy(ctx, attr);
-                if decider_active {
-                    // Pre-filter hits were answered in this level's batch
-                    // round; candidates it missed may have become implied by
+                if let Some(decider) = decider.as_mut() {
+                    // Pre-filter hits were answered at level start;
+                    // candidates it missed may have become implied by
                     // mid-level confirmations, which only the grown premise
                     // set can see.
                     let implied = pre_pruned_consts[i].contains(attr)
-                        || batch
-                            .as_mut()
-                            .is_some_and(|b| b.implies_context_constancy(&ctx, attr));
+                        || decider.implies_context_constancy(&ctx, attr);
                     if implied {
                         lstats.decider_pruned += 1;
-                        result.holding.insert(stmt);
                         result.pruned.push(stmt);
                         continue;
                     }
@@ -970,7 +941,7 @@ pub(crate) fn discover_with_plane(
                 };
                 lstats.validated += 1;
                 if verdict.within(budget) {
-                    confirm(&mut result, &mut state, &mut batch, stmt, verdict);
+                    confirm(&mut result, &mut decider, stmt, verdict);
                     confirmed_here.insert(attr);
                 } else {
                     surviving_consts.insert(attr);
@@ -986,14 +957,11 @@ pub(crate) fn discover_with_plane(
                     continue;
                 }
                 let stmt = SetOd::compatibility(ctx, a, b);
-                if decider_active {
+                if let Some(decider) = decider.as_mut() {
                     let implied = pre_pruned_pairs[i].contains(a, b)
-                        || batch
-                            .as_mut()
-                            .is_some_and(|b2| b2.implies_context_compatibility(&ctx, a, b));
+                        || decider.implies_context_compatibility(&ctx, a, b);
                     if implied {
                         lstats.decider_pruned += 1;
-                        result.holding.insert(stmt);
                         result.pruned.push(stmt);
                         continue;
                     }
@@ -1011,7 +979,7 @@ pub(crate) fn discover_with_plane(
                 };
                 lstats.validated += 1;
                 if verdict.within(budget) {
-                    confirm(&mut result, &mut state, &mut batch, stmt, verdict);
+                    confirm(&mut result, &mut decider, stmt, verdict);
                 } else {
                     surviving_pairs.insert(a, b);
                 }
@@ -1032,9 +1000,6 @@ pub(crate) fn discover_with_plane(
             });
         }
         drop(replay_span);
-        if let Some(batch) = batch.take() {
-            result.stats.decider_witness_hits += batch.stats.witness_hits;
-        }
         roll_up(&mut result, lstats);
         // Partitions of level − 1 were refinement bases for this level only.
         if level >= 1 {
@@ -1044,6 +1009,7 @@ pub(crate) fn discover_with_plane(
         (prev_parts, prev_bytes) = (contexts.len(), level_bytes);
         prev = LevelStore::new(next_alive);
     }
+    result.stats.decider_witness_hits = decider.map_or(0, |d| d.stats.witness_hits);
     od_obs::add(
         "discovery.partition_cache.hits",
         result.stats.cache_hits as u64,
@@ -1072,22 +1038,19 @@ pub(crate) fn discover_with_plane(
     Ok(result)
 }
 
-/// Record a confirmed minimal statement: it joins the level batch's premise
-/// set, the `holds` index, and the minimal output.
+/// Record a confirmed minimal statement: its list ODs join the decider's
+/// premises, and the statement joins the minimal output.
 fn confirm(
     result: &mut SetBasedDiscovery,
-    state: &mut TraversalState,
-    batch: &mut Option<DeciderBatch>,
+    decider: &mut Option<Decider>,
     stmt: SetOd,
     verdict: Verdict,
 ) {
-    state.record(&stmt);
-    if let Some(batch) = batch.as_mut() {
+    if let Some(decider) = decider.as_mut() {
         for od in stmt.as_list_ods() {
-            batch.add_premise(od);
+            decider.add_premise(od);
         }
     }
-    result.holding.insert(stmt);
     result.minimal_index.insert(stmt, result.minimal.len());
     result.minimal.push(stmt);
     result.verdicts.push(verdict);

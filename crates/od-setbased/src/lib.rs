@@ -11,7 +11,7 @@
 //! | [`partition`] | CSR stripped partitions `Π_X` over tuple ids, memoized radix products over packed class-id keys |
 //! | [`canonical`] | the set-based canonical statements and the exact list ↔ set translation |
 //! | [`validate`]  | evidence-returning ([`Verdict`]) statement validation over rank codes: exact per-class `g3` removal counts, a first-violation exit at ε = 0, and the one-walk τ_A swap check for contexts with a large class |
-//! | [`lattice`]   | node-based level-wise traversal on bitset candidate sets: mask propagation, key-based node deletion, batched per-level validation and decider rounds, partition eviction, `g3` thresholds |
+//! | [`lattice`]   | node-based level-wise traversal on bitset candidate sets: mask propagation, key-based node deletion, batched per-level validation, one growing implication decider, partition eviction, `g3` thresholds |
 //! | [`stream`]    | incremental monitoring: delta-maintained live partitions and per-statement [`VerdictLedger`]s |
 //! | [`wire`]      | canonical byte codecs for [`SetOd`]s and [`Verdict`]s, shared by od-server and the dist workers |
 //! | [`dist`]      | multi-process traversal: a coordinator shards contexts over `--workers N` pipe-connected worker processes, bit-identical to the in-process engine |
