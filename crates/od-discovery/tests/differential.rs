@@ -286,3 +286,94 @@ fn engines_agree_on_approximate_discovery() {
         assert_eq!(set_based.ods.len(), set_based.errors.len());
     }
 }
+
+/// The 13 weak orders of three rows, as dense ranks (`[0, 1, 1]`: row 0
+/// first, rows 1 and 2 tied after it).
+fn weak_orders_of_three_rows() -> Vec<[i64; 3]> {
+    let mut orders = Vec::new();
+    for code in 0..27 {
+        let ranks = [code / 9, code / 3 % 3, code % 3];
+        let used = ranks.iter().max().unwrap() + 1;
+        if (0..used).all(|r| ranks.contains(&r)) {
+            orders.push(ranks);
+        }
+    }
+    orders
+}
+
+/// Every 3-row × 3-column table up to row order (one representative per
+/// orbit of the row permutations), each column a weak order of the rows.
+fn three_by_three_tables() -> Vec<[[i64; 3]; 3]> {
+    const ROW_ORDERS: [[usize; 3]; 6] = [
+        [0, 1, 2],
+        [0, 2, 1],
+        [1, 0, 2],
+        [1, 2, 0],
+        [2, 0, 1],
+        [2, 1, 0],
+    ];
+    let orders = weak_orders_of_three_rows();
+    let mut tables = Vec::new();
+    for &c0 in &orders {
+        for &c1 in &orders {
+            for &c2 in &orders {
+                let rows: [[i64; 3]; 3] = std::array::from_fn(|r| [c0[r], c1[r], c2[r]]);
+                let smallest = ROW_ORDERS
+                    .iter()
+                    .map(|perm| perm.map(|r| rows[r]))
+                    .min()
+                    .unwrap();
+                if smallest == rows {
+                    tables.push(rows);
+                }
+            }
+        }
+    }
+    tables
+}
+
+/// Exhaustive sweep over the 380 three-row, three-column tables: at widths
+/// 2/2, with and without implication pruning, exactly and with a one-row
+/// budget, discovery returns the oracle's ODs, and each score lies between
+/// the oracle's and ε.  Small tables hit every shape of prefix refutation:
+/// right-hand sides whose prefix fails on constancy, on compatibility, or
+/// only past the budget.
+#[test]
+fn every_three_by_three_table_matches_the_oracle() {
+    let orders = weak_orders_of_three_rows();
+    assert_eq!(orders.len(), 13);
+    let tables = three_by_three_tables();
+    assert_eq!(tables.len(), 380);
+    for rows in tables {
+        let mut schema = Schema::new("sweep");
+        for c in ["a", "b", "c"] {
+            schema.add_attr(c);
+        }
+        let rel = Relation::from_rows(
+            schema,
+            rows.iter()
+                .map(|row| row.iter().map(|&v| Value::Int(v)).collect()),
+        )
+        .unwrap();
+        for epsilon in [0.0, 0.34] {
+            for prune_implied in [true, false] {
+                let config = DiscoveryConfig {
+                    prune_implied,
+                    epsilon,
+                    ..Default::default()
+                };
+                let found = discover_ods(&rel, config);
+                let naive = discover_ods_naive(&rel, config);
+                let at = format!("{rows:?} at ε = {epsilon}, prune = {prune_implied}");
+                assert_eq!(found.ods, naive.ods, "{at}");
+                assert_eq!(found.candidates, naive.candidates, "{at}");
+                for (fast, oracle) in found.errors.iter().zip(naive.errors.iter()) {
+                    assert!(
+                        (*oracle..=epsilon).contains(fast),
+                        "score {fast} outside [{oracle}, {epsilon}] for {at}"
+                    );
+                }
+            }
+        }
+    }
+}

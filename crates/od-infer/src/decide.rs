@@ -17,6 +17,23 @@
 //! truth: the axiomatic prover is checked against it, and the witness-table
 //! construction queries it for membership in `ℳ⁺`.
 //!
+//! **The indexed search.**  The search assigns the goal's attributes first,
+//! then the rest of the universe, trying `Eq`, `Lt`, `Gt` at each.  A
+//! comparison on a list is fixed as soon as the pattern decides it (the first
+//! strict orientation, or every attribute `Eq`), and deeper assignments never
+//! touch an assigned attribute, so a decided premise or goal stays decided
+//! below.  Two cuts follow, and both are exact: they remove only subtrees
+//! without a counterexample, so the search returns the same first pattern as
+//! the plain depth-first walk.
+//!
+//! * After assigning attribute `A`, only the premises that mention `A` are
+//!   checked for a definite violation: every other premise has the status it
+//!   had at the parent node, which passed.  The decider keeps, per attribute,
+//!   the premises that mention it.
+//! * A branch ends as soon as the goal is decided as satisfied: no extension
+//!   can violate it.  At a leaf every premise is decided and none is
+//!   violated, so only the goal's violation is left to check.
+//!
 //! This mirrors the paper's own two-row split/swap analysis (Theorem 15 and the
 //! constructions of Section 4); the exponential worst case is expected — OD
 //! implication is co-NP-complete — but the mentioned universe is small in
@@ -113,9 +130,7 @@ impl TwoTuplePattern {
         let cy = self.eval(&od.rhs);
         match (cx, cy) {
             (Some(x), Some(y)) => Some(pair_ok(x, y) && pair_ok(x.flip(), y.flip())),
-            // If the left side is already strictly oriented and the right side is
-            // already strictly oriented the other way, the OD is definitely violated
-            // regardless of unassigned attributes deeper in the lists.
+            // One side's comparison still waits on an unassigned attribute.
             _ => None,
         }
     }
@@ -181,6 +196,10 @@ pub struct DeciderStats {
 /// Each [`Decider::implies`] query is one backtracking search over two-tuple
 /// patterns.
 ///
+/// Attribute ids in premises and goals must lie below
+/// [`AttrSet::MAX_ATTRS`]: the premises' attributes are kept as an
+/// [`AttrSet`], and a search sizes its pattern by the largest id it meets.
+///
 /// The context-statement queries ([`Decider::implies_context_constancy`],
 /// [`Decider::implies_context_compatibility`]) also keep the counterexample
 /// patterns their searches find and try them before searching again: a
@@ -192,6 +211,8 @@ pub struct DeciderStats {
 #[derive(Debug, Clone)]
 pub struct Decider {
     ods: Vec<OrderDependency>,
+    /// Per attribute id, the indices into `ods` of the premises mentioning it.
+    by_attr: Vec<Vec<usize>>,
     universe: Vec<AttrId>,
     witnesses: Vec<TwoTuplePattern>,
     /// How the context-statement queries were resolved.
@@ -201,12 +222,17 @@ pub struct Decider {
 impl Decider {
     /// Build a decider for the constraint set.
     pub fn new(m: &OdSet) -> Self {
-        Decider {
-            ods: m.ods(),
-            universe: m.attributes().into_iter().collect(),
+        let mut decider = Decider {
+            ods: Vec::new(),
+            by_attr: Vec::new(),
+            universe: Vec::new(),
             witnesses: Vec::new(),
             stats: DeciderStats::default(),
+        };
+        for od in m.ods() {
+            decider.add_premise(od);
         }
+        decider
     }
 
     /// The premises in force, as plain ODs in the order they were given.
@@ -230,6 +256,10 @@ impl Decider {
             if let Err(pos) = self.universe.binary_search(&a) {
                 self.universe.insert(pos, a);
             }
+            if self.by_attr.len() <= a.index() {
+                self.by_attr.resize_with(a.index() + 1, Vec::new);
+            }
+            self.by_attr[a.index()].push(self.ods.len());
         }
         self.ods.push(od);
     }
@@ -332,48 +362,45 @@ impl Decider {
         }
         let width = order.iter().map(|a| a.index() + 1).max().unwrap_or(0);
         let mut pattern = TwoTuplePattern::unassigned(width);
-        search(&self.ods, &mut pattern, &order, 0, goal).then_some(pattern)
+        self.search(&mut pattern, &order, goal).then_some(pattern)
     }
-}
 
-/// Depth-first search for a pattern satisfying every OD of `ods` and violating
-/// `goal`.  Returns true (leaving the assignment in place) when one is found.
-fn search(
-    ods: &[OrderDependency],
-    pattern: &mut TwoTuplePattern,
-    order: &[AttrId],
-    depth: usize,
-    goal: &OrderDependency,
-) -> bool {
-    // Prune: if any constraint is already definitely violated, this branch is dead.
-    if ods.iter().any(|od| pattern.definitely_violates(od)) {
-        return false;
-    }
-    if depth == order.len() {
-        // Fully assigned: every constraint is decided; require goal violated.
-        return ods.iter().all(|od| pattern.satisfies(od) == Some(true))
-            && pattern.satisfies(goal) == Some(false);
-    }
-    // If the goal is already decided as satisfied, no extension can violate it
-    // only if all its attributes are assigned; `satisfies` is None otherwise,
-    // so a Some(true) here is safe to prune on only when fully determined.
-    if pattern.satisfies(goal) == Some(true)
-        && goal
-            .attributes()
-            .iter()
-            .all(|a| pattern.orientation(a).is_some())
-    {
-        return false;
-    }
-    let attr = order[depth];
-    for o in Orientation::ALL {
-        pattern.assignment[attr.index()] = Some(o);
-        if search(ods, pattern, order, depth + 1, goal) {
-            return true;
+    /// Depth-first search below a node whose assigned attributes violate no
+    /// premise, for a pattern that also violates `goal` once `order` is
+    /// assigned.  Returns true (leaving the assignment in place) when one is
+    /// found.
+    fn search(
+        &self,
+        pattern: &mut TwoTuplePattern,
+        order: &[AttrId],
+        goal: &OrderDependency,
+    ) -> bool {
+        let Some((&attr, rest)) = order.split_first() else {
+            // Every premise is decided and none is violated.
+            return pattern.satisfies(goal) == Some(false);
+        };
+        let premises = self
+            .by_attr
+            .get(attr.index())
+            .map_or(&[][..], Vec::as_slice);
+        for o in Orientation::ALL {
+            pattern.assignment[attr.index()] = Some(o);
+            // Only the premises mentioning `attr` can have changed status,
+            // and a goal decided as satisfied stays so in every extension.
+            if premises
+                .iter()
+                .any(|&i| pattern.definitely_violates(&self.ods[i]))
+                || pattern.satisfies(goal) == Some(true)
+            {
+                continue;
+            }
+            if self.search(pattern, rest, goal) {
+                return true;
+            }
         }
+        pattern.assignment[attr.index()] = None;
+        false
     }
-    pattern.assignment[attr.index()] = None;
-    false
 }
 
 /// Decide `ℳ ⊨ X ↦ Y` (convenience wrapper constructing a [`Decider`]).
@@ -511,6 +538,96 @@ mod tests {
         let rel = pattern.to_relation(&schema);
         assert!(m.satisfied_by(&rel));
         assert!(!od_core::check::od_holds(&rel, &goal));
+    }
+
+    /// splitmix64: a seeded, dependency-free stream for the oracle below.
+    fn splitmix64(state: &mut u64) -> u64 {
+        *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        let mut z = *state;
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        z ^ (z >> 31)
+    }
+
+    /// The first full assignment over `order`, in lexicographic order with
+    /// `Eq < Lt < Gt` and `order[0]` varying slowest, that satisfies every
+    /// premise and violates the goal.
+    fn first_counterexample_by_brute_force(
+        premises: &[OrderDependency],
+        goal: &OrderDependency,
+        order: &[AttrId],
+    ) -> Option<Vec<Orientation>> {
+        let width = order.iter().map(|a| a.index() + 1).max().unwrap_or(0);
+        let total = 3usize.pow(order.len() as u32);
+        (0..total).find_map(|mut code| {
+            let mut orients = vec![Orientation::Eq; order.len()];
+            for slot in orients.iter_mut().rev() {
+                *slot = Orientation::ALL[code % 3];
+                code /= 3;
+            }
+            let assigned: Vec<(AttrId, Orientation)> =
+                order.iter().copied().zip(orients.iter().copied()).collect();
+            let pattern = TwoTuplePattern::from_orientations(&assigned, width);
+            let models = premises.iter().all(|p| pattern.satisfies(p) == Some(true));
+            (models && pattern.satisfies(goal) == Some(false)).then_some(orients)
+        })
+    }
+
+    #[test]
+    fn counterexample_is_the_first_in_search_order() {
+        // Random ℳ over at most 5 attributes with lists of length ≤ 3, and
+        // every goal with sides of length ≤ 2: the search must return the
+        // first counterexample of the goal-first order, attribute for
+        // attribute, not merely some valid one.
+        let sets = if cfg!(debug_assertions) { 60 } else { 600 };
+        let mut state = 0x0D_u64;
+        let mut next = |bound: usize| (splitmix64(&mut state) % bound as u64) as usize;
+        for _ in 0..sets {
+            let n_attrs = 1 + next(5);
+            let premises: Vec<OrderDependency> = (0..next(5))
+                .map(|_| {
+                    let mut side = || -> AttrList {
+                        (0..next(4)).map(|_| AttrId(next(n_attrs) as u32)).collect()
+                    };
+                    OrderDependency::new(side(), side())
+                })
+                .collect();
+            let d = Decider::new(&OdSet::from_ods(premises.iter().cloned()));
+            let mut universe: Vec<AttrId> = premises
+                .iter()
+                .flat_map(|p| p.attributes().iter().collect::<Vec<_>>())
+                .collect();
+            universe.sort();
+            universe.dedup();
+            let lists = crate::witness::enumerate_lists(
+                &(0..n_attrs as u32).map(AttrId).collect::<Vec<_>>(),
+                2,
+            );
+            for lhs in &lists {
+                for rhs in &lists {
+                    let goal = OrderDependency::new(lhs.clone(), rhs.clone());
+                    let mut order: Vec<AttrId> = Vec::new();
+                    for a in goal
+                        .lhs
+                        .iter()
+                        .chain(goal.rhs.iter())
+                        .chain(universe.iter().copied())
+                    {
+                        if !order.contains(&a) {
+                            order.push(a);
+                        }
+                    }
+                    let expected = first_counterexample_by_brute_force(&premises, &goal, &order);
+                    let got = d.counterexample(&goal).map(|p| {
+                        order
+                            .iter()
+                            .map(|&a| p.orientation(a).expect("every attribute assigned"))
+                            .collect::<Vec<_>>()
+                    });
+                    assert_eq!(got, expected, "ℳ = {premises:?}, goal {goal}");
+                }
+            }
+        }
     }
 
     #[test]

@@ -227,6 +227,10 @@ pub fn enumerate_ods(universe: &[AttrId], max_len: usize) -> Vec<OrderDependency
 }
 
 /// All normalized lists (no repeated attribute) over `universe` of length ≤ `max_len`.
+///
+/// Lists come shortest first, so each list comes after its one-shorter
+/// prefix; list discovery relies on that to refute a right-hand side by its
+/// failed prefix.
 pub fn enumerate_lists(universe: &[AttrId], max_len: usize) -> Vec<AttrList> {
     let mut out = vec![AttrList::empty()];
     let mut frontier = vec![AttrList::empty()];

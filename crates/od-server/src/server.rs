@@ -506,8 +506,9 @@ fn no_such(kind: &str, name: &str) -> Response {
     )
 }
 
-/// Validate that an OD only names attributes the schema actually has —
-/// watching an out-of-range attribute would panic deep in partition code.
+/// Validate that an OD only names attribute ids below `arity` — the
+/// schema's, for a monitor (watching an out-of-range attribute would panic
+/// deep in partition code), or the attribute-set domain's, for the decider.
 fn od_fits_schema(od: &OrderDependency, arity: usize) -> bool {
     od.lhs
         .iter()
@@ -781,6 +782,21 @@ fn handle(
             }
         }
         Request::Implies { premises, goal } => {
+            // The decider keeps attributes as 64-bit sets and sizes its
+            // search by the largest id, so bound every id before it runs.
+            if let Some(bad) = premises
+                .iter()
+                .chain([&goal])
+                .find(|od| !od_fits_schema(od, od_core::AttrSet::MAX_ATTRS))
+            {
+                return err(
+                    ErrorCode::BadRequest,
+                    format!(
+                        "attribute ids must be below {}: {bad:?}",
+                        od_core::AttrSet::MAX_ATTRS
+                    ),
+                );
+            }
             let m = OdSet::from_ods(premises);
             Response::Implication {
                 implied: Decider::new(&m).implies(&goal),

@@ -3,7 +3,7 @@
 //! protocol error or a clean close — never a panic, and never a hang (every
 //! read below runs under a timeout).
 
-use od_core::wire;
+use od_core::{wire, AttrId, OrderDependency};
 use od_server::proto::{ErrorCode, Request, Response, ServerMessage};
 use od_server::{OdServer, ServerConfig};
 use std::io::{ErrorKind, Read, Write};
@@ -230,6 +230,32 @@ fn requests_to_missing_resources_are_errors_not_panics() {
     ] {
         wire::write_frame(&mut stream, &request.encode()).unwrap();
         expect_error(&mut stream, ErrorCode::NoSuchResource);
+    }
+    expect_pong(&mut stream);
+    server.shutdown();
+}
+
+#[test]
+fn implication_over_out_of_range_attributes_is_a_bad_request() {
+    let server = server();
+    let mut stream = connect(server.local_addr());
+    let od = |lhs: u32, rhs: u32| OrderDependency::new(vec![AttrId(lhs)], vec![AttrId(rhs)]);
+    // A premise past the 64-attribute set domain would panic the handler; a
+    // goal with a huge id would size the decider's search pattern by it.
+    for (premises, goal) in [(vec![od(64, 0)], od(0, 1)), (vec![], od(0, 1 << 20))] {
+        let request = Request::Implies { premises, goal };
+        wire::write_frame(&mut stream, &request.encode()).unwrap();
+        expect_error(&mut stream, ErrorCode::BadRequest);
+    }
+    // In range, the same connection answers normally.
+    let request = Request::Implies {
+        premises: vec![od(0, 1)],
+        goal: od(0, 1),
+    };
+    wire::write_frame(&mut stream, &request.encode()).unwrap();
+    match read_message(&mut stream).expect("implication answered") {
+        ServerMessage::Response(Response::Implication { implied }) => assert!(implied),
+        other => panic!("expected an implication answer, got {other:?}"),
     }
     expect_pong(&mut stream);
     server.shutdown();

@@ -11,7 +11,8 @@
 //! * [`SetOd::Compatibility`] — `𝒞 : A ~ B`: within every class of `𝒞`, the
 //!   attributes `A` and `B` are order compatible (no swap).
 //!
-//! The translation implemented by [`translate_od`] is:
+//! The translation implemented by [`translate_od`] (and, into a reused buffer,
+//! [`translate_into`]) is:
 //!
 //! ```text
 //! [A1..An] ↦ [B1..Bm]   ⟺   { set(X) : [] ↦ Bj                        | j ≤ m }
@@ -191,13 +192,20 @@ pub fn compatibility_as_ods(context: &AttrSet, a: AttrId, b: AttrId) -> [OrderDe
 /// every instance *for syntactic reasons* covered by the mapping (e.g. `X ↦ []`).
 pub fn translate_od(od: &OrderDependency) -> Vec<SetOd> {
     let od = od.normalize();
-    let lhs: Vec<AttrId> = od.lhs.iter().collect();
-    let rhs: Vec<AttrId> = od.rhs.iter().collect();
-    let lhs_set = od.lhs.to_set();
     let mut out = Vec::new();
+    translate_into(od.lhs.as_slice(), od.rhs.as_slice(), &mut out);
+    out
+}
 
+/// [`translate_od`] for duplicate-free sides, into a reused buffer: clears
+/// `out`, then fills it with the canonical statements of `lhs ↦ rhs`, sorted
+/// and without duplicates.  Contexts are built as [`AttrSet`] masks, so a
+/// call allocates only when `out` must grow.
+pub fn translate_into(lhs: &[AttrId], rhs: &[AttrId], out: &mut Vec<SetOd>) {
+    out.clear();
     // Split freedom: every RHS attribute is constant within Π_set(X).
-    for &b in &rhs {
+    let lhs_set: AttrSet = lhs.iter().copied().collect();
+    for &b in rhs {
         let stmt = SetOd::constancy(lhs_set, b);
         if !stmt.is_trivial() {
             out.push(stmt);
@@ -205,19 +213,20 @@ pub fn translate_od(od: &OrderDependency) -> Vec<SetOd> {
     }
     // Swap freedom: each (Ai, Bj) pair is compatible within the context of the
     // preceding prefixes.
-    for (i, &a) in lhs.iter().enumerate() {
-        for (j, &b) in rhs.iter().enumerate() {
-            let mut context: AttrSet = lhs[..i].iter().copied().collect();
-            context.extend(rhs[..j].iter().copied());
+    let mut lhs_prefix = AttrSet::new();
+    for &a in lhs {
+        let mut context = lhs_prefix;
+        for &b in rhs {
             let stmt = SetOd::compatibility(context, a, b);
             if !stmt.is_trivial() {
                 out.push(stmt);
             }
+            context.insert(b);
         }
+        lhs_prefix.insert(a);
     }
-    out.sort();
+    out.sort_unstable();
     out.dedup();
-    out
 }
 
 #[cfg(test)]
@@ -303,6 +312,18 @@ mod tests {
         assert!(translate_od(&OrderDependency::new(l(&[0, 1]), l(&[0]))).is_empty());
         assert!(translate_od(&OrderDependency::new(l(&[0]), l(&[]))).is_empty());
         assert!(translate_od(&OrderDependency::new(l(&[0, 1, 0]), l(&[0, 1]))).is_empty());
+    }
+
+    #[test]
+    fn translate_into_clears_and_refills_a_reused_buffer() {
+        let mut out = vec![SetOd::constancy(set(&[7]), AttrId(8))];
+        translate_into(&[AttrId(0), AttrId(1)], &[AttrId(2), AttrId(3)], &mut out);
+        assert_eq!(
+            out,
+            translate_od(&OrderDependency::new(l(&[0, 1]), l(&[2, 3])))
+        );
+        translate_into(&[AttrId(0), AttrId(1)], &[AttrId(0)], &mut out);
+        assert!(out.is_empty(), "a trivial OD leaves nothing behind");
     }
 
     #[test]

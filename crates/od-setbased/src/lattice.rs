@@ -70,7 +70,10 @@
 //! scans merely *pre-compute* verdicts (a level-start decider pre-filter skips
 //! scans for candidates already implied — sound because implication is
 //! monotone in the premise set).  [`LatticeStats::decider_rounds`] counts the
-//! levels the decider ran on.
+//! levels the decider ran on.  Both pre-filters (constancies, then the pairs
+//! rule 2 leaves open) run under the level's `decider` span; the replay's
+//! queries, which see the mid-level confirmations, run inside its `validate`
+//! span.
 
 use crate::canonical::SetOd;
 use crate::dist::{DistError, DistPlane, WorkerLauncher};
@@ -872,23 +875,28 @@ pub(crate) fn discover_with_plane(
         if decider_active {
             pre_pruned_pairs.resize_with(nodes.len(), || PairSet::empty(universe.len()));
         }
-        for (i, node) in nodes.iter().enumerate() {
-            if keyed[i] {
-                continue;
-            }
-            for (a, b) in node.pairs.iter() {
-                if data_clean(&pre_pruned_consts, &const_verdicts, i, a)
-                    || data_clean(&pre_pruned_consts, &const_verdicts, i, b)
-                {
-                    continue; // rule 2 (or the decider) resolves it scan-free
+        {
+            // The pair pre-filter's queries are timed with the constancy
+            // pre-filter's, under the level's one `decider` span path.
+            let _s = decider_active.then(|| od_obs::span("decider"));
+            for (i, node) in nodes.iter().enumerate() {
+                if keyed[i] {
+                    continue;
                 }
-                if let Some(decider) = decider.as_mut() {
-                    if decider.implies_context_compatibility(&node.context, a, b) {
-                        pre_pruned_pairs[i].insert(a, b);
-                        continue;
+                for (a, b) in node.pairs.iter() {
+                    if data_clean(&pre_pruned_consts, &const_verdicts, i, a)
+                        || data_clean(&pre_pruned_consts, &const_verdicts, i, b)
+                    {
+                        continue; // rule 2 (or the decider) resolves it scan-free
                     }
+                    if let Some(decider) = decider.as_mut() {
+                        if decider.implies_context_compatibility(&node.context, a, b) {
+                            pre_pruned_pairs[i].insert(a, b);
+                            continue;
+                        }
+                    }
+                    pair_slots.push((i, (a, b)));
                 }
-                pair_slots.push((i, (a, b)));
             }
         }
         let verdicts = {

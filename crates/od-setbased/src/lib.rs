@@ -74,7 +74,7 @@ pub mod stream;
 pub mod validate;
 pub mod wire;
 
-pub use canonical::{compatibility_as_ods, constancy_as_od, translate_od, SetOd};
+pub use canonical::{compatibility_as_ods, constancy_as_od, translate_into, translate_od, SetOd};
 pub use dist::{discover_statements_dist, maybe_run_worker, DistError, DistStats, WorkerLauncher};
 pub use lattice::{
     discover_statements, try_discover_statements, LatticeConfig, LatticeStats, LevelStats,
