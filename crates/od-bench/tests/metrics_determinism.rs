@@ -87,19 +87,36 @@ fn e17_deterministic_section_is_byte_identical_across_runs_and_worker_counts() {
     }
 }
 
+/// The reproduce binary's own capture path: the full tiny E12/E13
+/// experiments (two workloads each), deterministic sections compared
+/// byte-for-byte across two consecutive runs — exactly what the CI
+/// bench-smoke diff step asserts on the release binary — and with the
+/// checked-in sections under `tests/golden/`, which pin every counter, gauge
+/// and histogram across commits.
+///
+/// A golden file holds the canonical bytes with a line break after each
+/// comma that ends an entry, so its diff names the entries that moved.  A
+/// change that moves one on purpose rewrites the file and records the move,
+/// and why, in CHANGES.md.
 #[test]
 fn experiment_level_captures_are_byte_identical_across_runs() {
-    // The reproduce binary's own capture path: the full tiny E12/E13
-    // experiments (two workloads each), deterministic sections compared
-    // byte-for-byte across two consecutive runs — exactly what the CI
-    // bench-smoke diff step asserts on the release binary.
     let scale = ExperimentScale::tiny();
+    let golden =
+        |report: &od_obs::MetricsReport| report.deterministic_json().replace(",\"", ",\n\"");
     let (_, first) = capture("e12", || exp_e12_width3(scale));
     let (_, second) = capture("e12", || exp_e12_width3(scale));
     assert_eq!(first.deterministic_json(), second.deterministic_json());
+    assert_eq!(
+        golden(&first),
+        include_str!("golden/e12_tiny.deterministic.json")
+    );
     let (_, first) = capture("e13", || exp_e13_width4(scale, 4));
     let (_, second) = capture("e13", || exp_e13_width4(scale, 4));
     assert_eq!(first.deterministic_json(), second.deterministic_json());
+    assert_eq!(
+        golden(&first),
+        include_str!("golden/e13_tiny.deterministic.json")
+    );
 }
 
 fn relation_strategy(cols: usize, max_rows: usize) -> impl Strategy<Value = Relation> {
