@@ -1,10 +1,11 @@
 //! Least-significant-byte radix sort over `(key, payload)` pairs.
 //!
-//! The columnar encoder ([`crate::columnar`]) sorts a column's `(key, row)`
-//! pairs, and the statement validators in `od-setbased` sort the code pairs
-//! of large partition classes; a stable LSB counting sort turns those
-//! `O(n log n)` comparison sorts into a handful of branch-predictable linear
-//! passes.  Two properties matter to callers:
+//! The statement validators in `od-setbased` sort the code pairs of large
+//! partition classes, and the columnar encoder ([`crate::columnar`]) sorts
+//! the `(key, row)` pairs of a key column whose span is too wide to pack
+//! beside a row index (its other routes sort no pairs); a stable LSB
+//! counting sort turns those `O(n log n)` comparison sorts into a handful of
+//! branch-predictable linear passes.  Two properties matter to callers:
 //!
 //! * **Stability.**  Each digit pass is a counting sort, so pairs with equal
 //!   keys keep their input order.  Every caller feeds pairs in ascending
@@ -16,9 +17,10 @@
 //!   it is the identity, and one scan that stops at the first descent finds
 //!   it.  Otherwise histograms for all digit positions are computed in one
 //!   pre-pass, and any digit on which every key agrees is skipped.  Dense
-//!   rank codes over `n` rows fit in `⌈log₂ n / 8⌉` bytes, so a 10k-row
-//!   relation pays at most two passes and a 1M-row relation three,
-//!   regardless of the key type's width.
+//!   rank codes over `n` rows, the validators' keys, fit in `⌈log₂ n / 8⌉`
+//!   bytes, so a 10k-row relation pays at most two passes and a 1M-row
+//!   relation three, regardless of the key type's width.  The encoder's wide
+//!   keys are not dense: they can pay a pass for every byte.
 //!
 //! [`sort_pairs`] returns the number of counting passes it performed, which
 //! the encoder reports as its `relation.encode.radix_passes` counter.

@@ -439,8 +439,9 @@ pub fn put_relation_snapshot(buf: &mut Vec<u8>, rel: &Relation) {
 /// Decode a columnar snapshot back into a [`Relation`] that carries the
 /// snapshot's encoding directly — no column is re-sorted.  The encoding
 /// invariants the discovery layers lean on are revalidated: every dictionary
-/// must be strictly ascending in the [`Value`] order and every code must
-/// index its dictionary.
+/// must be strictly ascending in the [`Value`] order, every code must index
+/// its dictionary, and every dictionary entry must be some row's code (the
+/// codes are dense ranks, so a dictionary of one entry per row is a key).
 pub fn get_relation_snapshot(r: &mut Reader<'_>) -> WireResult<Relation> {
     let schema = get_schema(r)?;
     let n_rows = r.u32()? as usize;
@@ -474,14 +475,23 @@ pub fn get_relation_snapshot(r: &mut Reader<'_>) -> WireResult<Relation> {
             });
         }
         let mut codes = Vec::with_capacity(n_rows);
+        let mut used = vec![false; dict.len()];
+        let mut unused = dict.len();
         for _ in 0..n_rows {
             let code = r.u32()?;
-            if code as usize >= dict.len() {
+            let Some(used) = used.get_mut(code as usize) else {
                 return Err(WireError::Inconsistent(
                     "snapshot code exceeds its dictionary",
                 ));
-            }
+            };
+            unused -= usize::from(!*used);
+            *used = true;
             codes.push(code);
+        }
+        if unused > 0 {
+            return Err(WireError::Inconsistent(
+                "snapshot dictionary has an entry no row uses",
+            ));
         }
         columns.push(EncodedColumn::from_parts(dict, codes));
     }
@@ -812,6 +822,23 @@ mod tests {
         }
         assert!(matches!(
             Relation::from_bytes(&swapped),
+            Err(WireError::Inconsistent(_))
+        ));
+        // A dictionary entry no row uses is rejected: three entries over
+        // three rows would read as a key, yet rows 0 and 2 share a code.
+        let mut unused = Vec::new();
+        put_schema(&mut unused, rel.schema());
+        put_u32(&mut unused, rel.len() as u32);
+        put_u32(&mut unused, 3);
+        for v in [1, 2, 3] {
+            put_value(&mut unused, &Value::Int(v));
+        }
+        for &code in enc.codes(0) {
+            put_u32(&mut unused, code);
+        }
+        assert_eq!(enc.codes(0), [1, 0, 1]);
+        assert!(matches!(
+            Relation::from_bytes(&unused),
             Err(WireError::Inconsistent(_))
         ));
     }

@@ -19,11 +19,17 @@
 //! [`CLASS_SENTINEL`], whose rows are dropped) for a product.  Per class, one
 //! pass counts each code's rows and records the codes in first-appearance
 //! order, every code with at least two rows gets consecutive slots, and a
-//! second pass places the rows.  Rows enter ascending, so each new class
-//! comes out ascending, and the classes split from one base class come out in
-//! first-row order; the run descriptors are sorted by first row only when
-//! classes of different base classes interleave.  Nothing is sorted by key,
-//! no key is packed and no [`od_core::Value`] is compared.
+//! second pass places the rows.  No branch in these passes depends on the
+//! codes, which matters on high-cardinality codes, where such a branch is a
+//! coin toss: a record is always written and its cursor advanced by a
+//! comparison's 0 or 1, and every row no new class keeps is written to one
+//! dump slot (see [`RefineScratch`]).  A class of two rows needs no pass at
+//! all: it stays a class exactly when both rows share a code other than the
+//! sentinel.  Rows enter ascending, so each new class comes out ascending,
+//! and the classes split from one base class come out in first-row order;
+//! the run descriptors are sorted by first row only when classes of
+//! different base classes interleave.  Nothing is sorted by key, no key is
+//! packed and no [`od_core::Value`] is compared.
 //!
 //! [`PartitionCache`] memoizes partitions per attribute set so the lattice
 //! visits each set once, builds each one from the **cheapest cached base** (the
@@ -34,7 +40,10 @@
 //! memoizes each attribute's **sorted order** τ_A (the rows in order of
 //! `A`'s code, [`PartitionCache::attr_order`]), which the compatibility scan
 //! walks when a context has a large class (see
-//! [`crate::validate::tau_compatibility_verdict`]).
+//! [`crate::validate::tau_compatibility_verdict`]).  What an attribute's
+//! dictionary already decides costs no kernel pass: `Π_{{A}}` of a key (one
+//! entry per row) strips to nothing, and τ_A of codes that never descend is
+//! the identity.
 
 use od_core::{AttrId, AttrSet, ColumnarEncoding, Relation};
 use std::collections::HashMap;
@@ -133,77 +142,106 @@ impl ClassCodes {
 /// [`PartitionCache`] so the thousands of refinements and products of a
 /// lattice traversal stop re-allocating their working set: the only
 /// allocations left are the surviving CSR arrays themselves.
-#[derive(Debug, Default)]
+#[derive(Debug)]
 pub struct RefineScratch {
-    /// One entry per code: during a class, its row count, then its next slot
-    /// in `rows` plus one (0 for a code of one row).  Grown to the largest
-    /// code seen and all zero between classes.
+    /// One entry per code, at `code + 1`, so that [`CLASS_SENTINEL`] wraps
+    /// to entry 0: during a class, the code's row count, then its next
+    /// position in `rows` ([`Self::DUMP`] for a code of one row, and always
+    /// for the sentinel).  Grown by doubling, and all zero between classes.
     slots: Vec<u32>,
-    /// The current class's codes, in first-appearance order.
+    /// The current class's entries in first-appearance order, at its front;
+    /// as long as the longest class split so far.
     seen: Vec<u32>,
     /// Emitted runs: (start in `rows`, length).
     runs: Vec<(u32, u32)>,
-    /// Row ids of emitted runs, in emission order.
+    /// The dump at position 0, then the row ids of the emitted runs, back
+    /// to back in emission order.
     rows: Vec<u32>,
 }
 
+impl Default for RefineScratch {
+    fn default() -> Self {
+        RefineScratch {
+            slots: vec![0],
+            seen: Vec::new(),
+            runs: Vec::new(),
+            rows: vec![0],
+        }
+    }
+}
+
 impl RefineScratch {
+    /// The position in `rows` that takes every row no run keeps: written,
+    /// never read.
+    const DUMP: u32 = 0;
+
     /// Split one class (rows ascending) by `codes`: every code held by at
     /// least two of its rows becomes a run of those rows, ascending, and the
     /// runs come out in first-row order; rows whose code is
-    /// [`CLASS_SENTINEL`] are dropped.
-    fn split(&mut self, class: impl Iterator<Item = u32> + Clone, codes: &[u32]) {
+    /// [`CLASS_SENTINEL`] are dropped.  No branch depends on the codes: a
+    /// row's code is noted at `seen[distinct]` and `distinct` advances when
+    /// the code is new, a run is noted at `runs[r]` and `r` advances when
+    /// it has two rows, and a row no run keeps is placed at the dump.
+    fn split(&mut self, class: impl ExactSizeIterator<Item = u32> + Clone, codes: &[u32]) {
         let RefineScratch {
             slots,
             seen,
             runs,
             rows,
         } = self;
+        if seen.len() < class.len() {
+            seen.resize(class.len(), 0);
+        }
+        let mut distinct = 0;
         for row in class.clone() {
-            let code = codes[row as usize];
-            if code == CLASS_SENTINEL {
-                continue;
+            let slot = codes[row as usize].wrapping_add(1) as usize;
+            if slot >= slots.len() {
+                slots.resize((slot + 1).next_power_of_two(), 0);
             }
-            let code = code as usize;
-            if code >= slots.len() {
-                slots.resize(code + 1, 0);
-            }
-            if slots[code] == 0 {
-                seen.push(code as u32);
-            }
-            slots[code] += 1;
+            let count = slots[slot];
+            seen[distinct] = slot as u32;
+            distinct += usize::from(count == 0);
+            slots[slot] = count + 1;
         }
-        let start = rows.len();
-        let mut end = start as u32;
-        for &code in seen.iter() {
-            let slot = &mut slots[code as usize];
-            let count = *slot;
-            if count >= 2 {
-                runs.push((end, count));
-                *slot = end + 1;
-                end += count;
-            } else {
-                *slot = 0;
-            }
+        // The sentinel's entry counted its rows, but they join no run.
+        slots[0] = Self::DUMP;
+        let start = rows.len() as u32;
+        let mut end = start;
+        let mut r = runs.len();
+        runs.resize(r + distinct, (0, 0));
+        for &slot in &seen[..distinct] {
+            let count = slots[slot as usize];
+            let kept = count >= 2;
+            runs[r] = (end, count);
+            r += usize::from(kept);
+            slots[slot as usize] = if kept { end } else { Self::DUMP };
+            end += if kept { count } else { 0 };
         }
-        if end as usize > start {
+        runs.truncate(r);
+        if end > start {
             rows.resize(end as usize, 0);
             for row in class {
-                let code = codes[row as usize];
-                if code == CLASS_SENTINEL {
-                    continue;
-                }
-                let slot = &mut slots[code as usize];
-                if *slot != 0 {
-                    rows[*slot as usize - 1] = row;
-                    *slot += 1;
-                }
+                let slot = codes[row as usize].wrapping_add(1) as usize;
+                let at = slots[slot];
+                rows[at as usize] = row;
+                // A run's next position moves on; the dump stays put.
+                slots[slot] = at + u32::from(at != Self::DUMP);
             }
         }
-        for &code in seen.iter() {
-            slots[code as usize] = 0;
+        for &slot in &seen[..distinct] {
+            slots[slot as usize] = 0;
         }
-        seen.clear();
+    }
+
+    /// Split a two-row class, `a < b`, without the slot arrays: it stays a
+    /// class exactly when both rows share a code other than
+    /// [`CLASS_SENTINEL`].
+    fn split_pair(&mut self, a: u32, b: u32, codes: &[u32]) {
+        let code = codes[a as usize];
+        if code == codes[b as usize] && code != CLASS_SENTINEL {
+            self.runs.push((self.rows.len() as u32, 2));
+            self.rows.extend([a, b]);
+        }
     }
 
     /// Materialize the emitted runs into a CSR partition: runs in first-row
@@ -217,7 +255,8 @@ impl RefineScratch {
         if !runs.is_sorted_by_key(first_row) {
             runs.sort_unstable_by_key(first_row);
         }
-        let mut rows = Vec::with_capacity(acc.len());
+        // Every row but the dump's belongs to a run.
+        let mut rows = Vec::with_capacity(acc.len() - 1);
         let mut offsets = Vec::with_capacity(runs.len() + 1);
         offsets.push(0u32);
         for &(at, len) in runs.iter() {
@@ -225,7 +264,7 @@ impl RefineScratch {
             offsets.push(rows.len() as u32);
         }
         runs.clear();
-        acc.clear();
+        acc.truncate(1);
         StrippedPartition {
             rows,
             offsets,
@@ -255,11 +294,16 @@ impl StrippedPartition {
                 n_rows,
             }
         } else {
-            StrippedPartition {
-                rows: Vec::new(),
-                offsets: vec![0],
-                n_rows,
-            }
+            Self::key(n_rows)
+        }
+    }
+
+    /// The partition of a key: every class a singleton, so none is kept.
+    fn key(n_rows: usize) -> Self {
+        StrippedPartition {
+            rows: Vec::new(),
+            offsets: vec![0],
+            n_rows,
         }
     }
 
@@ -294,10 +338,14 @@ impl StrippedPartition {
     /// may be an attribute's rank codes (`Π_X · Π_{{A}}` restricted to the
     /// tuples `Π_X` still tracks) or another partition's class ids (see
     /// [`Self::product_with`]).  Linear in [`Self::covered_rows`]: two
-    /// counting passes per class, no sort.
+    /// counting passes per class of three or more rows, one comparison per
+    /// class of two, no sort.
     pub fn refine_by_with(&self, codes: &[u32], scratch: &mut RefineScratch) -> Self {
         for class in self.classes() {
-            scratch.split(class.iter().copied(), codes);
+            match *class {
+                [a, b] => scratch.split_pair(a, b, codes),
+                _ => scratch.split(class.iter().copied(), codes),
+            }
         }
         scratch.finish(self.n_rows)
     }
@@ -385,23 +433,6 @@ impl StrippedPartition {
     }
 }
 
-/// What a context's partition is split by: the dropped attribute's rank
-/// codes at level 1, its class ids from level 2 on.  An owned handle, so the
-/// product can read it while the cache lends out its scratch.
-enum Operand {
-    Codes(ColCodes),
-    Classes(Rc<ClassCodes>),
-}
-
-impl Operand {
-    fn codes(&self) -> &[u32] {
-        match self {
-            Operand::Codes(codes) => codes,
-            Operand::Classes(classes) => classes.codes(),
-        }
-    }
-}
-
 /// Memoizing builder of stripped partitions per attribute set, plus the
 /// per-attribute code columns all validators work on (served as [`ColCodes`]
 /// views into the relation's [`ColumnarEncoding`]).
@@ -469,10 +500,7 @@ impl<'r> PartitionCache<'r> {
         let single: AttrSet = std::iter::once(attr).collect();
         let cc = match self.partitions.get(&single) {
             Some(p) => p.class_codes(),
-            None => {
-                let codes = self.codes(attr);
-                StrippedPartition::by_codes_with(&codes, &mut self.scratch).class_codes()
-            }
+            None => self.attr_partition(attr).class_codes(),
         };
         let rc = Rc::new(cc);
         self.attr_codes.insert(attr, rc.clone());
@@ -480,17 +508,37 @@ impl<'r> PartitionCache<'r> {
     }
 
     /// τ_A: every row in order of `attr`'s code, rows ascending within equal
-    /// codes (one counting pass over the code column), memoized per attribute
-    /// and immune to [`Self::evict_sets_of_size`].
+    /// codes (one counting pass over the code column, or none when the codes
+    /// never descend and τ_A is the identity), memoized per attribute and
+    /// immune to [`Self::evict_sets_of_size`].
     pub fn attr_order(&mut self, attr: AttrId) -> Rc<Vec<u32>> {
         if let Some(order) = self.attr_orders.get(&attr) {
             return order.clone();
         }
         let enc = self.rel.encoding();
         let col = enc.column(attr.index());
-        let order = Rc::new(rows_by_code(col.codes(), col.distinct_count()));
+        let order = Rc::new(if col.codes().is_sorted() {
+            (0..col.codes().len() as u32).collect()
+        } else {
+            rows_by_code(col.codes(), col.distinct_count())
+        });
         self.attr_orders.insert(attr, order.clone());
         order
+    }
+
+    /// `Π_{{attr}}`: the whole relation split by `attr`'s codes.  A
+    /// dictionary with one entry per row decides it with no split: codes are
+    /// dense ranks, every entry some row's, so each row has its own code and
+    /// `attr` is a key.
+    fn attr_partition(&mut self, attr: AttrId) -> StrippedPartition {
+        let n_rows = self.rel.len();
+        let enc = self.rel.encoding();
+        let col = enc.column(attr.index());
+        if col.distinct_count() == n_rows {
+            StrippedPartition::key(n_rows)
+        } else {
+            StrippedPartition::by_codes_with(col.codes(), &mut self.scratch)
+        }
     }
 
     /// The cached subset of `set` one attribute smaller that covers the
@@ -509,17 +557,14 @@ impl<'r> PartitionCache<'r> {
         best.map(|(attr, base)| (attr, base.clone()))
     }
 
-    /// The operand that builds non-empty `set` from the base without
-    /// `dropped`.  From level 2 on, every attribute of `set` gets its class
+    /// The class codes that build `set`, of two or more attributes, from
+    /// the base without `dropped`.  Every attribute of `set` gets its class
     /// codes memoized, not only `dropped`.
-    fn operand(&mut self, set: &AttrSet, dropped: AttrId) -> Operand {
-        if set.len() == 1 {
-            return Operand::Codes(self.codes(dropped));
-        }
+    fn operand(&mut self, set: &AttrSet, dropped: AttrId) -> Rc<ClassCodes> {
         for attr in set.iter() {
             self.attr_class_codes(attr);
         }
-        Operand::Classes(self.attr_class_codes(dropped))
+        self.attr_class_codes(dropped)
     }
 
     /// The stripped partition `Π_X` (memoized).
@@ -535,8 +580,14 @@ impl<'r> PartitionCache<'r> {
                     // No base cached: build `X` minus its last attribute.
                     None => (last, self.partition(&set.without(last))),
                 };
-                let operand = self.operand(set, dropped);
-                base.refine_by_with(operand.codes(), &mut self.scratch)
+                // Level 1 splits the whole relation; its base, `Π_∅`, is
+                // still built and cached above when missing.
+                if set.len() == 1 {
+                    self.attr_partition(dropped)
+                } else {
+                    let operand = self.operand(set, dropped);
+                    base.refine_by_with(operand.codes(), &mut self.scratch)
+                }
             }
         };
         let rc = Rc::new(part);
@@ -753,25 +804,92 @@ mod tests {
 
     #[test]
     fn split_classes_interleave_and_come_out_in_first_row_order() {
-        // Base classes {0,3,5,7} and {1,2,4,6}, split by codes that pair
+        const S: u32 = CLASS_SENTINEL;
+        // Base classes {0,3,5,7,9} and {1,2,4,6}, split by codes that pair
         // {0,5},{3,7} and {1,4},{2,6}: the runs are emitted out of first-row
-        // order and must be put back in it.  Row 8 is a singleton in the
-        // base, so it never enters; row 9's sentinel code drops it.
-        let base = StrippedPartition::from_classes(vec![vec![0, 3, 5, 7, 9], vec![1, 2, 4, 6]], 10);
-        let codes = [0, 1, 2, 1, 1, 0, 2, 1, 0, CLASS_SENTINEL];
+        // order and must be sorted back into it.  Row 8 is a singleton in
+        // the base, so it never enters; row 9's sentinel code drops it.  Of
+        // the two-row classes, {10,11} shares a code and stays, {12,13}
+        // does not, {14,15} has one sentinel row and {16,17} two.
+        let base = StrippedPartition::from_classes(
+            vec![
+                vec![0, 3, 5, 7, 9],
+                vec![1, 2, 4, 6],
+                vec![10, 11],
+                vec![12, 13],
+                vec![14, 15],
+                vec![16, 17],
+            ],
+            18,
+        );
+        let codes = [0, 1, 2, 1, 1, 0, 2, 1, 0, S, 3, 3, 3, 4, S, 4, S, S];
         let mut scratch = RefineScratch::default();
         let split = base.refine_by_with(&codes, &mut scratch);
-        assert_eq!(
-            split.class_vecs(),
-            vec![vec![0, 5], vec![1, 4], vec![2, 6], vec![3, 7]]
-        );
+        assert_eq!(split.rows, [0, 5, 1, 4, 2, 6, 3, 7, 10, 11]);
+        assert_eq!(split.offsets, [0, 2, 4, 6, 8, 10]);
         // The scratch is left clean: the same call again gives the same
-        // partition, and a large code grows the slot array on demand.
+        // partition.
         assert_eq!(base.refine_by_with(&codes, &mut scratch), split);
-        assert!(scratch.slots.iter().all(|&s| s == 0) && scratch.seen.is_empty());
+        assert!(scratch.slots.iter().all(|&s| s == 0));
+        assert_eq!(
+            (scratch.rows.len(), scratch.runs.len()),
+            (1, 0),
+            "only the dump"
+        );
+        // Classes that do not interleave emit their runs in first-row
+        // order, which needs no sort: {0,2} and {1,3} from the first class,
+        // the pair {4,5}, and {6,8} past row 7's sentinel.
+        let base =
+            StrippedPartition::from_classes(vec![vec![0, 1, 2, 3], vec![4, 5], vec![6, 7, 8]], 9);
+        let codes = [0, 1, 0, 1, 2, 2, 3, S, 3];
+        let split = base.refine_by_with(&codes, &mut scratch);
+        assert_eq!(split.rows, [0, 2, 1, 3, 4, 5, 6, 8]);
+        assert_eq!(split.offsets, [0, 2, 4, 6, 8]);
+        // A large code grows the slot array on demand, to a power of two.
         let wide = [70_000, 5, 70_000];
         let p = StrippedPartition::by_codes_with(&wide, &mut scratch);
         assert_eq!(p.class_vecs(), vec![vec![0, 2]]);
+        assert_eq!(scratch.slots.len(), 1 << 17);
+    }
+
+    /// A key, a constant, and a column whose only duplicate is two NULLs:
+    /// the cache's `Π_{{A}}`, decided from the dictionary for the key, is
+    /// the counting kernel's.  τ of a column whose codes never
+    /// descend, served without a counting pass, is `rows_by_code`'s too.
+    #[test]
+    fn single_attribute_partitions_and_orders_match_the_counting_kernel() {
+        let mut schema = Schema::new("t");
+        for name in ["key", "constant", "nulls", "ascending"] {
+            schema.add_attr(name);
+        }
+        let int = Value::Int;
+        let rows = [
+            [int(5), int(4), Value::Null, int(1)],
+            [int(3), int(4), int(1), int(1)],
+            [int(9), int(4), Value::Null, int(2)],
+            [int(1), int(4), int(2), int(3)],
+            [int(7), int(4), int(3), int(3)],
+        ];
+        let rel = Relation::from_rows(schema, rows.iter().map(|r| r.to_vec())).unwrap();
+        let mut cache = PartitionCache::new(&rel);
+        let mut scratch = RefineScratch::default();
+        for attr in 0..4 {
+            let codes = rel.rank_column(AttrId(attr));
+            let expected = StrippedPartition::by_codes_with(&codes, &mut scratch);
+            assert_eq!(*cache.partition(&set(&[attr])), expected, "column {attr}");
+            let distinct = rel.encoding().column(attr as usize).distinct_count();
+            assert_eq!(
+                *cache.attr_order(AttrId(attr)),
+                rows_by_code(&codes, distinct),
+                "column {attr}"
+            );
+        }
+        assert!(cache.partition(&set(&[0])).is_key());
+        assert!(cache.partition(&set(&[1])).is_single_class());
+        assert_eq!(cache.partition(&set(&[2])).class_vecs(), vec![vec![0, 2]]);
+        assert_eq!(*cache.attr_order(AttrId(3)), [0, 1, 2, 3, 4]);
+        // Decided or split, every partition enters the memo.
+        assert_eq!(cache.cached_sets(), 5);
     }
 
     #[test]
